@@ -129,10 +129,16 @@ mod tests {
 
     #[test]
     fn parallel_pool_gives_valid_samples() {
+        // 12 counting bits: a 16-qubit (1 MiB) register is the smallest
+        // whose full-width sweeps pass the simulator's fork floor on three
+        // threads — at the 8 bits of the tests above every sweep would run
+        // inline and the pool would go unexercised.
         let pool = Arc::new(ThreadPool::new(3));
-        let mut rng = StdRng::seed_from_u64(4);
-        let y = sample_phase(7, 15, 8, pool, &mut rng);
-        assert!(y < 256);
+        let forked_before = qcor_sim::stats::forked_sweeps();
+        let y = sample_phase(7, 15, 12, pool, &mut StdRng::seed_from_u64(4));
+        assert!(qcor_sim::stats::forked_sweeps() > forked_before, "the 3-thread pool was never used");
+        assert!(y < 4096);
+        assert_eq!(y, sample_phase(7, 15, 12, seq_pool(), &mut StdRng::seed_from_u64(4)));
     }
 
     #[test]

@@ -238,31 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_energy_issues_exactly_one_plan_per_commuting_group() {
-        let h = deuteron_hamiltonian();
-        let groups = qcor_pauli::grouping::group_qubit_wise(&h).groups.len();
-        let mut prep = Circuit::new(2);
-        prep.x(0).ry(1, 0.594).cx(1, 0);
-        let pool = Arc::new(ThreadPool::new(1));
-        // The shot-plan counter is process-global and other tests in this
-        // binary issue plans concurrently, so retry until a quiet window
-        // gives an exact reading; the lower bound must hold every time.
-        let mut deltas = Vec::new();
-        for attempt in 0..16u64 {
-            let before = qcor_sim::stats::shot_plans_issued();
-            let e = sampled_energy(&prep, &h, 8192, 100 + attempt, &pool);
-            let delta = qcor_sim::stats::shot_plans_issued() - before;
-            assert!((e - (-1.7487)).abs() < 0.2, "E = {e}");
-            assert!(delta >= groups as u64, "{delta} plans for {groups} groups");
-            if delta == groups as u64 {
-                return;
-            }
-            deltas.push(delta);
-        }
-        panic!("never observed exactly {groups} plans: {deltas:?}");
-    }
-
-    #[test]
     fn sampled_energy_is_deterministic_for_a_fixed_seed() {
         let h = deuteron_hamiltonian();
         let mut prep = Circuit::new(2);

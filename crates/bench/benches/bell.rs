@@ -29,13 +29,15 @@ fn bench_bell(c: &mut Criterion) {
             });
         });
         // The pre-scheduler path (every amplitude loop work-shared over the
-        // pool), kept measurable for the A/B trajectory.
+        // pool: one work item, fork floor 1), kept measurable for the A/B
+        // trajectory.
         group.bench_with_input(BenchmarkId::new("shots512_seq", threads), &threads, |b, _| {
             b.iter(|| {
                 let config = RunConfig {
                     shots: 512,
                     seed: Some(1),
                     granularity: Granularity::Sequential,
+                    par_threshold: 1,
                     ..RunConfig::default()
                 };
                 let counts = run_shots(&circuit, Arc::clone(&pool), &config);

@@ -6,20 +6,51 @@
 //! fix wraps the insertion in a `std::lock_guard`. Here the same table is a
 //! `Mutex<HashMap<...>>` — the lock is the point, not an accident of Rust's
 //! safety rules.
+//!
+//! One departure from the original: the table holds **weak** references. A
+//! buffer lives as long as some [`QReg`] handle to it does and its entry
+//! leaves the table when the last handle drops, so a process that `qalloc`s
+//! per kernel invocation keeps as many buffers as it has invocations in
+//! flight, not as many as it has ever made. Lookup by name
+//! ([`find_buffer`]) is unchanged for every buffer still in use.
 
 use crate::QcorError;
 use parking_lot::Mutex;
 use qcor_xacc::AcceleratorBuffer;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The global allocated-buffers table of Listing 6.
-static ALLOCATED_BUFFERS: Mutex<Option<HashMap<String, QReg>>> = Mutex::new(None);
+static ALLOCATED_BUFFERS: Mutex<Option<HashMap<String, Weak<Registered>>>> = Mutex::new(None);
 
 /// Monotonic suffix making generated buffer names unique even across
 /// concurrent allocations.
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A registered buffer: unregisters itself when its last handle drops.
+struct Registered(Mutex<AcceleratorBuffer>);
+
+impl std::ops::Deref for Registered {
+    type Target = Mutex<AcceleratorBuffer>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        let mut table = ALLOCATED_BUFFERS.lock();
+        let Some(table) = table.as_mut() else { return };
+        let name = self.0.get_mut().name();
+        // A later `qalloc_named` may have re-registered the name; only a
+        // dead entry (this buffer's own) is removed.
+        if table.get(name).is_some_and(|entry| entry.strong_count() == 0) {
+            table.remove(name);
+        }
+    }
+}
 
 /// A handle to an allocated qubit register — the `qreg` of QCOR programs.
 ///
@@ -28,7 +59,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// mutex-guarded and therefore safe from any thread.
 #[derive(Clone)]
 pub struct QReg {
-    buffer: Arc<Mutex<AcceleratorBuffer>>,
+    buffer: Arc<Registered>,
     size: usize,
 }
 
@@ -104,19 +135,21 @@ pub fn qalloc(n: usize) -> QReg {
 /// Allocate with an explicit buffer name (useful in tests).
 pub fn qalloc_named(name: impl Into<String>, n: usize) -> QReg {
     let name = name.into();
-    let qreg = QReg { buffer: Arc::new(Mutex::new(AcceleratorBuffer::with_name(name.clone(), n))), size: n };
+    let buffer = Arc::new(Registered(Mutex::new(AcceleratorBuffer::with_name(name.clone(), n))));
     // The Listing-6 critical section.
     let mut table = ALLOCATED_BUFFERS.lock();
-    table.get_or_insert_with(HashMap::new).insert(name, qreg.clone());
-    qreg
+    table.get_or_insert_with(HashMap::new).insert(name, Arc::downgrade(&buffer));
+    QReg { buffer, size: n }
 }
 
-/// Number of buffers currently registered in the global table.
+/// Number of buffers currently registered in the global table — those
+/// some [`QReg`] handle still refers to.
 pub fn allocated_buffer_count() -> usize {
     ALLOCATED_BUFFERS.lock().as_ref().map(HashMap::len).unwrap_or(0)
 }
 
-/// Empty the global table (tests and long-running processes).
+/// Empty the global table (live buffers stay usable through their
+/// handles; they are just no longer found by name).
 pub fn clear_allocated_buffers() {
     if let Some(table) = ALLOCATED_BUFFERS.lock().as_mut() {
         table.clear();
@@ -125,10 +158,14 @@ pub fn clear_allocated_buffers() {
 
 /// Look up a registered buffer by name.
 pub fn find_buffer(name: &str) -> Result<QReg, QcorError> {
-    ALLOCATED_BUFFERS
-        .lock()
-        .as_ref()
-        .and_then(|t| t.get(name).cloned())
+    let found = ALLOCATED_BUFFERS.lock().as_ref().and_then(|t| t.get(name)).and_then(Weak::upgrade);
+    // `found` is dropped (if at all) after the table lock is released: a
+    // last handle dropping takes that lock to unregister itself.
+    found
+        .map(|buffer| {
+            let size = buffer.lock().size();
+            QReg { buffer, size }
+        })
         .ok_or_else(|| QcorError::Kernel(format!("no allocated buffer named `{name}`")))
 }
 
@@ -138,33 +175,13 @@ mod tests {
 
     #[test]
     fn qalloc_registers_buffers() {
-        clear_allocated_buffers();
-        let before = allocated_buffer_count();
+        // Only this test's own handle: sibling tests allocate into the
+        // same process-global table concurrently (exact table sizes are
+        // asserted in `tests/qalloc_concurrent.rs`, a binary of its own).
         let q = qalloc(2);
         assert_eq!(q.size(), 2);
-        assert_eq!(allocated_buffer_count(), before + 1);
+        assert!(allocated_buffer_count() >= 1);
         assert!(find_buffer(&q.name()).is_ok());
-    }
-
-    #[test]
-    fn concurrent_qalloc_is_safe_and_lossless() {
-        clear_allocated_buffers();
-        let threads = 8;
-        let per_thread = 64;
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..per_thread {
-                    let q = qalloc(2);
-                    assert_eq!(q.size(), 2);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(allocated_buffer_count(), threads * per_thread);
-        clear_allocated_buffers();
     }
 
     #[test]

@@ -108,9 +108,11 @@ impl InitOptions {
     }
 
     /// Disable adaptive shot chunking: a kernel invocation runs all its
-    /// shots sequentially on the executing thread with amplitude loops
-    /// work-shared over the simulator pool (the pre-scheduler behavior,
-    /// kept for A/B comparison).
+    /// shots sequentially on the executing thread and offers the simulator
+    /// pool to the amplitude loops, which fork under the kernels' cost rule
+    /// (`qcor_sim::FORK_MIN_BYTES_PER_THREAD`). Together with
+    /// `.param("par-threshold", 1usize)` this is the pre-scheduler behavior
+    /// (a fork/join per sweep), kept for A/B comparison.
     pub fn sequential_shots(mut self) -> Self {
         self.params.insert("granularity", "sequential");
         self
@@ -361,12 +363,19 @@ mod tests {
 
     #[test]
     fn per_thread_instances_are_distinct() {
+        // Both threads hold their instance until both have read its
+        // address: were one to finish first, the allocator could hand the
+        // freed address to the other and two distinct instances would
+        // compare equal.
+        let both_alive = std::sync::Arc::new(std::sync::Barrier::new(2));
         let mut handles = Vec::new();
         for _ in 0..2 {
-            handles.push(std::thread::spawn(|| {
+            let both_alive = std::sync::Arc::clone(&both_alive);
+            handles.push(std::thread::spawn(move || {
                 initialize(InitOptions::default().threads(1)).unwrap();
                 let ctx = QPUManager::instance().get_qpu().unwrap();
                 let ptr = std::sync::Arc::as_ptr(&ctx.qpu) as *const () as usize;
+                both_alive.wait();
                 QPUManager::instance().clear_current();
                 ptr
             }));

@@ -349,6 +349,10 @@ pub(crate) const CACHE_BLOCK_QUBITS: usize = 15;
 /// dispatch would only cost.
 pub(crate) const CACHE_BLOCK_MIN_QUBITS: usize = 18;
 
+// Blocked replay and `AmpShards::Auto` share one threshold (see
+// `state::AMP_SHARD_MIN_AMPS`), itself a multiple of the kernels' fork floor.
+const _: () = assert!(1usize << CACHE_BLOCK_MIN_QUBITS == crate::state::AMP_SHARD_MIN_AMPS);
+
 /// True when a diagonal op with the given masks is independent of `bit`:
 /// its phase factor is then identical on both halves of any amplitude pair
 /// over that bit, so it commutes with any (controlled) single-qubit op

@@ -67,10 +67,11 @@ impl DensityMatrix {
         self.n
     }
 
-    /// Minimum vec(ρ) length before kernel sweeps are work-shared over the
-    /// pool (see [`StateVector::set_par_threshold`]).
-    pub fn set_par_threshold(&mut self, threshold: usize) {
-        self.vec_state.set_par_threshold(threshold);
+    /// Override the fork floor of the vec(ρ) sweeps: minimum bytes of a
+    /// sweep per pool thread before it is work-shared (see
+    /// [`StateVector::set_par_threshold`]; `1` forks every sweep).
+    pub fn set_par_threshold(&mut self, bytes_per_thread: usize) {
+        self.vec_state.set_par_threshold(bytes_per_thread);
     }
 
     /// The pool this density matrix's sweeps work-share over.

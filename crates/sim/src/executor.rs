@@ -86,8 +86,9 @@
 //! shard job owns both halves of every amplitude pair it updates (the
 //! pairwise-exchange step for high targets), sharded amplitudes are
 //! bit-identical to the sequential sweep on any pool size. The default
-//! [`AmpShards::Auto`] engages only on states of at least
-//! `2^CACHE_BLOCK_MIN_QUBITS` amplitudes with a multi-thread pool; a fixed
+//! [`AmpShards::Auto`] engages only on states of at least 2^18 amplitudes
+//! (8× the size where sweeps start to fork at all, and where
+//! cache-blocked replay engages) with a multi-thread pool; a fixed
 //! shard count engages at any size (the property tests exploit this).
 //! When sharding engages, shot-chunk states share the run's pool instead of
 //! a private sequential pool, so chunk jobs can use leftover pool capacity
@@ -109,7 +110,7 @@ use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
 use crate::fp32::{CompiledCircuit32, StateVector32};
 use crate::gates::apply_instruction;
-use crate::state::StateVector;
+use crate::state::{StateVector, AMP_SHARD_MIN_AMPS, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
 use qcor_circuit::{Circuit, GateKind};
 use qcor_pool::ThreadPool;
 use rand::rngs::StdRng;
@@ -284,9 +285,10 @@ pub fn parse_precision_token(s: &str) -> Option<Precision> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AmpShards {
     /// Shard into one job per pool thread, but only on states of at least
-    /// `2^CACHE_BLOCK_MIN_QUBITS` amplitudes with a multi-thread pool —
-    /// below that the classic `parallel_for` dispatch (or a sequential
-    /// sweep) costs less than the batch bookkeeping.
+    /// 2^18 amplitudes (8× the smallest state whose sweeps fork, and the
+    /// size where cache-blocked replay engages too) with a multi-thread
+    /// pool — below that the classic cost-ruled dispatch (a `parallel_for`
+    /// or an inline sweep) costs less than the batch bookkeeping.
     #[default]
     Auto,
     /// Never shard: the classic dispatch only.
@@ -306,9 +308,7 @@ impl AmpShards {
         match self {
             AmpShards::Off => None,
             AmpShards::Fixed(n) => (n >= 2).then_some(n),
-            AmpShards::Auto => (pool_threads > 1
-                && amps >= (1usize << crate::compile::CACHE_BLOCK_MIN_QUBITS))
-                .then_some(pool_threads),
+            AmpShards::Auto => (pool_threads > 1 && amps >= AMP_SHARD_MIN_AMPS).then_some(pool_threads),
         }
     }
 }
@@ -352,9 +352,11 @@ pub enum Granularity {
     #[default]
     Auto,
     /// Opt out of adaptive chunking. In a single-task run all shots run
-    /// sequentially on the calling thread with amplitude loops work-shared
-    /// over the pool — the pre-scheduler behavior, kept for A/B
-    /// benchmarking. When task-level parallelism is requested explicitly
+    /// sequentially on the calling thread and the pool is offered to the
+    /// amplitude loops, which use it under the kernels' fork rule — with
+    /// [`RunConfig::par_threshold`]` = 1` this is the pre-scheduler
+    /// behavior (a fork/join per sweep), kept for A/B benchmarking. When
+    /// task-level parallelism is requested explicitly
     /// ([`run_shots_task_parallel`] / [`ShotPlan::for_tasks`] with
     /// `tasks > 1`), the task split still applies: the run becomes exactly
     /// one chunk per task (the legacy task-parallel shape), each with its
@@ -369,8 +371,11 @@ pub struct RunConfig {
     pub shots: usize,
     /// RNG seed (`None` = entropy from the OS).
     pub seed: Option<u64>,
-    /// Minimum loop length before kernels use the pool (see
-    /// [`StateVector::set_par_threshold`]).
+    /// Fork floor of the run's states: minimum bytes of a sweep per team
+    /// thread before the sweep is work-shared over the pool (default
+    /// [`FORK_MIN_BYTES_PER_THREAD`]; `1` = Quantum++'s unconditional
+    /// forking — see [`StateVector::set_par_threshold`]). Not part of the
+    /// determinism tuple: counts do not depend on it.
     pub par_threshold: usize,
     /// Explicit shots-per-chunk override (`None` = derive the chunk size
     /// from `granularity`). Part of the determinism tuple: fixed
@@ -446,7 +451,7 @@ impl Default for RunConfig {
         RunConfig {
             shots: 1024,
             seed: None,
-            par_threshold: 2,
+            par_threshold: FORK_MIN_BYTES_PER_THREAD,
             chunk_shots: None,
             granularity: Granularity::Auto,
             fusion: None,
@@ -472,12 +477,6 @@ pub fn derive_stream_seed(base: u64, index: usize) -> u64 {
 /// A dispatch is ~1–10 µs; an amplitude update a few ns, so 2^18 updates
 /// keep dispatch overhead well under 1% of chunk runtime.
 const TARGET_CHUNK_AMP_OPS: u64 = 1 << 18;
-
-/// States with at least this many amplitudes stop being shot-chunked: a
-/// single gate's loop is then long enough that work-sharing the amplitude
-/// loops over the pool (the paper's inner simulator level) beats running
-/// whole shots on different workers.
-const INNER_PAR_MIN_AMPS: u64 = 1 << 14;
 
 /// Estimated simulation cost of one shot, in amplitude updates.
 fn shot_cost(circuit: &Circuit) -> u64 {
@@ -512,14 +511,16 @@ impl ShotPlan {
         let shots = config.shots;
         let tasks = tasks.max(1).min(shots.max(1));
         let per_task = shots.div_ceil(tasks).max(1);
-        let amps = 1u64 << circuit.num_qubits();
+        let amps = 1usize << circuit.num_qubits();
         let requested = match (config.chunk_shots, config.granularity) {
             (Some(k), _) => k.max(1),
             (None, Granularity::Sequential) => shots.max(1),
             (None, Granularity::Auto) => {
                 if amps >= INNER_PAR_MIN_AMPS {
-                    // One work item per task; amplitude loops carry the
-                    // parallelism when the whole run stays on the caller.
+                    // One work item per task: from this size a full-width
+                    // sweep passes the kernels' fork rule, so amplitude
+                    // loops carry the parallelism when the whole run stays
+                    // on the caller.
                     shots.max(1)
                 } else {
                     (TARGET_CHUNK_AMP_OPS / shot_cost(circuit)).max(1) as usize

@@ -5,7 +5,10 @@
 //! [`qcor_pool::ThreadPool`] the way Quantum++'s loops are work-shared by
 //! OpenMP. The pool's thread count plays the role of `OMP_NUM_THREADS` in
 //! the paper's evaluation (§VI): a kernel simulated "with N threads" is a
-//! [`StateVector`] whose pool has team size N.
+//! [`StateVector`] whose pool has team size N. Unlike OpenMP's pragmas the
+//! work-sharing is cost-ruled: a sweep forks only when each thread's share
+//! reaches [`FORK_MIN_BYTES_PER_THREAD`] (`par_threshold = 1` restores
+//! fork-on-every-loop).
 //!
 //! * [`Complex64`] — in-tree complex arithmetic,
 //! * [`StateVector`] — amplitudes plus primitive update kernels
@@ -35,9 +38,10 @@
 //! * [`shard`] — process-level shot sharding (`QCOR_SHOT_PROCS`): the
 //!   spawn-self driver that partitions a run's chunk schedule across OS
 //!   processes and merges counts byte-identically,
-//! * [`stats`] — per-thread kernel iteration counters backing the
-//!   `gatefuse_guard` CI gate, the process-global compile-cache hit/miss
-//!   counters, and the amplitude-shard job/exchange counters.
+//! * [`stats`] — per-thread kernel iteration and forked-sweep counters
+//!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
+//!   rule's tests), the process-global compile-cache hit/miss counters, and
+//!   the amplitude-shard job/exchange counters.
 
 pub mod apply;
 pub mod cache;
@@ -76,4 +80,4 @@ pub use shard::{
     maybe_shard_worker, parse_shot_procs_token, run_sharded, run_sharded_spawn, run_shots_sharded_env,
     shot_procs_env_default, SHARD_WORKER_ENV, SHOT_PROCS_ENV,
 };
-pub use state::StateVector;
+pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

@@ -338,11 +338,11 @@ mod tests {
 
     #[test]
     fn sharded_counts_match_on_inner_parallel_plans() {
-        // A 14-qubit circuit plans as one inner-parallel work item; the
+        // A 15-qubit circuit plans as one inner-parallel work item; the
         // owner filter forces the chunk path, which must still reproduce
         // the inner-parallel counts (chunk 0 keeps the base seed).
-        let mut circuit = qcor_circuit::Circuit::new(14);
-        for q in 0..14 {
+        let mut circuit = qcor_circuit::Circuit::new(15);
+        for q in 0..15 {
             circuit.h(q);
         }
         circuit.measure_all();

@@ -7,13 +7,27 @@
 //! reset.
 //!
 //! Every kernel loops over amplitude indices; when the state's
-//! [`ThreadPool`] has more than one thread the loop is work-shared over the
-//! pool, exactly as Quantum++'s OpenMP pragmas work-share its amplitude
-//! loops. This is the paper's "inner simulator level parallelism". As in
-//! Quantum++ the dispatch is unconditional by default (see
-//! [`StateVector::set_par_threshold`]), so small registers pay the fork/join
-//! overhead that the paper's evaluation (§VI-A) observes when oversubscribing
-//! a kernel with threads.
+//! [`ThreadPool`] has more than one thread the loop *may* be work-shared over
+//! the pool, as Quantum++'s OpenMP pragmas work-share its amplitude loops.
+//! This is the paper's "inner simulator level parallelism".
+//!
+//! # When a sweep forks
+//!
+//! Unlike Quantum++, whose pragmas fork unconditionally, every sweep passes
+//! through one cost rule in the dispatch funnel (`dispatch` for the update
+//! kernels, `reduce` for the measurement sums): it goes to the pool only
+//! when the bytes it touches — compressed iteration count × bytes per
+//! iteration of its kernel class — divided over the team reach
+//! [`FORK_MIN_BYTES_PER_THREAD`]; otherwise it runs inline on the caller.
+//! The per-index arithmetic is the same closure either way and every write
+//! is owned by exactly one iteration, so inline and forked sweeps are
+//! bit-identical. An 11-qubit Shor register (32 KiB) therefore never forks,
+//! a 20-qubit state always does, and a controlled sweep over a mid-size
+//! state forks only while its *compressed* range is still worth splitting.
+//! [`StateVector::set_par_threshold`] overrides the floor per state; `1`
+//! restores Quantum++'s unconditional forking, the setting under which the
+//! paper's evaluation (§VI-A) observes the fork/join overhead of
+//! oversubscribing a small kernel with threads.
 //!
 //! # Control-aware index enumeration
 //!
@@ -152,6 +166,80 @@ impl BitInserts {
     }
 }
 
+/// Bytes of one amplitude — the unit the fork rule prices sweeps in. A
+/// kernel passes `dispatch` the bytes one of its loop iterations touches:
+/// `AMP_BYTES` for the per-index kernels (phase, scale, permutation,
+/// collapse, reset, the reductions), `2 * AMP_BYTES` for the pair kernels
+/// (dense, flip, diag, swap), `4 * AMP_BYTES` for the quad kernel, a whole
+/// block for cache-blocked replay.
+const AMP_BYTES: usize = std::mem::size_of::<Complex64>();
+
+/// The fork floor: a sweep is work-shared over the pool only when every
+/// team member's share of it is at least this many bytes; otherwise it
+/// runs inline on the caller, with bit-identical arithmetic. A sweep's size
+/// is its compressed iteration count (control bits already factored out)
+/// times the 16-byte amplitudes one iteration touches — so an uncontrolled
+/// sweep weighs exactly the state's size and each control bit halves it.
+/// [`StateVector::set_par_threshold`] overrides the floor per state.
+///
+/// Derivation, from the probes `benchmark -- trace` takes on the 2-CPU
+/// reference host (`shor_seq`, seed 1, parent of this rule):
+///
+/// * one fork/join on the 2-thread pool costs
+///   `pool.parallel_for_2048_us` = 31.8 µs (a futex wake and park of the
+///   second team member; it does not shrink with the loop);
+/// * an inline sweep streams `sim.replay_us_per_shot` = 1176 µs for
+///   `sim.kernel_iters` = 374 784 iterations (3.1 ns each) which, priced by
+///   class as `dispatch` prices them, touch 8.73 MB: 7.4 B/ns.
+///
+/// Splitting `W` bytes over `T` threads saves `W·(1 − 1/T)/rate` and costs
+/// one fork/join, so on the smallest team (`T = 2`) it breaks even when a
+/// member's share `W/2` takes as long as the fork/join: 31.8 µs × 7.4 B/ns
+/// = 236 KB. The floor is the next power of two, 256 KiB. Timing forced
+/// against inline sweeps on that host agrees: at a 128 KiB share the forked
+/// dense sweep loses (28.7 → 37.5 µs), at 256 KiB it is about even (dense
+/// 59.9 → 66.5 µs, controlled dense 86 → 69 µs), at 512 KiB it wins
+/// 1.2–1.4×; at the 16 KiB share of an 11-qubit Shor register it costs 9×
+/// (3.5 → 31 µs), which is what inverted fig4. A larger team pays more per
+/// fork/join but also saves more per byte; pricing the *share* rather than
+/// the total keeps one constant for both.
+///
+/// The shot plan's inner-parallel floor (`INNER_PAR_MIN_AMPS`) and the
+/// `AmpShards::Auto` floor (`AMP_SHARD_MIN_AMPS`) are expressed through
+/// this constant, so the plan, the shard policy and the kernels cannot
+/// disagree about which states are worth inner parallelism.
+pub const FORK_MIN_BYTES_PER_THREAD: usize = 1 << 18;
+
+/// Smallest state (in amplitudes) any of whose sweeps fork under the
+/// default floor: an uncontrolled sweep on the smallest team that can fork
+/// (two threads). 2^15 amplitudes = 512 KiB. [`crate::ShotPlan`] stops
+/// shot-chunking exactly here — below it no kernel would use the pool that
+/// a single inner-parallel work item holds, so shots must carry the
+/// parallelism. (The plan is pool-size-independent by contract, so it is
+/// stated for two threads; a wider team needs a proportionally larger
+/// state before its full-width sweeps fork.)
+pub(crate) const INNER_PAR_MIN_AMPS: usize = 2 * FORK_MIN_BYTES_PER_THREAD / AMP_BYTES;
+
+/// [`crate::AmpShards::Auto`] floor, in amplitudes: 2^18 (4 MiB), eight
+/// times the size where sweeps start to fork at all. A sharded sweep pays a
+/// `submit_batch` of boxed jobs where the classic dispatch pays one
+/// fork/join, and it shares its threshold with cache-blocked replay
+/// (`compile::CACHE_BLOCK_MIN_QUBITS`, asserted equal there), which only
+/// pays once the state has outgrown the last-level cache.
+pub(crate) const AMP_SHARD_MIN_AMPS: usize = 8 * INNER_PAR_MIN_AMPS;
+
+/// The total sweep bytes at which a state on `pool` starts forking, given
+/// the per-thread floor: `usize::MAX` (never) on a team of one, so the
+/// check in `dispatch` / `reduce` is a single comparison.
+fn fork_min_bytes(pool: &ThreadPool, per_thread: usize) -> usize {
+    let team = pool.num_threads();
+    if team > 1 {
+        per_thread.saturating_mul(team)
+    } else {
+        usize::MAX
+    }
+}
+
 /// An n-qubit pure state.
 ///
 /// Bit convention is little-endian: basis index `i` assigns qubit `q` the
@@ -160,7 +248,9 @@ pub struct StateVector {
     num_qubits: usize,
     amps: Vec<Complex64>,
     pool: Arc<ThreadPool>,
-    par_threshold: usize,
+    /// Sweeps touching at least this many bytes fork (see
+    /// [`fork_min_bytes`]); fixed per `(pool, par_threshold)`.
+    fork_min_bytes: usize,
     /// When `Some(s)` with `s > 1`, every kernel sweep is split into
     /// exactly `s` contiguous compressed-index ranges submitted to the
     /// pool as batch jobs (amplitude sharding) instead of the classic
@@ -199,8 +289,8 @@ impl StateVector {
         StateVector {
             num_qubits,
             amps,
+            fork_min_bytes: fork_min_bytes(&pool, FORK_MIN_BYTES_PER_THREAD),
             pool,
-            par_threshold: 2,
             amp_shards: None,
             scratch: Vec::new(),
             scratch_allocs: 0,
@@ -218,7 +308,7 @@ impl StateVector {
             num_qubits: n,
             amps,
             pool: ThreadPool::sequential(),
-            par_threshold: 2,
+            fork_min_bytes: usize::MAX,
             amp_shards: None,
             scratch: Vec::new(),
             scratch_allocs: 0,
@@ -237,7 +327,7 @@ impl StateVector {
             num_qubits: n,
             amps,
             pool: Arc::clone(&self.pool),
-            par_threshold: self.par_threshold,
+            fork_min_bytes: self.fork_min_bytes,
             amp_shards: self.amp_shards,
             scratch: Vec::new(),
             scratch_allocs: 0,
@@ -247,7 +337,7 @@ impl StateVector {
     /// Reset to |0...0⟩ without reallocating.
     pub fn reset_to_zero(&mut self) {
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(self.amps.len(), |range| {
+        self.dispatch(self.amps.len(), AMP_BYTES, |range| {
             for i in range {
                 // SAFETY: disjoint indices per chunk.
                 unsafe { *ptr.at(i) = Complex64::ZERO };
@@ -286,13 +376,16 @@ impl StateVector {
         &self.pool
     }
 
-    /// Set the minimum number of loop iterations before a kernel is
-    /// dispatched to the pool (default 2, i.e. effectively always when the
-    /// pool has more than one thread — matching Quantum++'s unconditional
-    /// OpenMP work-sharing). Raise it to amortize fork/join overhead on
-    /// small registers.
-    pub fn set_par_threshold(&mut self, items: usize) {
-        self.par_threshold = items.max(1);
+    /// Override the fork floor for this state: the minimum bytes of a
+    /// sweep each team member must receive before the sweep is work-shared
+    /// over the pool (default [`FORK_MIN_BYTES_PER_THREAD`], which states
+    /// the rule and its derivation). `1` forks every sweep on a
+    /// multi-thread pool — Quantum++'s unconditional OpenMP work-sharing,
+    /// and what the forked-vs-sequential equivalence tests set so that a
+    /// small register actually exercises the pool. Amplitudes and seeded
+    /// counts do not depend on the value.
+    pub fn set_par_threshold(&mut self, bytes_per_thread: usize) {
+        self.fork_min_bytes = fork_min_bytes(&self.pool, bytes_per_thread.max(1));
     }
 
     /// Set the amplitude-shard count: `Some(s)` with `s > 1` splits every
@@ -312,7 +405,8 @@ impl StateVector {
         self.amp_shards
     }
 
-    /// Work-share `f` over `0..len` when profitable, else run inline.
+    /// Work-share `f` over `0..len` when the sweep's `len * iter_bytes`
+    /// bytes reach the state's fork floor, else run it inline.
     ///
     /// With amplitude sharding on, the range is instead split into exactly
     /// `s` balanced contiguous jobs handed to [`ThreadPool::submit_batch`]:
@@ -323,7 +417,7 @@ impl StateVector {
     /// it touches — the pairwise-exchange step needs no cross-job
     /// communication and results stay bit-identical on any pool size.
     #[inline]
-    fn dispatch<F: Fn(Range<usize>) + Sync>(&self, len: usize, f: F) {
+    fn dispatch<F: Fn(Range<usize>) + Sync>(&self, len: usize, iter_bytes: usize, f: F) {
         if let Some(shards) = self.amp_shards {
             if len >= shards {
                 crate::stats::record_shard_jobs(shards as u64);
@@ -338,7 +432,8 @@ impl StateVector {
                 return;
             }
         }
-        if self.pool.num_threads() > 1 && len >= self.par_threshold {
+        if len.saturating_mul(iter_bytes) >= self.fork_min_bytes {
+            crate::stats::record_forked_sweep();
             self.pool.parallel_for(0..len, f);
         } else {
             f(0..len);
@@ -365,17 +460,20 @@ impl StateVector {
     const REDUCE_GRAIN: usize = 1 << 12;
 
     /// Sum a per-index quantity over `0..len` with a **fixed** chunk
-    /// partition and fold order: work-shared when profitable, but
-    /// bit-identical regardless of pool size or scheduling.
+    /// partition and fold order: work-shared under the same fork rule as
+    /// `dispatch` (one amplitude read per index), but bit-identical
+    /// regardless of pool size, scheduling or whether it forked.
     #[inline]
     fn reduce<F: Fn(Range<usize>) -> f64 + Sync>(&self, len: usize, f: F) -> f64 {
-        let pool = if self.pool.num_threads() > 1 && len >= self.par_threshold {
-            Arc::clone(&self.pool)
-        } else {
-            // Same partition, evaluated inline in chunk order.
-            ThreadPool::sequential()
-        };
-        pool.parallel_reduce_ordered(0..len, Self::REDUCE_GRAIN, 0.0, f, |a, b| a + b)
+        if len.saturating_mul(AMP_BYTES) >= self.fork_min_bytes {
+            crate::stats::record_forked_sweep();
+            return self.pool.parallel_reduce_ordered(0..len, Self::REDUCE_GRAIN, 0.0, f, |a, b| a + b);
+        }
+        // Same partition, evaluated inline in chunk order.
+        (0..len)
+            .step_by(Self::REDUCE_GRAIN)
+            .map(|lo| f(lo..(lo + Self::REDUCE_GRAIN).min(len)))
+            .fold(0.0, |a, b| a + b)
     }
 
     /// Apply a single-qubit matrix `m` (row-major `[[m00,m01],[m10,m11]]`) to
@@ -401,7 +499,7 @@ impl StateVector {
             // the same expression as the general path, so amplitudes are
             // bit-identical whichever path runs.
             let low_mask = stride - 1;
-            self.dispatch(pairs, |range| {
+            self.dispatch(pairs, 2 * AMP_BYTES, |range| {
                 let mut k = range.start;
                 while k < range.end {
                     let run = (stride - (k & low_mask)).min(range.end - k);
@@ -421,7 +519,7 @@ impl StateVector {
             });
             return;
         }
-        self.dispatch(pairs, |range| {
+        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
             for k in range {
                 let i = inserts.expand(k);
                 let j = i | stride;
@@ -475,7 +573,7 @@ impl StateVector {
             // Contiguous-run sweep, as in `apply_single`: the `2^t0` quads
             // sharing their bits above `t0` have consecutive base indices.
             let low_mask = s0 - 1;
-            self.dispatch(quads, |range| {
+            self.dispatch(quads, 4 * AMP_BYTES, |range| {
                 let mut k = range.start;
                 while k < range.end {
                     let run = (s0 - (k & low_mask)).min(range.end - k);
@@ -489,7 +587,7 @@ impl StateVector {
             });
             return;
         }
-        self.dispatch(quads, |range| {
+        self.dispatch(quads, 4 * AMP_BYTES, |range| {
             for k in range {
                 // SAFETY: disjoint quads across k values.
                 unsafe { quad(ptr, inserts.expand(k), s0, s1, m) };
@@ -512,7 +610,7 @@ impl StateVector {
         self.note_shard_exchange(stride);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
         let pure_flip = m01 == Complex64::ONE && m10 == Complex64::ONE;
-        self.dispatch(pairs, |range| {
+        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
             for k in range {
                 let i = inserts.expand(k);
                 let j = i | stride;
@@ -541,7 +639,7 @@ impl StateVector {
         let pairs = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Diag, pairs);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(pairs, |range| {
+        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
             for k in range {
                 let i = inserts.expand(k);
                 // SAFETY: disjoint pairs across k values.
@@ -569,7 +667,7 @@ impl StateVector {
         let matching = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Phase, matching);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(matching, |range| {
+        self.dispatch(matching, AMP_BYTES, |range| {
             for k in range {
                 // SAFETY: disjoint indices per chunk (expansion injective).
                 unsafe { *ptr.at(inserts.expand(k)) *= z };
@@ -581,7 +679,7 @@ impl StateVector {
     pub fn scale_all(&mut self, z: Complex64) {
         crate::stats::record_iterations(KernelClass::Scale, self.amps.len());
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(self.amps.len(), |range| {
+        self.dispatch(self.amps.len(), AMP_BYTES, |range| {
             for i in range {
                 // SAFETY: disjoint indices per chunk.
                 unsafe { *ptr.at(i) *= z };
@@ -604,7 +702,7 @@ impl StateVector {
         crate::stats::record_iterations(KernelClass::Swap, count);
         self.note_shard_exchange(bit_a.max(bit_b));
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(count, |range| {
+        self.dispatch(count, 2 * AMP_BYTES, |range| {
             for k in range {
                 let i = inserts.expand(k);
                 let j = i ^ bit_a ^ bit_b;
@@ -666,7 +764,7 @@ impl StateVector {
             }
             j
         };
-        self.dispatch(matching, |range| {
+        self.dispatch(matching, AMP_BYTES, |range| {
             for k in range {
                 let i = inserts.expand(k);
                 // SAFETY: each output index written once; reads are shared.
@@ -701,7 +799,7 @@ impl StateVector {
         assert!(block_len <= self.amps.len(), "block larger than the state");
         let blocks = self.amps.len() >> block_qubits;
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(blocks, |range| {
+        self.dispatch(blocks, block_len * AMP_BYTES, |range| {
             for b in range {
                 // SAFETY: blocks are disjoint across b values and `f` is
                 // handed each block exactly once, so no two threads alias.
@@ -748,7 +846,7 @@ impl StateVector {
         let keep_set = outcome == 1;
         let scale = 1.0 / prob.sqrt();
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(self.amps.len(), |range| {
+        self.dispatch(self.amps.len(), AMP_BYTES, |range| {
             for i in range {
                 let set = i & bit != 0;
                 // SAFETY: disjoint indices per chunk.
@@ -912,11 +1010,20 @@ mod tests {
         }
     }
 
+    /// A 6-qubit state on a 4-thread pool that forks every sweep — the
+    /// default floor would run a register this small inline and the
+    /// forked-vs-sequential comparisons below would compare nothing.
+    fn forking_state() -> StateVector {
+        let mut par = StateVector::with_pool(6, Arc::new(ThreadPool::new(4)));
+        par.set_par_threshold(1);
+        par
+    }
+
     #[test]
     fn parallel_pool_matches_sequential() {
-        let pool = Arc::new(ThreadPool::new(4));
         let mut seq = StateVector::new(6);
-        let mut par = StateVector::with_pool(6, pool);
+        let mut par = forking_state();
+        let forked_before = crate::stats::forked_sweeps();
         // A layered random-ish circuit applied to both.
         for q in 0..6 {
             seq.apply_single(q, h_matrix(), 0);
@@ -929,9 +1036,8 @@ mod tests {
             seq.phase_where((1 << q) | (1 << (q + 1)), 0, 0.3 * (q as f64 + 1.0));
             par.phase_where((1 << q) | (1 << (q + 1)), 0, 0.3 * (q as f64 + 1.0));
         }
-        for (a, b) in seq.amplitudes().iter().zip(par.amplitudes()) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
+        assert_eq!(crate::stats::forked_sweeps() - forked_before, 16, "every pooled sweep must fork");
+        assert_eq!(seq.amplitudes(), par.amplitudes());
     }
 
     #[test]
@@ -1187,7 +1293,7 @@ mod tests {
     fn pair_kernel_parallel_matches_sequential() {
         let m = test_pair_matrix();
         let mut seq = scrambled_state();
-        let mut par = StateVector::with_pool(6, Arc::new(ThreadPool::new(4)));
+        let mut par = forking_state();
         // Rebuild the scrambled state on the pooled instance.
         for q in 0..6 {
             par.apply_single(q, h_matrix(), 0);
@@ -1198,7 +1304,9 @@ mod tests {
             par.apply_single(q + 1, x, 1 << q);
         }
         seq.apply_pair(1, 4, &m, 0);
+        let forked_before = crate::stats::forked_sweeps();
         par.apply_pair(1, 4, &m, 0);
+        assert_eq!(crate::stats::forked_sweeps() - forked_before, 1, "the pooled pair sweep must fork");
         for (a, b) in seq.amplitudes().iter().zip(par.amplitudes()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());

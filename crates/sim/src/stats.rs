@@ -19,6 +19,8 @@
 //! on the thread that drives the kernels (chunked shot plans record on
 //! whichever worker runs the chunk — drive the plan through a 1-thread
 //! pool, or call [`crate::run_once`] directly, when exact totals matter).
+//! [`forked_sweeps`] counts, the same way, how many of those kernel
+//! invocations the fork rule sent to the pool.
 
 use std::cell::Cell;
 
@@ -73,6 +75,7 @@ impl KernelClass {
 }
 
 thread_local! {
+    static FORKED_SWEEPS: Cell<u64> = const { Cell::new(0) };
     static KERNEL_ITERS: Cell<u64> = const { Cell::new(0) };
     static CLASS_ITERS: [Cell<u64>; 8] = const {
         [
@@ -132,6 +135,24 @@ pub fn reset_kernel_iterations() {
             c.set(0);
         }
     });
+}
+
+/// Record one sweep (update kernel or measurement reduction) that the fork
+/// rule handed to the pool instead of running inline.
+#[inline]
+pub(crate) fn record_forked_sweep() {
+    FORKED_SWEEPS.with(|c| c.set(c.get() + 1));
+}
+
+/// Sweeps issued from this thread that were work-shared over a pool
+/// (`parallel_for` / ordered reduce) rather than run inline, over the
+/// thread's lifetime — take a difference around the region of interest.
+/// Thread-local like the iteration counters, so concurrently running tests
+/// cannot disturb it; amplitude-sharded batch dispatch is counted
+/// separately ([`shard_jobs_launched`]). This is what pins the fork rule
+/// (`StateVector`'s module docs): a small register must read 0 here.
+pub fn forked_sweeps() -> u64 {
+    FORKED_SWEEPS.with(Cell::get)
 }
 
 // Compile-cache hit/miss counters. Unlike the kernel iteration counters

@@ -90,6 +90,9 @@ proptest! {
     fn parallel_execution_matches_sequential(c in unitary_circuit(5, 30), threads in 2usize..6) {
         let mut seq = StateVector::new(5);
         let mut par = StateVector::with_pool(5, Arc::new(ThreadPool::new(threads)));
+        // Fork every sweep: under the default floor a 5-qubit state runs
+        // inline and this would compare the sequential path with itself.
+        par.set_par_threshold(1);
         let mut rng1 = StdRng::seed_from_u64(0);
         let mut rng2 = StdRng::seed_from_u64(0);
         run_once(&mut seq, &c, &mut rng1);

@@ -11,7 +11,7 @@ use crate::hetmap::HetMap;
 use crate::XaccError;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, AmpShards, Granularity, Precision, RunConfig};
+use qcor_sim::{run_shots, AmpShards, Granularity, Precision, RunConfig, FORK_MIN_BYTES_PER_THREAD};
 use std::sync::Arc;
 
 /// State-vector simulator backend.
@@ -53,7 +53,7 @@ impl QppAccelerator {
     pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
         QppAccelerator {
             pool,
-            par_threshold: 2,
+            par_threshold: FORK_MIN_BYTES_PER_THREAD,
             chunk_shots: None,
             granularity: Granularity::Auto,
             fusion: None,
@@ -65,7 +65,10 @@ impl QppAccelerator {
     }
 
     /// Construct from registry params: `threads` (default: all cores or
-    /// `QCOR_NUM_THREADS`), `par-threshold` (see
+    /// `QCOR_NUM_THREADS`), `par-threshold` (the kernels' fork floor in bytes
+    /// of a sweep per pool thread, default
+    /// [`qcor_sim::FORK_MIN_BYTES_PER_THREAD`]; `1` forks every sweep as
+    /// Quantum++ does — see
     /// [`qcor_sim::StateVector::set_par_threshold`]), `chunk-shots`
     /// (explicit scheduler chunk size), `granularity`
     /// (`"auto"` | `"sequential"`), `fusion` (bool, or `"on"`/`"off"`;
@@ -281,9 +284,13 @@ mod tests {
         assert_eq!(acc.chunk_shots, Some(8));
         assert_eq!(acc.granularity, Granularity::Sequential);
         assert_eq!(acc.fusion, Some(false));
-        let on =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", "on")).unwrap();
+        assert_eq!(acc.par_threshold, FORK_MIN_BYTES_PER_THREAD, "unset = the kernels' fork floor");
+        let on = QppAccelerator::from_params(
+            &HetMap::new().with("threads", 1usize).with("fusion", "on").with("par-threshold", 1usize),
+        )
+        .unwrap();
         assert_eq!(on.fusion, Some(true));
+        assert_eq!(on.par_threshold, 1);
     }
 
     #[test]

@@ -104,40 +104,42 @@ mod tests {
     #[test]
     fn concurrent_use_corrupts_results() {
         // Two threads, each executing a Bell kernel against the SAME
-        // instance. At least one run out of several attempts must deviate
-        // from the clean {00, 11} distribution, demonstrating the race.
-        let acc = Arc::new(SharedQueueAccelerator::new(1));
-        let mut corrupted = false;
-        for attempt in 0..20 {
-            let mut handles = Vec::new();
-            for t in 0..2u64 {
-                let acc = Arc::clone(&acc);
-                handles.push(std::thread::spawn(move || {
-                    let mut buf = AcceleratorBuffer::with_name(format!("b{t}"), 2);
-                    acc.execute(
-                        &mut buf,
-                        &library::bell_kernel(),
-                        &ExecOptions::with_shots(64).seeded(attempt * 2 + t),
-                    )
-                    .unwrap();
-                    buf
-                }));
+        // instance. Both are released from a barrier, so their gate
+        // registrations overlap even when the harness has every core busy
+        // (a spawned thread used to finish before its sibling started);
+        // attempts repeat until one run deviates from the clean {00, 11}
+        // distribution, demonstrating the race, or the time bound expires.
+        let acc = SharedQueueAccelerator::new(1);
+        let start = std::sync::Barrier::new(2);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let mut attempts = 0u64;
+        let corrupted = loop {
+            let run = |t: u64| {
+                let mut buf = AcceleratorBuffer::with_name(format!("b{t}"), 2);
+                start.wait();
+                acc.execute(
+                    &mut buf,
+                    &library::bell_kernel(),
+                    &ExecOptions::with_shots(64).seeded(attempts * 2 + t),
+                )
+                .unwrap();
+                buf.total_shots() == 64 && buf.measurements().keys().all(|k| k == "00" || k == "11")
+            };
+            let (clean0, clean1) = std::thread::scope(|s| {
+                let other = s.spawn(|| run(1));
+                (run(0), other.join().unwrap())
+            });
+            attempts += 1;
+            if !(clean0 && clean1) {
+                break true;
             }
-            for h in handles {
-                let buf = h.join().unwrap();
-                let clean =
-                    buf.total_shots() == 64 && buf.measurements().keys().all(|k| k == "00" || k == "11");
-                if !clean {
-                    corrupted = true;
-                }
+            if std::time::Instant::now() >= deadline {
+                break false;
             }
-            if corrupted {
-                break;
-            }
-        }
+        };
         assert!(
             corrupted,
-            "concurrent shared-queue executions never corrupted — the race reproduction is broken"
+            "{attempts} concurrent shared-queue executions never corrupted — the race reproduction is broken"
         );
     }
 

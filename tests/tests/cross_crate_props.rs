@@ -8,7 +8,7 @@ use qcor_circuit::{library, xasm, Circuit};
 use qcor_pool::ThreadPool;
 use qcor_sim::{
     derive_stream_seed, run_once_interpreted, run_sharded, run_shots, run_shots_task_parallel, AmpShards,
-    CompiledCircuit, RunConfig, ShotPlan, StateVector,
+    CompiledCircuit, Granularity, RunConfig, ShotPlan, StateVector,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
@@ -144,6 +144,13 @@ proptest! {
         let seq = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &config);
         let par = run_shots(&circuit, Arc::new(ThreadPool::new(3)), &config);
         prop_assert_eq!(seq, par, "thread count must never affect results");
+        // The inner-parallel path with every sweep forked (`par_threshold`
+        // 1 — the default floor runs a 3-qubit state inline, which would
+        // compare the sequential path with itself).
+        let forking = RunConfig { granularity: Granularity::Sequential, par_threshold: 1, ..config };
+        let inline = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &forking);
+        let forked = run_shots(&circuit, Arc::new(ThreadPool::new(3)), &forking);
+        prop_assert_eq!(inline, forked, "forked sweeps must never affect results");
     }
 
     #[test]

@@ -16,37 +16,6 @@ __qpu__ void ghz(qreg q) {
 "#;
 
 #[test]
-fn interleaved_qalloc_and_execute_from_many_threads() {
-    qcor::clear_allocated_buffers();
-    let threads = 8;
-    let iterations = 12;
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            std::thread::spawn(move || {
-                initialize(InitOptions::default().threads(1).shots(16).seed(t)).unwrap();
-                let kernel = Kernel::from_xasm(GHZ3, 3).unwrap();
-                for _ in 0..iterations {
-                    let q = qalloc(3);
-                    kernel.invoke(&q, &[]).unwrap();
-                    assert_eq!(q.total_shots(), 16);
-                    let counts = q.measurement_counts();
-                    assert!(
-                        counts.keys().all(|k| k == "000" || k == "111"),
-                        "thread {t} saw contaminated counts: {counts:?}"
-                    );
-                }
-                QPUManager::instance().clear_current();
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(qcor::allocated_buffer_count(), threads as usize * iterations);
-    qcor::clear_allocated_buffers();
-}
-
-#[test]
 fn rapid_initialize_reinitialize_cycles() {
     // Re-initializing must atomically swap the thread's accelerator; the
     // shots setting of the most recent initialize wins.

@@ -107,7 +107,9 @@ fn scheduler_counts_fit_exact_distribution_across_configs() {
     for (name, circuit) in &circuits {
         // Every scheduling shape must draw from the same distribution:
         // adaptive single-chunk, pathological per-shot chunks, odd chunk
-        // sizes, and the legacy sequential (inner-parallel) path.
+        // sizes, and the legacy sequential (inner-parallel) path with every
+        // sweep forked (`par_threshold` 1; the default floor would run
+        // these few-qubit states inline).
         let configs: [(&str, RunConfig, usize); 5] = [
             ("auto/pool1", RunConfig { shots: SHOTS, seed: Some(101), ..RunConfig::default() }, 1),
             ("auto/pool3", RunConfig { shots: SHOTS, seed: Some(202), ..RunConfig::default() }, 3),
@@ -127,6 +129,7 @@ fn scheduler_counts_fit_exact_distribution_across_configs() {
                     shots: SHOTS,
                     seed: Some(505),
                     granularity: Granularity::Sequential,
+                    par_threshold: 1,
                     ..RunConfig::default()
                 },
                 2,

@@ -94,11 +94,20 @@ pub fn sampled_energy(
     })
 }
 
+/// Optimizer iteration budget of [`run_vqe_sampled`]. A sampled objective
+/// re-seeds every evaluation, so its shot noise (≈ Σ|c|/√shots) keeps a
+/// simplex from ever shrinking below the optimizers' default tolerances
+/// (Nelder–Mead: 1e-10) — without a budget every run burns the full
+/// default 1 000 iterations. Thirty iterations settle the deuteron
+/// ansatz well inside the shot noise.
+const SAMPLED_MAX_ITERS: usize = 30;
+
 /// VQE with shot-based objective evaluation (`strategy = "sampled"`) on
 /// the active backend: every energy evaluation measures the grouped
 /// Hamiltonian, one backend execution per qubit-wise-commuting group.
 /// Requires an initialized runtime ([`qcor::initialize`]), which supplies
-/// the shot budget and base seed.
+/// the shot budget and base seed. The optimizer stops after
+/// `SAMPLED_MAX_ITERS` (30) iterations.
 pub fn run_vqe_sampled(
     ansatz: Kernel,
     hamiltonian: PauliSum,
@@ -117,7 +126,7 @@ pub fn run_vqe_sampled(
         // differences at 1e-3 would drown in shot noise.
         &HetMap::new().with("gradient-strategy", "central").with("step", 1e-2).with("strategy", "sampled"),
     )?;
-    let optimizer = create_optimizer(optimizer_name, &HetMap::new())
+    let optimizer = create_optimizer(optimizer_name, &HetMap::new().with("max-iters", SAMPLED_MAX_ITERS))
         .ok_or_else(|| QcorError::Kernel(format!("unknown optimizer `{optimizer_name}`")))?;
     let OptimizerResult { opt_val, opt_params, evaluations, .. } = optimizer.optimize(&objective, x0);
     Ok(VqeResult { energy: opt_val, params: opt_params, evaluations, start: x0.to_vec() })

@@ -9,7 +9,9 @@
 //! 2. **Shot-shard merge identity** — single-process `run_shots`, the
 //!    in-process `run_sharded` oracle, and the spawn-self
 //!    `run_sharded_spawn` driver must all merge byte-identical seeded
-//!    counts for the same config.
+//!    counts for the same config — also when two threads spawn shards of
+//!    two different circuits at the same seed at once (their temp files
+//!    must not collide).
 //! 3. **Sharded replay overhead** — at `QCOR_NUM_THREADS=1` (batch jobs
 //!    run inline on the submitter) the sharded replay must stay at
 //!    ≤ 1.1× the sequential replay. At higher thread counts the ratio is
@@ -27,7 +29,7 @@
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::{reset_shard_stats, shard_exchange_steps, shard_jobs_launched};
-use qcor_sim::{run_sharded, run_sharded_spawn, run_shots, CompiledCircuit, RunConfig, StateVector};
+use qcor_sim::{run_sharded, run_sharded_spawn, run_shots, CompiledCircuit, Counts, RunConfig, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -116,6 +118,35 @@ fn assert_shot_shards_merge_identically(pool: &Arc<ThreadPool>) {
     assert_eq!(single, in_process, "in-process sharding changed seeded counts");
     let spawned = run_sharded_spawn(&circuit, &config, 2).expect("spawned shard workers must succeed");
     assert_eq!(single, spawned, "spawned sharding changed seeded counts");
+
+    // Two spawn runs in flight at once, same seed, different circuits
+    // (different widths, so a crossed circuit or counts file cannot pass).
+    // The barrier releases both spawns together so their temp-file
+    // writes and shard children overlap.
+    let circuits = [circuit, qcor_circuit::library::ghz_kernel(COUNT_QUBITS / 2)];
+    let start = std::sync::Barrier::new(circuits.len());
+    let concurrent: Vec<Counts> = std::thread::scope(|s| {
+        let runs: Vec<_> = circuits
+            .iter()
+            .map(|c| {
+                s.spawn(|| {
+                    start.wait();
+                    run_sharded_spawn(c, &config, 2)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| {
+                run.join()
+                    .expect("spawning thread panicked")
+                    .expect("concurrent spawned shard workers must succeed")
+            })
+            .collect()
+    });
+    for (circuit, counts) in circuits.iter().zip(concurrent) {
+        let oracle = run_sharded(circuit, Arc::clone(pool), &config, 2);
+        assert_eq!(counts, oracle, "concurrent spawns at one seed crossed their temp files");
+    }
 }
 
 fn main() {
@@ -139,7 +170,9 @@ fn main() {
     assert_sharded_replay_bit_identical(&plan, &pool);
     println!("sharded replay bit-identical to sequential ({SHARDS} shards, {threads} thread pool)");
     assert_shot_shards_merge_identically(&pool);
-    println!("seeded counts identical: run_shots == run_sharded(3) == run_sharded_spawn(2)");
+    println!(
+        "seeded counts identical: run_shots == run_sharded(3) == run_sharded_spawn(2), also concurrently"
+    );
 
     // Timing gate: the same compiled replay with sharding off vs on. One
     // state per variant, allocated outside the timed region; each rep

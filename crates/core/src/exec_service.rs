@@ -54,13 +54,6 @@
 //!   tenant with weight 3 gets ~3× the dispatch share of a weight-1 tenant
 //!   and a flooding tenant can no longer starve polite ones. A single
 //!   tenant degenerates to plain FIFO. Tasks of a task inherit its tenant.
-//! * **Work-conserving dispatcher** (opt-in:
-//!   [`ExecServiceConfig::dispatcher_executes`] /
-//!   `QCOR_DISPATCHER_EXECUTES`) — when every permit is busy and work is
-//!   queued, the dispatcher thread pops and runs a task itself instead of
-//!   parking. Off by default: inline execution adds one executor beyond
-//!   the permit budget and relaxes strict FIFO observability, which the
-//!   saturation-pattern tests rely on.
 //! * **Cancellation and deadlines** — [`crate::TaskFuture::cancel`]
 //!   aborts a still-queued task (its future resolves as
 //!   [`QcorError::TaskCancelled`]); once dispatched, `cancel` reports
@@ -177,11 +170,6 @@ pub struct ExecServiceConfig {
     /// Tenants not listed here weigh 1.0. Later entries override earlier
     /// ones for the same tenant.
     pub tenant_weights: Vec<(String, f64)>,
-    /// Work-conserving dispatch: when `true`, the dispatcher runs a queued
-    /// task itself whenever every permit is busy (one extra executor
-    /// beyond the permit budget). Default `false` — see the module docs
-    /// for the trade-off.
-    pub dispatcher_executes: bool,
 }
 
 impl Default for ExecServiceConfig {
@@ -192,7 +180,6 @@ impl Default for ExecServiceConfig {
             threads: num_threads_from_env().max(4),
             policy: BackpressurePolicy::Block,
             tenant_weights: Vec::new(),
-            dispatcher_executes: false,
         }
     }
 }
@@ -242,22 +229,14 @@ impl ExecServiceConfig {
         self
     }
 
-    /// Builder-style work-conserving dispatch (see
-    /// [`ExecServiceConfig::dispatcher_executes`]).
-    pub fn dispatcher_executes(mut self, enabled: bool) -> Self {
-        self.dispatcher_executes = enabled;
-        self
-    }
-
     /// The global service's configuration: `QCOR_QUEUE_CAPACITY`,
     /// `QCOR_QUEUE_PRIORITY_CAPACITY` (high-lane high-water mark, default:
     /// the total capacity), `QCOR_SERVICE_THREADS` (default:
     /// `QCOR_NUM_THREADS` with a floor of 4, so task-level latency overlap
     /// survives 1-CPU hosts — the §IV-A cloud scenario needs ≥ 2
     /// concurrent tasks even without cores), `QCOR_QUEUE_POLICY`
-    /// (`block` | `reject` | `shed-oldest`), `QCOR_TENANT_WEIGHTS`
-    /// (`tenant=weight,...`) and `QCOR_DISPATCHER_EXECUTES`
-    /// (`1` | `true` | `on` / `0` | `false` | `off`).
+    /// (`block` | `reject` | `shed-oldest`) and `QCOR_TENANT_WEIGHTS`
+    /// (`tenant=weight,...`).
     ///
     /// Every knob is parsed **loudly**: a value that is set but not valid
     /// (zero, garbage, an unknown token) panics instead of being silently
@@ -298,9 +277,6 @@ impl ExecServiceConfig {
         if let Some(spec) = get("QCOR_TENANT_WEIGHTS") {
             cfg.tenant_weights = parse_tenant_weights(&spec);
         }
-        if let Some(flag) = get("QCOR_DISPATCHER_EXECUTES") {
-            cfg.dispatcher_executes = parse_bool_token("QCOR_DISPATCHER_EXECUTES", &flag);
-        }
         cfg
     }
 }
@@ -340,15 +316,6 @@ fn parse_tenant_weights(spec: &str) -> Vec<(String, f64)> {
         panic!("QCOR_TENANT_WEIGHTS is set but empty (expected `tenant=weight,...`)");
     }
     weights
-}
-
-/// Parse an on/off env token loudly.
-fn parse_bool_token(key: &str, value: &str) -> bool {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => true,
-        "0" | "false" | "off" => false,
-        other => panic!("{key}=`{other}` is not a boolean token (expected 1 | true | on | 0 | false | off)"),
-    }
 }
 
 /// Snapshot of a service's counters, taken under a single lock
@@ -744,8 +711,6 @@ pub(crate) struct Inner {
     /// this service's executor slots (a pool worker, or the dispatcher /
     /// an inline frame, which report worker-pool id 0).
     pool_id: usize,
-    /// Work-conserving dispatch (see [`ExecServiceConfig::dispatcher_executes`]).
-    dispatcher_executes: bool,
 }
 
 thread_local! {
@@ -987,7 +952,6 @@ impl ExecutionService {
             max_permits,
             next_ticket: AtomicUsize::new(1),
             pool_id: pool.id(),
-            dispatcher_executes: config.dispatcher_executes,
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
@@ -1352,7 +1316,6 @@ impl ExecutionService {
             policy: self.inner.policy,
             permit_budget: self.inner.max_permits,
             pool_threads: self.pool.num_threads(),
-            dispatcher_executes: self.inner.dispatcher_executes,
             tenants,
             backends: qcor_xacc::registry::global().backend_loads(),
         }
@@ -1470,9 +1433,6 @@ fn inherited_task_options() -> Option<InitOptions> {
 enum Round {
     /// Ship the task to a pool worker under a permit.
     Dispatch(QueuedTask),
-    /// Work-conserving dispatch: every permit is busy, run the task on the
-    /// dispatcher thread itself.
-    Inline(QueuedTask),
     /// Only evictions/expirations happened this round.
     Housekeeping,
     Exit,
@@ -1485,8 +1445,7 @@ enum Round {
 /// Deadlines are enforced eagerly: the dispatcher never sleeps past the
 /// nearest pending deadline and evicts expired tasks from their queue
 /// slots as soon as it fires, permit or no permit (dispatch-time skimming
-/// stays as a backstop). With `dispatcher_executes`, a queued task is run
-/// inline on this thread when every permit is busy.
+/// stays as a backstop).
 fn dispatcher_loop(inner: Arc<Inner>, pool: Arc<ThreadPool>) {
     loop {
         let (expired, round) = {
@@ -1496,16 +1455,12 @@ fn dispatcher_loop(inner: Arc<Inner>, pool: Arc<ThreadPool>) {
                 if !evicted.is_empty() {
                     break (evicted, Round::Housekeeping);
                 }
-                if st.queued() != 0 && (st.permits > 0 || inner.dispatcher_executes) {
-                    let pooled = st.permits > 0;
+                if st.queued() != 0 && st.permits > 0 {
                     let (expired, task) = st.pop_ready();
                     if let Some(task) = task {
                         st.mark_running(&task);
-                        if pooled {
-                            st.permits -= 1;
-                            break (expired, Round::Dispatch(task));
-                        }
-                        break (expired, Round::Inline(task));
+                        st.permits -= 1;
+                        break (expired, Round::Dispatch(task));
                     }
                     if !expired.is_empty() {
                         break (expired, Round::Housekeeping);
@@ -1539,16 +1494,6 @@ fn dispatcher_loop(inner: Arc<Inner>, pool: Arc<ThreadPool>) {
         }
         let task = match round {
             Round::Dispatch(task) => task,
-            Round::Inline(task) => {
-                // Every permit is busy: be work-conserving and run the
-                // task right here. No permit moves; the dispatcher is one
-                // extra executor. The task closure retires its own
-                // `running`/`completed` pair.
-                inner.space_ready.notify_all();
-                (task.run)();
-                inner.task_ready.notify_all();
-                continue;
-            }
             Round::Housekeeping => continue,
             Round::Exit => break,
         };
@@ -2177,38 +2122,6 @@ mod tests {
         assert_eq!(svc.stats().cancelled, 0, "cooperative stop is not a queue-cancel");
     }
 
-    // ---- work-conserving dispatcher ------------------------------------
-
-    #[test]
-    fn work_conserving_dispatcher_executes_inline() {
-        // One permit, blocked; with dispatcher_executes the second task
-        // must complete anyway (on the dispatcher thread).
-        let svc = ExecutionService::new(
-            ExecServiceConfig::default().threads(2).capacity(8).dispatcher_executes(true),
-        );
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let blocker = svc
-            .submit(move || {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                "blocker"
-            })
-            .unwrap();
-        while svc.stats().running == 0 {
-            std::thread::yield_now();
-        }
-        let overflow = svc.submit(|| "inline").unwrap();
-        assert_eq!(overflow.get(), "inline", "must run while the only permit is busy");
-        assert_eq!(svc.stats().running, 1, "the blocker is still holding the permit");
-        gate.store(true, Ordering::Release);
-        assert_eq!(blocker.get(), "blocker");
-        svc.drain();
-        let s = svc.stats();
-        assert_eq!((s.submitted, s.completed), (2, 2));
-    }
-
     // ---- loud env parsing (satellite: no silent clamps) ----------------
 
     fn env<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
@@ -2223,14 +2136,12 @@ mod tests {
             ("QCOR_SERVICE_THREADS", "3"),
             ("QCOR_QUEUE_POLICY", "shed-oldest"),
             ("QCOR_TENANT_WEIGHTS", "alice=2.5, bob=1"),
-            ("QCOR_DISPATCHER_EXECUTES", "on"),
         ]));
         assert_eq!(cfg.capacity, 17);
         assert_eq!(cfg.priority_capacity, Some(5));
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.policy, BackpressurePolicy::ShedOldest);
         assert_eq!(cfg.tenant_weights, vec![("alice".to_string(), 2.5), ("bob".to_string(), 1.0)]);
-        assert!(cfg.dispatcher_executes);
     }
 
     #[test]
@@ -2256,11 +2167,5 @@ mod tests {
     #[should_panic(expected = "is invalid")]
     fn from_env_reader_rejects_nonpositive_tenant_weight() {
         let _ = ExecServiceConfig::from_env_reader(env(&[("QCOR_TENANT_WEIGHTS", "alice=0")]));
-    }
-
-    #[test]
-    #[should_panic(expected = "QCOR_DISPATCHER_EXECUTES=`maybe` is not a boolean token")]
-    fn from_env_reader_rejects_bad_bool() {
-        let _ = ExecServiceConfig::from_env_reader(env(&[("QCOR_DISPATCHER_EXECUTES", "maybe")]));
     }
 }

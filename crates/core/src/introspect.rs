@@ -16,8 +16,7 @@
 //! ```json
 //! {
 //!   "service": {"capacity": 256, "priority_capacity": 256, "policy": "block",
-//!               "permit_budget": 3, "pool_threads": 4,
-//!               "dispatcher_executes": false},
+//!               "permit_budget": 3, "pool_threads": 4},
 //!   "stats": {"submitted": 10, "completed": 10, ...},
 //!   "tenants": [{"tenant": "default", "weight": 1.0, ...}],
 //!   "backends": [{"backend": "qpp", "inflight": 0}]
@@ -91,8 +90,6 @@ pub struct ServiceIntrospection {
     pub permit_budget: usize,
     /// Backing pool team size.
     pub pool_threads: usize,
-    /// Whether the dispatcher runs tasks itself when permits are busy.
-    pub dispatcher_executes: bool,
     /// Per-tenant gauges, sorted by tenant name.
     pub tenants: Vec<TenantStats>,
     /// `(backend, in-flight executions)` from the service registry,
@@ -133,13 +130,12 @@ impl ServiceIntrospection {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
             "{{\"service\":{{\"capacity\":{},\"priority_capacity\":{},\"policy\":\"{}\",\
-             \"permit_budget\":{},\"pool_threads\":{},\"dispatcher_executes\":{}}},",
+             \"permit_budget\":{},\"pool_threads\":{}}},",
             self.capacity,
             self.priority_capacity,
             policy_token(self.policy),
             self.permit_budget,
             self.pool_threads,
-            self.dispatcher_executes,
         ));
         out.push_str(&format!(
             "\"stats\":{{\"submitted\":{},\"completed\":{},\"rejected\":{},\"shed\":{},\
@@ -196,14 +192,12 @@ impl ServiceIntrospection {
         let mut out = String::with_capacity(1024);
         out.push_str("execution service\n");
         out.push_str(&format!(
-            "  capacity={} priority_capacity={} policy={} permit_budget={} pool_threads={} \
-             dispatcher_executes={}\n",
+            "  capacity={} priority_capacity={} policy={} permit_budget={} pool_threads={}\n",
             self.capacity,
             self.priority_capacity,
             policy_token(self.policy),
             self.permit_budget,
             self.pool_threads,
-            self.dispatcher_executes,
         ));
         out.push_str(&format!(
             "  submitted={} completed={} rejected={} shed={} cancelled={} expired={}\n",
@@ -358,7 +352,6 @@ mod tests {
             policy: BackpressurePolicy::ShedOldest,
             permit_budget: 3,
             pool_threads: 4,
-            dispatcher_executes: true,
             tenants: vec![TenantStats {
                 tenant: "alice \"a\"".to_string(),
                 weight: 2.5,
@@ -380,7 +373,7 @@ mod tests {
         let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"policy\":\"shed-oldest\""));
-        assert!(json.contains("\"dispatcher_executes\":true"));
+        assert!(json.contains("\"pool_threads\":4}"));
         assert!(json.contains("\"tenant\":\"alice \\\"a\\\"\""), "quotes must be escaped: {json}");
         assert!(json.contains("\"weight\":2.5"));
         assert!(json.contains("{\"backend\":\"qpp\",\"inflight\":2}"));

@@ -118,17 +118,6 @@ impl InitOptions {
         self
     }
 
-    /// Select how the `qpp-noisy` backend executes its noise model:
-    /// `"trajectory"` (the default — per-shot Kraus-branch sampling on the
-    /// batched shot scheduler), `"density"` (exact mixed-state oracle) or
-    /// `"interpreted"` (the legacy per-shot loop, the A/B baseline).
-    /// Unknown tokens are rejected by the backend as `InvalidParam`, like
-    /// `gate_fusion`. Defaults to the `QCOR_NOISE_MODE` process default.
-    pub fn noise_mode(mut self, mode: impl Into<String>) -> Self {
-        self.params.insert("noise-mode", mode.into());
-        self
-    }
-
     /// Force gate fusion on or off for this backend (compile-then-execute:
     /// the circuit is lowered once per shot plan into fused kernel ops and
     /// replayed per shot — see `qcor_sim::CompiledCircuit`). Defaults to
@@ -137,16 +126,6 @@ impl InitOptions {
     /// identical either way.
     pub fn gate_fusion(mut self, enabled: bool) -> Self {
         self.params.insert("fusion", enabled);
-        self
-    }
-
-    /// Select the backend's amplitude precision: `"f64"` (default) or
-    /// `"f32"` — the single-precision compiled replay (`qcor_sim::fp32`),
-    /// which halves state memory and agrees with f64 amplitudes to ~1e-4.
-    /// Unknown tokens are rejected by the backend as `InvalidParam`, like
-    /// `gate_fusion`. Defaults to the `QCOR_PRECISION` process default.
-    pub fn precision(mut self, precision: impl Into<String>) -> Self {
-        self.params.insert("precision", precision.into());
         self
     }
 
@@ -166,21 +145,9 @@ impl InitOptions {
     /// `"off"`, or a fixed shard count such as `"4"`. Sharded amplitudes
     /// and seeded counts are bit-identical to the unsharded dispatch on
     /// any pool size. Unknown tokens are rejected by the backend as
-    /// `InvalidParam`, like `precision`. Defaults to the
-    /// `QCOR_AMP_SHARDS` process default.
+    /// `InvalidParam`. Defaults to the `QCOR_AMP_SHARDS` process default.
     pub fn amp_shards(mut self, shards: impl Into<String>) -> Self {
         self.params.insert("amp-shards", shards.into());
-        self
-    }
-
-    /// Partition each run's shot-chunk schedule over `procs` shards and
-    /// merge the counts (in-process, via `qcor_sim::shard::run_sharded`) —
-    /// byte-identical to the single-shard run for a fixed seed. The
-    /// process-spawning driver (`QCOR_SHOT_PROCS`) lives above the
-    /// runtime, in binaries honoring the `maybe_shard_worker` spawn-self
-    /// contract.
-    pub fn shot_procs(mut self, procs: usize) -> Self {
-        self.params.insert("shot-procs", procs);
         self
     }
 
@@ -531,8 +498,7 @@ mod tests {
             let plain = q_plain.measurement_counts();
             QPUManager::instance().clear_current();
 
-            initialize(InitOptions::default().threads(1).shots(128).seed(31).amp_shards("3").shot_procs(2))
-                .unwrap();
+            initialize(InitOptions::default().threads(1).shots(128).seed(31).amp_shards("3")).unwrap();
             let q_sharded = qalloc(3);
             execute(&q_sharded, &library::ghz_kernel(3)).unwrap();
             let sharded = q_sharded.measurement_counts();
@@ -545,70 +511,6 @@ mod tests {
             let err = initialize(InitOptions::default().threads(1).amp_shards("many"));
             assert!(
                 matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("amp-shards")),
-                "{err:?}"
-            );
-            let err = initialize(InitOptions::default().threads(1).param("shot-procs", "none"));
-            assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("shot-procs")),
-                "{err:?}"
-            );
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn precision_knob_reaches_backend_and_samples_distribution() {
-        std::thread::spawn(|| {
-            initialize(InitOptions::default().threads(1).shots(256).seed(8).precision("f32")).unwrap();
-            let q = qalloc(2);
-            execute(&q, &library::bell_kernel()).unwrap();
-            let counts = q.measurement_counts();
-            assert_eq!(counts.values().sum::<usize>(), 256);
-            assert!(counts.keys().all(|k| k == "00" || k == "11"), "{counts:?}");
-            QPUManager::instance().clear_current();
-
-            // Unknown tokens surface as InvalidParam through initialize,
-            // exactly like fusion.
-            let err = initialize(InitOptions::default().threads(1).precision("f16"));
-            assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("precision")),
-                "{err:?}"
-            );
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn noise_mode_knob_reaches_noisy_backend() {
-        std::thread::spawn(|| {
-            // Noiseless model: every mode must produce clean Bell counts.
-            for mode in ["trajectory", "density", "interpreted"] {
-                initialize(
-                    InitOptions::default()
-                        .backend("qpp-noisy")
-                        .threads(1)
-                        .shots(128)
-                        .seed(23)
-                        .noise_mode(mode)
-                        .param("depolarizing", 0.0)
-                        .param("readout-error", 0.0),
-                )
-                .unwrap();
-                let q = qalloc(2);
-                execute(&q, &library::bell_kernel()).unwrap();
-                let counts = q.measurement_counts();
-                assert_eq!(counts.values().sum::<usize>(), 128, "mode {mode}");
-                assert!(counts.keys().all(|k| k == "00" || k == "11"), "mode {mode}: {counts:?}");
-                QPUManager::instance().clear_current();
-            }
-
-            // Unknown tokens surface as InvalidParam through initialize,
-            // exactly like fusion.
-            let err = initialize(InitOptions::default().backend("qpp-noisy").threads(1).noise_mode("exact"));
-            assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("noise-mode")),
                 "{err:?}"
             );
         })

@@ -34,7 +34,7 @@
 // ExecutionService behind them (bounded two-lane kernel queue with
 // per-tenant deficit-weighted fair queuing — TaskSpec / set_thread_tenant
 // / QCOR_TENANT_WEIGHTS — block / reject / shed-oldest backpressure,
-// work-conserving in-task joins and optional work-conserving dispatch,
+// work-conserving in-task joins,
 // TaskFuture::cancel with cooperative mid-execution stop, eagerly-evicted
 // per-task deadlines, TaskPriority lanes, and live introspection via
 // ExecutionService::introspect / QCOR_DEBUG_ENDPOINT), execute /
@@ -77,24 +77,15 @@ pub use qcor_sim::{cancel_requested, run_shots_cancellable, CancelToken, ShotRun
 // select it (default on).
 pub use qcor_sim::{fusion_env_default, CompiledCircuit, KernelOp};
 
-// Amplitude precision: `RunConfig::precision`, `InitOptions::precision`
-// and `QCOR_PRECISION` select between the full f64 executor and the
-// single-precision compiled replay (`qcor_sim::fp32`), which halves state
-// memory and matches f64 amplitudes to ~1e-4.
-pub use qcor_sim::{precision_env_default, CompiledCircuit32, Precision, StateVector32};
-
 // Sharded execution. Amplitude sharding (`RunConfig::amp_shards`,
 // `InitOptions::amp_shards`, `QCOR_AMP_SHARDS`) splits every kernel sweep
 // into per-shard batch jobs on the pool, bit-identical to the sequential
-// sweep on any pool size. Process-level shot sharding (`QCOR_SHOT_PROCS`,
-// `qcor_sim::shard`) partitions a run's chunk schedule across OS
-// processes — binaries that call `run_sharded_spawn` (or honor
-// `QCOR_SHOT_PROCS` via `run_shots_sharded_env`) must route re-executions
-// through `maybe_shard_worker` at the top of `main`.
-pub use qcor_sim::{
-    amp_shards_env_default, maybe_shard_worker, run_sharded, run_sharded_spawn, run_shots_sharded_env,
-    shot_procs_env_default, AmpShards,
-};
+// sweep on any pool size. Process-level shot sharding (`qcor_sim::shard`)
+// partitions a run's chunk schedule across OS processes — binaries that
+// call `run_sharded_spawn` must route re-executions through
+// `maybe_shard_worker` at the top of `main`; `run_sharded` is the
+// in-process oracle with the same counts.
+pub use qcor_sim::{amp_shards_env_default, maybe_shard_worker, run_sharded, run_sharded_spawn, AmpShards};
 
 // Noise-model execution. `compile_noisy` lowers a circuit plus a
 // `NoiseModel` once into fused kernel ops interleaved with channel ops;
@@ -103,11 +94,11 @@ pub use qcor_sim::{
 // compiled replay dispatches to) while `run_noisy_shots` samples
 // trajectories on the same batched ShotPlan chunking as the pure-state
 // executor, so seeded noisy counts are byte-identical on any pool size.
-// `InitOptions::noise_mode` / `QCOR_NOISE_MODE` select `trajectory`,
-// `density`, or the legacy `interpreted` loop on the `qpp-noisy` backend.
+// The `qpp-noisy` backend always samples trajectories; the `qpp-density`
+// backend runs the exact evolution of the same noise params.
 pub use qcor_sim::{
-    apply_readout_error, compile_noisy, noise_mode_env_default, run_noisy_shots, run_noisy_shots_planned,
-    ApplyState, DensityMatrix, NoiseMode, NoiseModel, NoisyCompiled, NoisyOp,
+    apply_readout_error, compile_noisy, run_noisy_shots, run_noisy_shots_planned, ApplyState, DensityMatrix,
+    NoiseModel, NoisyCompiled, NoisyOp,
 };
 
 // Grouped Pauli measurement: `pauli::grouping::group_qubit_wise`

@@ -168,80 +168,6 @@ impl std::fmt::Display for Complex64 {
     }
 }
 
-/// A complex number with `f32` components, for the single-precision
-/// (`precision=f32`) backend mode. Only the operations the f32 replay path
-/// needs are provided; circuits are always *compiled* in f64 and the fused
-/// kernel matrices are narrowed once per plan, so this type never appears
-/// in compile-time arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(C)]
-pub struct Complex32 {
-    /// Real part.
-    pub re: f32,
-    /// Imaginary part.
-    pub im: f32,
-}
-
-/// Shorthand constructor.
-pub const fn c32(re: f32, im: f32) -> Complex32 {
-    Complex32 { re, im }
-}
-
-impl Complex32 {
-    /// 0 + 0i.
-    pub const ZERO: Complex32 = c32(0.0, 0.0);
-    /// 1 + 0i.
-    pub const ONE: Complex32 = c32(1.0, 0.0);
-
-    /// |z|², accumulated in f64 so probability sums keep double-precision
-    /// accuracy even over single-precision amplitudes.
-    pub fn norm_sqr_f64(self) -> f64 {
-        let (re, im) = (self.re as f64, self.im as f64);
-        re * re + im * im
-    }
-
-    /// Narrow a double-precision value component-wise.
-    pub fn from_c64(z: Complex64) -> Self {
-        c32(z.re as f32, z.im as f32)
-    }
-
-    /// Widen back to double precision (for comparisons and readout).
-    pub fn to_c64(self) -> Complex64 {
-        c64(self.re as f64, self.im as f64)
-    }
-}
-
-impl Add for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn add(self, rhs: Complex32) -> Complex32 {
-        c32(self.re + rhs.re, self.im + rhs.im)
-    }
-}
-
-impl Mul for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn mul(self, rhs: Complex32) -> Complex32 {
-        c32(self.re * rhs.re - self.im * rhs.im, self.re * rhs.im + self.im * rhs.re)
-    }
-}
-
-impl MulAssign for Complex32 {
-    #[inline]
-    fn mul_assign(&mut self, rhs: Complex32) {
-        *self = *self * rhs;
-    }
-}
-
-impl Mul<f32> for Complex32 {
-    type Output = Complex32;
-    #[inline]
-    fn mul(self, rhs: f32) -> Complex32 {
-        c32(self.re * rhs, self.im * rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,15 +225,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(c64(1.0, 2.0).to_string(), "1+2i");
         assert_eq!(c64(1.0, -2.0).to_string(), "1-2i");
-    }
-
-    #[test]
-    fn complex32_narrowing_roundtrip() {
-        let z = c64(0.25, -0.5); // exactly representable in f32
-        let w = Complex32::from_c64(z);
-        assert_eq!(w.to_c64(), z);
-        assert_eq!(w.norm_sqr_f64(), z.norm_sqr());
-        assert_eq!(c32(1.0, 2.0) * c32(3.0, -1.0), c32(5.0, 5.0));
-        assert_eq!(c32(1.0, 2.0) + c32(3.0, -1.0), c32(4.0, 1.0));
     }
 }

@@ -63,19 +63,6 @@
 //! consume identical RNG streams (same draw count and order), so seeded
 //! counts agree between them.
 //!
-//! # Precision
-//!
-//! [`RunConfig::precision`] / `QCOR_PRECISION` select the amplitude
-//! precision. The default [`Precision::F64`] path is everything described
-//! above. [`Precision::F32`] replays the compiled op list against a
-//! single-precision [`StateVector32`] (see [`crate::fp32`]): the circuit
-//! is still compiled in f64 and the fused matrices are narrowed once per
-//! plan, the mode is **compiled-replay-only** (the `fusion` setting is
-//! ignored — there is no f32 interpreter), and states are sequential-only
-//! (shot chunks carry the parallelism). Amplitudes agree with the f64
-//! path to ~1e-4; RNG draw count and order match exactly, but sampled
-//! counts may differ near probability boundaries.
-//!
 //! # Amplitude sharding
 //!
 //! [`RunConfig::amp_shards`] / `QCOR_AMP_SHARDS` select **amplitude-sharded
@@ -92,8 +79,7 @@
 //! shard count engages at any size (the property tests exploit this).
 //! When sharding engages, shot-chunk states share the run's pool instead of
 //! a private sequential pool, so chunk jobs can use leftover pool capacity
-//! for their amplitude loops. [`Precision::F32`] states are
-//! sequential-only and ignore the setting.
+//! for their amplitude loops.
 //!
 //! # Shot-process sharding
 //!
@@ -108,7 +94,6 @@
 
 use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
-use crate::fp32::{CompiledCircuit32, StateVector32};
 use crate::gates::apply_instruction;
 use crate::state::{StateVector, AMP_SHARD_MIN_AMPS, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
 use qcor_circuit::{Circuit, GateKind};
@@ -239,47 +224,6 @@ pub fn parse_fusion_token(s: &str) -> Option<bool> {
     }
 }
 
-/// Amplitude precision of the state vectors a run simulates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Double precision (`Complex64` amplitudes) — the full executor:
-    /// compiled or interpreted, pool work-sharing, cache-blocked replay.
-    #[default]
-    F64,
-    /// Single precision (`Complex32` amplitudes, [`crate::fp32`]):
-    /// compiled-replay-only and sequential per state; halves the bytes per
-    /// amplitude. Amplitudes match the f64 path to ~1e-4.
-    F32,
-}
-
-/// Resolve the process-wide precision default from `QCOR_PRECISION`.
-/// Unset means **f64**; recognized tokens are those of
-/// [`parse_precision_token`]; anything else panics loudly
-/// (misconfiguration should never silently change what benchmarks
-/// measure). Read and parsed once per process, like
-/// [`fusion_env_default`].
-pub fn precision_env_default() -> Precision {
-    static DEFAULT: std::sync::OnceLock<Precision> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("QCOR_PRECISION") {
-        Err(_) => Precision::F64,
-        Ok(v) => parse_precision_token(&v).unwrap_or_else(|| {
-            panic!("invalid QCOR_PRECISION value {v:?}: expected f32/f64/single/double/32/64")
-        }),
-    })
-}
-
-/// Parse one precision token — the single vocabulary shared by the
-/// `QCOR_PRECISION` environment variable and the qpp backend's string
-/// `precision` param, so the two can never drift apart (the same
-/// discipline as [`parse_fusion_token`]). `None` = unrecognized.
-pub fn parse_precision_token(s: &str) -> Option<Precision> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "" | "f64" | "double" | "64" => Some(Precision::F64),
-        "f32" | "single" | "32" => Some(Precision::F32),
-        _ => None,
-    }
-}
-
 /// Amplitude-sharded kernel dispatch policy (see the
 /// [module docs](self) and [`StateVector::set_amp_shards`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -388,24 +332,18 @@ pub struct RunConfig {
     /// replay it per shot, instead of re-interpreting every instruction.
     /// `None` defers to the `QCOR_GATE_FUSION` environment default
     /// (enabled); `Some(false)` forces the interpreted executor for A/B
-    /// comparison. Ignored under [`Precision::F32`], which is
-    /// compiled-replay-only.
+    /// comparison.
     pub fusion: Option<bool>,
-    /// Amplitude precision. `None` defers to the `QCOR_PRECISION`
-    /// environment default (f64); `Some(Precision::F32)` selects the
-    /// single-precision compiled replay (see [`crate::fp32`]).
-    pub precision: Option<Precision>,
     /// Structural compile cache: look the circuit's structure up in the
     /// process-wide template cache and only re-bind angles on a hit (see
     /// [`crate::cache`]). `None` defers to the `QCOR_COMPILE_CACHE`
     /// environment default (enabled); `Some(false)` forces a cold compile
     /// per plan. Irrelevant when the interpreted executor runs (fusion
-    /// off, f64).
+    /// off).
     pub compile_cache: Option<bool>,
     /// Amplitude-sharded kernel dispatch (see [`AmpShards`] and the
     /// [module docs](self)). `None` defers to the `QCOR_AMP_SHARDS`
-    /// environment default ([`AmpShards::Auto`]). Ignored under
-    /// [`Precision::F32`], whose states are sequential-only.
+    /// environment default ([`AmpShards::Auto`]).
     pub amp_shards: Option<AmpShards>,
 }
 
@@ -414,12 +352,6 @@ impl RunConfig {
     /// back to [`fusion_env_default`]).
     pub fn fusion_enabled(&self) -> bool {
         self.fusion.unwrap_or_else(fusion_env_default)
-    }
-
-    /// Resolve the effective precision ([`RunConfig::precision`], falling
-    /// back to [`precision_env_default`]).
-    pub fn precision_resolved(&self) -> Precision {
-        self.precision.unwrap_or_else(precision_env_default)
     }
 
     /// Resolve the effective compile-cache setting
@@ -455,7 +387,6 @@ impl Default for RunConfig {
             chunk_shots: None,
             granularity: Granularity::Auto,
             fusion: None,
-            precision: None,
             compile_cache: None,
             amp_shards: None,
         }
@@ -574,86 +505,58 @@ impl ShotPlan {
 }
 
 /// The executor a shot plan replays per shot: the circuit compiled once
-/// into fused kernel ops (f64 or narrowed-to-f32), the interpreted
-/// per-instruction dispatcher (fusion off, f64 only), or the noisy
-/// trajectory sampler (noise channels lowered once via
-/// [`crate::noise::compile_noisy`], Kraus branches drawn per shot; always
-/// compiled f64 — fusion/precision knobs do not apply).
+/// into fused kernel ops, the interpreted per-instruction dispatcher
+/// (fusion off), or the noisy trajectory sampler (noise channels lowered
+/// once via [`crate::noise::compile_noisy`], Kraus branches drawn per shot;
+/// always compiled — the fusion knob does not apply).
 enum ShotExec<'c> {
     Compiled(CompiledCircuit),
-    CompiledF32(CompiledCircuit32),
     Interpreted(&'c Circuit),
     Trajectory { plan: crate::noise::NoisyCompiled, readout: f64 },
 }
 
-/// The per-chunk simulation state matching a [`ShotExec`]'s precision.
-enum ChunkState {
-    F64(StateVector),
-    F32(StateVector32),
-}
-
-impl ChunkState {
-    fn reset_to_zero(&mut self) {
-        match self {
-            ChunkState::F64(s) => s.reset_to_zero(),
-            ChunkState::F32(s) => s.reset_to_zero(),
-        }
-    }
-}
-
 impl ShotExec<'_> {
     fn for_config<'c>(circuit: &'c Circuit, config: &RunConfig) -> ShotExec<'c> {
-        match config.precision_resolved() {
-            // f32 is compiled-replay-only: there is no f32 interpreter, so
-            // the fusion setting does not apply.
-            Precision::F32 => ShotExec::CompiledF32(CompiledCircuit32::narrow(&config.compile(circuit))),
-            Precision::F64 if config.fusion_enabled() => ShotExec::Compiled(config.compile(circuit)),
-            Precision::F64 => ShotExec::Interpreted(circuit),
+        if config.fusion_enabled() {
+            ShotExec::Compiled(config.compile(circuit))
+        } else {
+            ShotExec::Interpreted(circuit)
         }
     }
 
-    /// Allocate a chunk's private state of the matching precision.
-    /// `pool` work-shares f64 amplitude loops; `amp_shards` turns on
-    /// amplitude-sharded dispatch ([`StateVector::set_amp_shards`]). f32
-    /// states are sequential-only, so neither applies there.
-    fn make_state(
-        &self,
-        num_qubits: usize,
-        pool: Option<Arc<ThreadPool>>,
-        par_threshold: usize,
-        amp_shards: Option<usize>,
-    ) -> ChunkState {
+    fn run_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
         match self {
-            ShotExec::CompiledF32(_) => ChunkState::F32(StateVector32::new(num_qubits)),
-            _ => {
-                let mut state = match pool {
-                    Some(pool) => StateVector::with_pool(num_qubits, pool),
-                    None => StateVector::new(num_qubits),
-                };
-                state.set_par_threshold(par_threshold);
-                state.set_amp_shards(amp_shards);
-                ChunkState::F64(state)
+            ShotExec::Compiled(compiled) => compiled.run_once(state, rng),
+            ShotExec::Interpreted(circuit) => run_once_interpreted(state, circuit, rng),
+            ShotExec::Trajectory { plan, readout } => {
+                crate::noise::run_trajectory_once(plan, *readout, state, rng)
             }
         }
     }
+}
 
-    fn run_once(&self, state: &mut ChunkState, rng: &mut impl Rng) -> ShotRecord {
-        match (self, state) {
-            (ShotExec::Compiled(compiled), ChunkState::F64(s)) => compiled.run_once(s, rng),
-            (ShotExec::Interpreted(circuit), ChunkState::F64(s)) => run_once_interpreted(s, circuit, rng),
-            (ShotExec::CompiledF32(compiled), ChunkState::F32(s)) => compiled.run_once(s, rng),
-            (ShotExec::Trajectory { plan, readout }, ChunkState::F64(s)) => {
-                crate::noise::run_trajectory_once(plan, *readout, s, rng)
-            }
-            _ => unreachable!("chunk state precision always matches its executor"),
-        }
-    }
+/// Allocate a chunk's private state. `pool` work-shares its amplitude
+/// loops; `amp_shards` turns on amplitude-sharded dispatch
+/// ([`StateVector::set_amp_shards`]).
+fn make_state(
+    num_qubits: usize,
+    pool: Option<Arc<ThreadPool>>,
+    par_threshold: usize,
+    amp_shards: Option<usize>,
+) -> StateVector {
+    let mut state = match pool {
+        Some(pool) => StateVector::with_pool(num_qubits, pool),
+        None => StateVector::new(num_qubits),
+    };
+    state.set_par_threshold(par_threshold);
+    state.set_amp_shards(amp_shards);
+    state
 }
 
 /// Run `shots` repetitions of `exec` against `state`, drawing from `rng`,
 /// accumulating bitstring counts into `counts`.
 fn sample_into(
-    state: &mut ChunkState,
+    state: &mut StateVector,
     exec: &ShotExec<'_>,
     rng: &mut StdRng,
     shots: usize,
@@ -835,7 +738,7 @@ fn run_shots_core(
         if token.is_some_and(CancelToken::is_cancelled) {
             return ShotRun { counts: merged, completed_chunks: 0, total_chunks: 1, cancelled: true };
         }
-        let mut state = exec.make_state(circuit.num_qubits(), Some(pool), config.par_threshold, shards);
+        let mut state = make_state(circuit.num_qubits(), Some(pool), config.par_threshold, shards);
         let mut rng = StdRng::seed_from_u64(base_seed);
         sample_into(&mut state, &exec, &mut rng, plan.shots(), &mut merged);
         return ShotRun { counts: merged, completed_chunks: 1, total_chunks: 1, cancelled: false };
@@ -860,7 +763,7 @@ fn run_shots_core(
                 if token.is_some_and(|t| t.is_cancelled()) {
                     return None;
                 }
-                let mut state = exec.make_state(circuit.num_qubits(), chunk_pool, par_threshold, shards);
+                let mut state = make_state(circuit.num_qubits(), chunk_pool, par_threshold, shards);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut counts = Counts::new();
                 sample_into(&mut state, exec, &mut rng, span.len(), &mut counts);
@@ -1150,66 +1053,6 @@ mod tests {
             assert_eq!(a, b, "thread count must not change the schedule's counts");
             assert_eq!(a, c, "re-running a fixed (seed, tasks, chunk_shots) must be identical");
         }
-    }
-
-    #[test]
-    fn precision_tokens_parse_like_the_env_var() {
-        for t in ["f64", "F64", " double ", "64", ""] {
-            assert_eq!(parse_precision_token(t), Some(Precision::F64), "{t:?}");
-        }
-        for t in ["f32", "Single", "32"] {
-            assert_eq!(parse_precision_token(t), Some(Precision::F32), "{t:?}");
-        }
-        for t in ["f16", "half", "yes", "1"] {
-            assert_eq!(parse_precision_token(t), None, "{t:?}");
-        }
-    }
-
-    #[test]
-    fn f32_run_samples_the_same_distribution() {
-        let circuit = library::bell_kernel();
-        let config =
-            RunConfig { shots: 1024, seed: Some(1), precision: Some(Precision::F32), ..Default::default() };
-        let counts = run_shots(&circuit, seq_pool(), &config);
-        assert_eq!(counts.values().sum::<usize>(), 1024);
-        assert!(counts.keys().all(|k| k == "00" || k == "11"), "{counts:?}");
-        let c00 = counts.get("00").copied().unwrap_or(0) as f64;
-        assert!((c00 / 1024.0 - 0.5).abs() < 0.1, "{counts:?}");
-    }
-
-    #[test]
-    fn f32_fixed_seed_is_reproducible_across_pools_and_chunks() {
-        let circuit = library::ghz_kernel(4);
-        for chunk in [None, Some(16)] {
-            let config = RunConfig {
-                shots: 200,
-                seed: Some(5),
-                chunk_shots: chunk,
-                precision: Some(Precision::F32),
-                ..Default::default()
-            };
-            let a = run_shots(&circuit, seq_pool(), &config);
-            let b = run_shots(&circuit, Arc::new(ThreadPool::new(4)), &config);
-            assert_eq!(a, b, "chunk={chunk:?}");
-            assert_eq!(a.values().sum::<usize>(), 200);
-        }
-    }
-
-    #[test]
-    fn f32_inner_parallel_plan_still_runs_sequential_state() {
-        // A 15-qubit circuit plans as one inner-parallel work item; the
-        // f32 state ignores the pool (sequential-only) but the run must
-        // still complete and conserve shots.
-        let mut circuit = Circuit::new(15);
-        for q in 0..15 {
-            circuit.h(q);
-        }
-        circuit.measure_all();
-        let config =
-            RunConfig { shots: 8, seed: Some(2), precision: Some(Precision::F32), ..Default::default() };
-        assert!(ShotPlan::for_circuit(&circuit, &config).inner_parallel());
-        let counts = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
-        assert_eq!(counts.values().sum::<usize>(), 8);
     }
 
     #[test]

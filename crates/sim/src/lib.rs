@@ -30,14 +30,11 @@
 //!   and by [`DensityMatrix`] as superoperator (ket + conjugated bra)
 //!   sweeps,
 //! * [`noise`] — noise-channel lowering ([`compile_noisy`]) shared by the
-//!   exact density replay and the trajectory sampler
-//!   (`QCOR_NOISE_MODE`), plus the batched noisy shot entry
-//!   [`run_noisy_shots`],
-//! * [`fp32`] — the single-precision (`precision=f32`) compiled replay:
-//!   [`StateVector32`] plus per-plan matrix narrowing,
-//! * [`shard`] — process-level shot sharding (`QCOR_SHOT_PROCS`): the
-//!   spawn-self driver that partitions a run's chunk schedule across OS
-//!   processes and merges counts byte-identically,
+//!   exact density replay and the trajectory sampler, plus the batched
+//!   noisy shot entry [`run_noisy_shots`],
+//! * [`shard`] — process-level shot sharding: [`run_sharded_spawn`]
+//!   partitions a run's chunk schedule across OS processes and merges
+//!   counts byte-identically,
 //! * [`stats`] — per-thread kernel iteration and forked-sweep counters
 //!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
 //!   rule's tests), the process-global compile-cache hit/miss counters, and
@@ -50,7 +47,6 @@ pub mod compile;
 mod complex;
 pub mod density;
 pub mod executor;
-pub mod fp32;
 pub mod gates;
 pub mod noise;
 pub mod shard;
@@ -62,22 +58,14 @@ pub use apply::ApplyState;
 pub use cache::{clear_compile_cache, compile_cache_env_default, compile_cached, parse_cache_token};
 pub use cancel::{cancel_requested, set_thread_cancel_token, thread_cancel_token, CancelToken};
 pub use compile::{CompiledCircuit, CompiledTemplate, KernelOp};
-pub use complex::{c32, c64, Complex32, Complex64};
+pub use complex::{c64, Complex64};
 pub use density::{DensityMatrix, NoiseModel};
 pub use executor::{
     amp_shards_env_default, derive_stream_seed, exact_distribution, fusion_env_default,
-    parse_amp_shards_token, parse_fusion_token, parse_precision_token, precision_env_default,
-    run_noisy_shots, run_noisy_shots_planned, run_once, run_once_interpreted, run_shots,
-    run_shots_cancellable, run_shots_planned, run_shots_task_parallel, AmpShards, Counts, Granularity,
-    Precision, RunConfig, ShotPlan, ShotRecord, ShotRun,
+    parse_amp_shards_token, parse_fusion_token, run_noisy_shots, run_noisy_shots_planned, run_once,
+    run_once_interpreted, run_shots, run_shots_cancellable, run_shots_planned, run_shots_task_parallel,
+    AmpShards, Counts, Granularity, RunConfig, ShotPlan, ShotRecord, ShotRun,
 };
-pub use fp32::{CompiledCircuit32, StateVector32};
-pub use noise::{
-    apply_readout_error, compile_noisy, noise_mode_env_default, parse_noise_mode_token, NoiseMode,
-    NoisyCompiled, NoisyOp,
-};
-pub use shard::{
-    maybe_shard_worker, parse_shot_procs_token, run_sharded, run_sharded_spawn, run_shots_sharded_env,
-    shot_procs_env_default, SHARD_WORKER_ENV, SHOT_PROCS_ENV,
-};
+pub use noise::{apply_readout_error, compile_noisy, NoisyCompiled, NoisyOp};
+pub use shard::{maybe_shard_worker, run_sharded, run_sharded_spawn, SHARD_WORKER_ENV};
 pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

@@ -34,8 +34,7 @@
 //! channel fires — the common case at realistic error rates — then
 //! replays the **fully fused** noiseless plan instead of the per-gate
 //! interleaved stream; only shots with at least one fired channel pay for
-//! the unfused replay. This clean-shot fast path is what makes compiled
-//! noisy execution beat the per-shot interpreted loop (`noisy_guard`).
+//! the unfused replay.
 
 use crate::cache::compile_cached;
 use crate::compile::{CompiledCircuit, KernelOp};
@@ -45,55 +44,6 @@ use crate::executor::ShotRecord;
 use crate::state::StateVector;
 use qcor_circuit::{Circuit, GateKind};
 use rand::Rng;
-
-/// How the `qpp-noisy` backend executes a noise model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoiseMode {
-    /// Per-shot stochastic Kraus-branch sampling on the batched shot
-    /// scheduler (compiled replay, chunked RNG streams). The default.
-    Trajectory,
-    /// Exact density-matrix evolution, then sampling from the resulting
-    /// distribution — the oracle the trajectory path is tested against.
-    Density,
-    /// The legacy per-shot re-interpretation loop, kept as the A/B
-    /// baseline the `noisy_guard` CI gate compares against.
-    Interpreted,
-}
-
-impl std::fmt::Display for NoiseMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            NoiseMode::Trajectory => "trajectory",
-            NoiseMode::Density => "density",
-            NoiseMode::Interpreted => "interpreted",
-        })
-    }
-}
-
-/// Parse one noise-mode token — the single vocabulary shared by the
-/// `QCOR_NOISE_MODE` environment variable and the `qpp-noisy` backend's
-/// `noise-mode` param. `None` = unrecognized.
-pub fn parse_noise_mode_token(s: &str) -> Option<NoiseMode> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "" | "trajectory" => Some(NoiseMode::Trajectory),
-        "density" => Some(NoiseMode::Density),
-        "interpreted" => Some(NoiseMode::Interpreted),
-        _ => None,
-    }
-}
-
-/// Resolve the process-wide noise-mode default from `QCOR_NOISE_MODE`
-/// (read once; unset = [`NoiseMode::Trajectory`], bad values panic loudly
-/// like the other executor knobs).
-pub fn noise_mode_env_default() -> NoiseMode {
-    static DEFAULT: std::sync::OnceLock<NoiseMode> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("QCOR_NOISE_MODE") {
-        Err(_) => NoiseMode::Trajectory,
-        Ok(v) => parse_noise_mode_token(&v).unwrap_or_else(|| {
-            panic!("invalid QCOR_NOISE_MODE value {v:?}: expected trajectory/density/interpreted")
-        }),
-    })
-}
 
 /// One op of a lowered noisy circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -383,7 +333,7 @@ fn replay_interleaved(
 /// Convolve an exact outcome distribution with an independent per-bit
 /// readout (bit-flip) error of probability `p` — the classical
 /// post-processing equivalent of flipping each recorded bit with
-/// probability `p`, used by the density execution mode.
+/// probability `p`, used by the `qpp-density` backend.
 pub fn apply_readout_error(
     dist: &std::collections::BTreeMap<String, f64>,
     p: f64,
@@ -498,16 +448,5 @@ mod tests {
         assert!(!compile_noisy(&c, &damp, false).has_clean_fast_path());
         // A noiseless plan is already fully fused; no separate fast path.
         assert!(!compile_noisy(&c, &NoiseModel::default(), false).has_clean_fast_path());
-    }
-
-    #[test]
-    fn noise_mode_tokens_parse() {
-        assert_eq!(parse_noise_mode_token("trajectory"), Some(NoiseMode::Trajectory));
-        assert_eq!(parse_noise_mode_token("Density"), Some(NoiseMode::Density));
-        assert_eq!(parse_noise_mode_token(" interpreted "), Some(NoiseMode::Interpreted));
-        assert_eq!(parse_noise_mode_token("exact"), None);
-        for mode in [NoiseMode::Trajectory, NoiseMode::Density, NoiseMode::Interpreted] {
-            assert_eq!(parse_noise_mode_token(&mode.to_string()), Some(mode));
-        }
     }
 }

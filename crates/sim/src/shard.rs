@@ -10,16 +10,16 @@
 //! pure function of `(circuit, config)`, never of the process count — so
 //! every shard draws the very streams a single-process run would have
 //! drawn for those chunks, and summing the per-shard counts reproduces the
-//! single-process [`run_shots`] counts byte-for-byte. Shard `s`'s first
-//! chunk is chunk `s`, whose stream is `derive_stream_seed(seed, s)`:
-//! shards derive from `(seed, shard)` exactly like chunks derive from
-//! `(seed, chunk)`.
+//! single-process [`run_shots`](crate::run_shots) counts byte-for-byte.
+//! Shard `s`'s first chunk is chunk `s`, whose stream is
+//! `derive_stream_seed(seed, s)`: shards derive from `(seed, shard)`
+//! exactly like chunks derive from `(seed, chunk)`.
 //!
 //! Two drivers share that contract:
 //!
 //! * [`run_sharded`] — in-process reference driver: runs every shard's
 //!   owned chunks on the calling process, one shard after another. This is
-//!   what the qpp backend's `shot-procs` param and the property tests use.
+//!   the oracle the property tests compare [`run_sharded_spawn`] against.
 //! * [`run_sharded_spawn`] — the real driver: re-executes the **current
 //!   executable** once per shard (`std::env::current_exe()`), handing each
 //!   child its shard assignment and the run parameters through the
@@ -27,36 +27,33 @@
 //!   temporary file in [`qcor_circuit::wire`] format. Children write their
 //!   merged counts as `count bitstring` text lines; the parent sums them.
 //!
-//! **Spawn-self contract**: a binary that calls [`run_sharded_spawn`]
-//! (directly or via [`run_shots_sharded_env`]) MUST call
-//! [`maybe_shard_worker`] first thing in `main` and return when it yields
-//! `true` — that is the hook through which the re-executed process becomes
-//! a shard worker instead of re-running `main`. Never call the spawn
-//! driver from a `#[test]`: the libtest harness would re-run the whole
-//! test binary per shard.
+//! **Spawn-self contract**: a binary that calls [`run_sharded_spawn`] MUST
+//! call [`maybe_shard_worker`] first thing in `main` and return when it
+//! yields `true` — that is the hook through which the re-executed process
+//! becomes a shard worker instead of re-running `main`. Never call
+//! [`run_sharded_spawn`] from a `#[test]`: the libtest harness would re-run
+//! the whole test binary per shard.
 //!
 //! **What a shard worker inherits**: knob defaults travel through the
 //! environment (children inherit `QCOR_NUM_THREADS`, `QCOR_GATE_FUSION`,
-//! `QCOR_PRECISION`, `QCOR_COMPILE_CACHE`, `QCOR_AMP_SHARDS`, …), and the
-//! wire protocol forwards `shots`, `seed`, `chunk_shots` and the
-//! granularity — the parts of [`RunConfig`] that shape the chunk
-//! partition. Config-level *overrides* of the remaining knobs (a
-//! `RunConfig` with `fusion: Some(..)` etc.) are **not** forwarded; set
-//! the corresponding environment variable when spawning shards. f64
-//! amplitudes and RNG draws are knob-invariant, so merged counts are
-//! unaffected in the default precision either way.
+//! `QCOR_COMPILE_CACHE`, `QCOR_AMP_SHARDS`, …), and the wire protocol
+//! forwards `shots`, `seed`, `chunk_shots` and the granularity — the parts
+//! of [`RunConfig`] that shape the chunk partition. Config-level
+//! *overrides* of the remaining knobs (a `RunConfig` with `fusion: Some(..)`
+//! etc.) are **not** forwarded; set the corresponding environment variable
+//! when spawning shards. Amplitudes and RNG draws are knob-invariant, so
+//! merged counts are unaffected either way.
 
-use crate::executor::{run_shots, run_shots_owned, Counts, Granularity, RunConfig, ShotPlan};
+use crate::executor::{run_shots_owned, Counts, Granularity, RunConfig, ShotPlan};
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Environment variable selecting the process-shard count for
-/// [`run_shots_sharded_env`] — the process-level analogue of
-/// `QCOR_NUM_THREADS`. Unset or `1` means single-process.
-pub const SHOT_PROCS_ENV: &str = "QCOR_SHOT_PROCS";
+/// [`run_sharded_spawn`] calls made by this process; numbers the temp files.
+static SPAWN_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Environment variable through which [`run_sharded_spawn`] marks a child
 /// process as shard worker `s/p`. Present in a process iff it was spawned
@@ -71,31 +68,6 @@ const SHARD_SHOTS_ENV: &str = "QCOR_SHARD_SHOTS";
 const SHARD_SEED_ENV: &str = "QCOR_SHARD_SEED";
 const SHARD_CHUNK_ENV: &str = "QCOR_SHARD_CHUNK";
 const SHARD_GRAN_ENV: &str = "QCOR_SHARD_GRAN";
-
-/// Parse one shot-procs token — the vocabulary shared by the
-/// `QCOR_SHOT_PROCS` environment variable and the qpp backend's
-/// `shot-procs` param. `off`/`false` mean single-process; otherwise a
-/// positive process count. `None` = unrecognized.
-pub fn parse_shot_procs_token(s: &str) -> Option<usize> {
-    let t = s.trim().to_ascii_lowercase();
-    match t.as_str() {
-        "" | "off" | "false" => Some(1),
-        _ => t.parse::<usize>().ok().filter(|&n| n >= 1),
-    }
-}
-
-/// Resolve the process-wide shot-shard count from `QCOR_SHOT_PROCS`.
-/// Unset means `1` (no process sharding); anything unrecognized panics
-/// loudly. Read and parsed once per process, like the other knob
-/// defaults.
-pub fn shot_procs_env_default() -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var(SHOT_PROCS_ENV) {
-        Err(_) => 1,
-        Ok(v) => parse_shot_procs_token(&v)
-            .unwrap_or_else(|| panic!("invalid {SHOT_PROCS_ENV} value {v:?}: expected off/<process count>")),
-    })
-}
 
 /// Run the chunks shard `shard` of `procs` owns, against the plan the
 /// full run would use. `config.seed` must be pinned (`Some`) for the
@@ -114,11 +86,10 @@ pub fn run_shard(
 
 /// In-process reference driver: execute every shard's owned chunks on the
 /// calling process (one shard after another, all on `pool`) and merge the
-/// counts. Byte-identical to single-process [`run_shots`] with the same
-/// config, and to what [`run_sharded_spawn`] assembles from `procs` child
-/// processes — this is the oracle the property tests compare against,
-/// and what the qpp backend's `shot-procs` param runs (an accelerator
-/// call should not silently fork the host).
+/// counts. Byte-identical to single-process [`run_shots`](crate::run_shots)
+/// with the same config, and to what [`run_sharded_spawn`] assembles from
+/// `procs` child processes — this is the oracle the property tests compare
+/// against.
 pub fn run_sharded(circuit: &Circuit, pool: Arc<ThreadPool>, config: &RunConfig, procs: usize) -> Counts {
     assert!(procs >= 1, "process count must be at least 1");
     // Pin the seed once so every shard derives from the same base — the
@@ -183,14 +154,16 @@ pub fn run_sharded_spawn(circuit: &Circuit, config: &RunConfig, procs: usize) ->
 
     let exe = std::env::current_exe()?;
     let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let in_path = dir.join(format!("qcor-shard-{pid}-{seed}-circuit.bin"));
+    // pid + a per-process run number: concurrent spawns in one process
+    // (even at the same seed) never share a circuit or counts file.
+    let run = format!("{}-{}", std::process::id(), SPAWN_RUNS.fetch_add(1, Ordering::Relaxed));
+    let in_path = dir.join(format!("qcor-shard-{run}-circuit.bin"));
     std::fs::write(&in_path, qcor_circuit::wire::encode(circuit))?;
 
     let mut children = Vec::with_capacity(procs);
     let mut spawn_err = None;
     for shard in 0..procs {
-        let out_path = dir.join(format!("qcor-shard-{pid}-{seed}-{shard}.counts"));
+        let out_path = dir.join(format!("qcor-shard-{run}-{shard}.counts"));
         let mut cmd = std::process::Command::new(&exe);
         cmd.env(SHARD_WORKER_ENV, format!("{shard}/{procs}"))
             .env(SHARD_IN_ENV, &in_path)
@@ -290,39 +263,14 @@ pub fn maybe_shard_worker() -> bool {
     true
 }
 
-/// [`run_shots`] with the process-shard count taken from
-/// `QCOR_SHOT_PROCS`: `1` (the default) runs in-process as usual, larger
-/// counts fan out through [`run_sharded_spawn`] — so a host binary that
-/// honors the spawn-self contract gains process sharding from the
-/// environment alone. Panics if a shard fails (the env knob asked for a
-/// result this process cannot produce).
-pub fn run_shots_sharded_env(circuit: &Circuit, pool: Arc<ThreadPool>, config: &RunConfig) -> Counts {
-    let procs = shot_procs_env_default();
-    if procs <= 1 {
-        return run_shots(circuit, pool, config);
-    }
-    run_sharded_spawn(circuit, config, procs)
-        .unwrap_or_else(|e| panic!("{SHOT_PROCS_ENV}={procs}: sharded run failed: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::derive_stream_seed;
+    use crate::executor::{derive_stream_seed, run_shots};
     use qcor_circuit::library;
 
     fn pool() -> Arc<ThreadPool> {
         Arc::new(ThreadPool::new(1))
-    }
-
-    #[test]
-    fn shot_procs_tokens_parse_like_the_env_var() {
-        for (t, expect) in [("", 1), ("off", 1), ("FALSE", 1), ("1", 1), ("2", 2), (" 8 ", 8), ("12", 12)] {
-            assert_eq!(parse_shot_procs_token(t), Some(expect), "{t:?}");
-        }
-        for t in ["0", "-1", "two", "1.5", "on"] {
-            assert_eq!(parse_shot_procs_token(t), None, "{t:?}");
-        }
     }
 
     #[test]

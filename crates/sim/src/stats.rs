@@ -236,7 +236,7 @@ pub fn reset_shard_stats() {
 // scheduler core; process-global like the cache counters so plans issued
 // from worker threads (e.g. grouped Pauli estimation inside an objective
 // evaluation) are visible to the asserting thread. Backing the grouped-VQE
-// "one plan per commuting group" guard in `noisy_guard`.
+// "one plan per commuting group" test in `qcor-algos`.
 
 static SHOT_PLANS: AtomicU64 = AtomicU64::new(0);
 

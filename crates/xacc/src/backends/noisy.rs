@@ -3,44 +3,36 @@
 //!
 //! The paper's future work calls for "additional quantum simulation and
 //! physical back ends"; this backend stands in for a physical device whose
-//! results are noisy. It executes one of three ways (`noise-mode` param /
-//! `QCOR_NOISE_MODE` env default):
+//! results are noisy. It runs per-shot stochastic Kraus-branch sampling
+//! (trajectories) on [`qcor_sim::run_noisy_shots`]: channels are lowered
+//! once next to the compiled kernels and every shot replays the plan on a
+//! chunk of the [`qcor_sim::ShotPlan`], drawing branches from the chunk's
+//! derived RNG stream — seeded counts are byte-identical on any pool size.
 //!
-//! * **trajectory** (default) — per-shot stochastic Kraus-branch sampling
-//!   on [`qcor_sim::run_noisy_shots`]: channels are lowered once next to
-//!   the compiled kernels and every shot replays the plan on a chunk of
-//!   the [`qcor_sim::ShotPlan`], drawing branches from the chunk's derived
-//!   RNG stream — seeded counts are byte-identical on any pool size.
-//! * **density** — exact mixed-state evolution
-//!   ([`DensityMatrix::run_noisy_circuit`]), readout error convolved onto
-//!   the exact distribution, shots sampled from it. The oracle the
-//!   trajectory path is tested against.
-//! * **interpreted** — the legacy per-shot re-interpretation loop, kept as
-//!   the A/B baseline for the `noisy_guard` perf gate.
+//! Exact mixed-state evolution of the same noise model is the
+//! [`qpp-density`](crate::backends::DensityAccelerator) backend, which
+//! takes the same `depolarizing`/`dephasing`/`amplitude-damping`/
+//! `readout-error` params and is the oracle trajectories are tested
+//! against.
 
 use crate::accelerator::{Accelerator, BackendCapability, ExecOptions};
 use crate::buffer::AcceleratorBuffer;
 use crate::hetmap::HetMap;
 use crate::XaccError;
-use qcor_circuit::{Circuit, GateKind, Instruction};
+use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
-use qcor_sim::{gates, Complex64, DensityMatrix, NoiseMode, NoiseModel, RunConfig, StateVector};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qcor_sim::{NoiseModel, RunConfig};
 use std::sync::Arc;
 
-/// Noise-model simulator backend (trajectory / density / interpreted).
+/// Noise-model simulator backend (trajectory sampling).
 #[derive(Debug)]
 pub struct NoisyQppAccelerator {
     pool: Arc<ThreadPool>,
     noise: NoiseModel,
     /// Probability a measured bit is reported flipped.
     p_readout: f64,
-    /// Execution mode override; `None` defers to the `QCOR_NOISE_MODE`
-    /// process default (trajectory).
-    mode: Option<NoiseMode>,
     /// Explicit shots-per-chunk for the batched shot scheduler
-    /// (trajectory mode; `None` = adaptive granularity).
+    /// (`None` = adaptive granularity).
     chunk_shots: Option<usize>,
     /// Compile-cache override; `None` defers to the `QCOR_COMPILE_CACHE`
     /// process default.
@@ -64,7 +56,6 @@ impl NoisyQppAccelerator {
             pool: Arc::new(qcor_pool::PoolBuilder::new().num_threads(threads).name("qpp-noisy").build()),
             noise,
             p_readout,
-            mode: None,
             chunk_shots: None,
             compile_cache: None,
         }
@@ -72,11 +63,8 @@ impl NoisyQppAccelerator {
 
     /// Construct from registry params: `threads`, `depolarizing`
     /// (default 0.001), `dephasing` (default 0), `amplitude-damping`
-    /// (default 0), `readout-error` (default 0.01), `noise-mode`
-    /// (`"trajectory"` | `"density"` | `"interpreted"` — the
-    /// `QCOR_NOISE_MODE` vocabulary; default: the process default),
-    /// `chunk-shots` (explicit scheduler chunk size, trajectory mode) and
-    /// `compile-cache` (bool, or `"on"`/`"off"`).
+    /// (default 0), `readout-error` (default 0.01), `chunk-shots` (explicit
+    /// scheduler chunk size) and `compile-cache` (bool, or `"on"`/`"off"`).
     ///
     /// Bad parameter values are rejected with [`XaccError::InvalidParam`],
     /// like the `qpp` backend's scheduler knobs.
@@ -94,23 +82,6 @@ impl NoisyQppAccelerator {
             )));
         }
         let mut acc = Self::with_noise(params.get_usize("threads").unwrap_or(1).max(1), noise, p_readout);
-        // `noise-mode` shares the `QCOR_NOISE_MODE` token vocabulary
-        // (`qcor_sim::parse_noise_mode_token`) — unknown tokens and
-        // wrong-typed values are hard configuration errors.
-        acc.mode = match params.get("noise-mode") {
-            None => None,
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_noise_mode_token(s) {
-                Some(m) => Some(m),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown noise-mode {s:?}: expected trajectory/density/interpreted"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!("noise-mode must be a string, got {other:?}")))
-            }
-        };
         acc.chunk_shots = params.get_usize("chunk-shots").map(|k| k.max(1));
         acc.compile_cache = match params.get("compile-cache") {
             None => None,
@@ -136,123 +107,6 @@ impl NoisyQppAccelerator {
     pub fn noise(&self) -> NoiseModel {
         self.noise
     }
-
-    /// The execution mode this backend resolves to.
-    pub fn mode(&self) -> NoiseMode {
-        self.mode.unwrap_or_else(qcor_sim::noise_mode_env_default)
-    }
-
-    fn maybe_depolarize(&self, state: &mut StateVector, qubit: usize, rng: &mut StdRng) {
-        if rng.gen::<f64>() >= self.noise.depolarizing {
-            return;
-        }
-        let pauli = match rng.gen_range(0..3) {
-            0 => GateKind::X,
-            1 => GateKind::Y,
-            _ => GateKind::Z,
-        };
-        let inst = Instruction::new(pauli, vec![qubit], vec![]);
-        gates::apply_instruction(state, &inst, rng);
-    }
-
-    /// The legacy per-shot re-interpretation loop (mode `interpreted`): one
-    /// sequential RNG stream across all shots, one draw per touched qubit
-    /// per gate for depolarizing (its historical always-draw protocol,
-    /// preserved so old seeds reproduce), draws for the other channels only
-    /// when their strength is non-zero.
-    fn execute_interpreted(
-        &self,
-        buffer: &mut AcceleratorBuffer,
-        circuit: &Circuit,
-        opts: &ExecOptions,
-    ) -> Result<(), XaccError> {
-        let mut rng = match opts.seed {
-            Some(s) => StdRng::seed_from_u64(s),
-            None => StdRng::from_entropy(),
-        };
-        let mut state = StateVector::with_pool(circuit.num_qubits(), Arc::clone(&self.pool));
-        for shot in 0..opts.shots {
-            if shot > 0 {
-                state.reset_to_zero();
-            }
-            let mut outcomes: std::collections::BTreeMap<usize, u8> = Default::default();
-            for inst in circuit.instructions() {
-                match inst.gate {
-                    GateKind::Measure => {
-                        let mut bit = state.measure(inst.qubits[0], &mut rng);
-                        if rng.gen::<f64>() < self.p_readout {
-                            bit ^= 1;
-                        }
-                        outcomes.insert(inst.qubits[0], bit);
-                    }
-                    _ => {
-                        gates::apply_instruction(&mut state, inst, &mut rng);
-                        if inst.gate.is_unitary() && inst.gate != GateKind::Barrier {
-                            for &q in &inst.qubits {
-                                self.maybe_depolarize(&mut state, q, &mut rng);
-                                if self.noise.dephasing > 0.0 && rng.gen::<f64>() < self.noise.dephasing {
-                                    state.apply_diag(q, Complex64::ONE, Complex64::from_real(-1.0), 0);
-                                }
-                                if self.noise.amplitude_damping > 0.0 {
-                                    let p1 = state.prob_one(q);
-                                    let p_jump = self.noise.amplitude_damping * p1;
-                                    if rng.gen::<f64>() < p_jump {
-                                        state.collapse(q, 1, p1);
-                                        state.apply_antidiag(q, Complex64::ONE, Complex64::ONE, 0);
-                                    } else {
-                                        let norm = (1.0 - p_jump).sqrt();
-                                        state.apply_diag(
-                                            q,
-                                            Complex64::from_real(1.0 / norm),
-                                            Complex64::from_real(
-                                                (1.0 - self.noise.amplitude_damping).sqrt() / norm,
-                                            ),
-                                            0,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let bits: String = outcomes.values().map(|b| char::from(b'0' + b)).collect();
-            buffer.add_count(bits, 1);
-        }
-        Ok(())
-    }
-
-    /// Exact-oracle execution (mode `density`): evolve the density matrix,
-    /// convolve the readout error onto the exact distribution, sample
-    /// shots from its CDF.
-    fn execute_density(
-        &self,
-        buffer: &mut AcceleratorBuffer,
-        circuit: &Circuit,
-        opts: &ExecOptions,
-    ) -> Result<(), XaccError> {
-        let dist = DensityMatrix::run_noisy_circuit(circuit, Arc::clone(&self.pool), &self.noise)
-            .map_err(XaccError::Execution)?;
-        let dist = qcor_sim::apply_readout_error(&dist, self.p_readout);
-        let outcomes: Vec<(&String, f64)> = dist.iter().map(|(k, &p)| (k, p)).collect();
-        let mut rng = match opts.seed {
-            Some(s) => StdRng::seed_from_u64(s),
-            None => StdRng::from_entropy(),
-        };
-        for _ in 0..opts.shots {
-            let mut r: f64 = rng.gen();
-            let mut chosen = outcomes.last().map(|(k, _)| (*k).clone()).unwrap_or_default();
-            for (key, p) in &outcomes {
-                if r < *p {
-                    chosen = (*key).clone();
-                    break;
-                }
-                r -= *p;
-            }
-            buffer.add_count(chosen, 1);
-        }
-        Ok(())
-    }
 }
 
 impl Accelerator for NoisyQppAccelerator {
@@ -277,28 +131,17 @@ impl Accelerator for NoisyQppAccelerator {
                 buffer.size()
             )));
         }
-        match self.mode() {
-            NoiseMode::Interpreted => self.execute_interpreted(buffer, circuit, opts),
-            NoiseMode::Density => self.execute_density(buffer, circuit, opts),
-            NoiseMode::Trajectory => {
-                let config = RunConfig {
-                    shots: opts.shots,
-                    seed: opts.seed,
-                    chunk_shots: self.chunk_shots,
-                    compile_cache: self.compile_cache,
-                    ..Default::default()
-                };
-                let counts = qcor_sim::run_noisy_shots(
-                    circuit,
-                    &self.noise,
-                    self.p_readout,
-                    Arc::clone(&self.pool),
-                    &config,
-                );
-                buffer.merge_counts(&counts);
-                Ok(())
-            }
-        }
+        let config = RunConfig {
+            shots: opts.shots,
+            seed: opts.seed,
+            chunk_shots: self.chunk_shots,
+            compile_cache: self.compile_cache,
+            ..Default::default()
+        };
+        let counts =
+            qcor_sim::run_noisy_shots(circuit, &self.noise, self.p_readout, Arc::clone(&self.pool), &config);
+        buffer.merge_counts(&counts);
+        Ok(())
     }
 
     fn num_threads(&self) -> usize {
@@ -371,28 +214,27 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_agree_statistically() {
-        let noise = NoiseModel { depolarizing: 0.03, ..Default::default() };
+    fn trajectories_agree_with_the_density_backend_statistically() {
+        // The same params mean the same noise on both backends: qpp-noisy's
+        // sampled trajectories against qpp-density's exact evolution.
+        let params = HetMap::new()
+            .with("threads", 1usize)
+            .with("depolarizing", 0.03f64)
+            .with("dephasing", 0.02f64)
+            .with("amplitude-damping", 0.02f64)
+            .with("readout-error", 0.01f64);
         let circuit = library::ghz_kernel(3);
         let shots = 8192;
+        let trajectory = NoisyQppAccelerator::from_params(&params).unwrap();
+        let density = crate::backends::DensityAccelerator::from_params(&params).unwrap();
         let mut clean = Vec::new();
-        for mode in ["trajectory", "density", "interpreted"] {
-            let acc = NoisyQppAccelerator::from_params(
-                &HetMap::new()
-                    .with("threads", 1usize)
-                    .with("depolarizing", noise.depolarizing)
-                    .with("readout-error", 0.0f64)
-                    .with("noise-mode", mode),
-            )
-            .unwrap();
+        for acc in [&trajectory as &dyn Accelerator, &density] {
             let mut buf = AcceleratorBuffer::with_name("b", 3);
             acc.execute(&mut buf, &circuit, &ExecOptions::with_shots(shots).seeded(13)).unwrap();
             assert_eq!(buf.total_shots(), shots);
             clean.push(buf.probability("000") + buf.probability("111"));
         }
-        for pair in clean.windows(2) {
-            assert!((pair[0] - pair[1]).abs() < 0.05, "modes disagree: {clean:?}");
-        }
+        assert!((clean[0] - clean[1]).abs() < 0.05, "trajectory vs density clean mass: {clean:?}");
     }
 
     #[test]
@@ -407,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn from_params_parses_noise_model_and_mode() {
+    fn from_params_parses_noise_model() {
         let acc = NoisyQppAccelerator::from_params(
             &HetMap::new()
                 .with("threads", 1usize)
@@ -415,22 +257,15 @@ mod tests {
                 .with("dephasing", 0.02f64)
                 .with("amplitude-damping", 0.03f64)
                 .with("readout-error", 0.04f64)
-                .with("noise-mode", "density")
                 .with("chunk-shots", 16usize),
         )
         .unwrap();
         assert_eq!(acc.noise(), NoiseModel { depolarizing: 0.01, dephasing: 0.02, amplitude_damping: 0.03 });
-        assert_eq!(acc.mode(), NoiseMode::Density);
         assert_eq!(acc.chunk_shots, Some(16));
     }
 
     #[test]
     fn from_params_rejects_bad_values_as_err() {
-        let err = NoisyQppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("noise-mode", "exact"),
-        )
-        .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("noise-mode")), "{err}");
         let err = NoisyQppAccelerator::from_params(
             &HetMap::new().with("threads", 1usize).with("depolarizing", 1.5f64),
         )
@@ -441,10 +276,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("readout-error")), "{err}");
-        let err = NoisyQppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("noise-mode", 3usize),
-        )
-        .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("noise-mode")), "{err}");
     }
 }

@@ -11,7 +11,7 @@ use crate::hetmap::HetMap;
 use crate::XaccError;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, AmpShards, Granularity, Precision, RunConfig, FORK_MIN_BYTES_PER_THREAD};
+use qcor_sim::{run_shots, AmpShards, Granularity, RunConfig, FORK_MIN_BYTES_PER_THREAD};
 use std::sync::Arc;
 
 /// State-vector simulator backend.
@@ -27,20 +27,12 @@ pub struct QppAccelerator {
     /// Gate fusion (compile-then-execute) override; `None` defers to the
     /// `QCOR_GATE_FUSION` process default.
     fusion: Option<bool>,
-    /// Amplitude precision override; `None` defers to the `QCOR_PRECISION`
-    /// process default (f64).
-    precision: Option<Precision>,
     /// Compile-cache override; `None` defers to the `QCOR_COMPILE_CACHE`
     /// process default (enabled).
     compile_cache: Option<bool>,
     /// Amplitude-sharding override; `None` defers to the
     /// `QCOR_AMP_SHARDS` process default (auto).
     amp_shards: Option<AmpShards>,
-    /// Process-shard count for shot execution: `1` runs in-process as
-    /// usual; `n > 1` partitions the chunk schedule over `n` shards via
-    /// `qcor_sim::shard::run_sharded` (the in-process reference driver —
-    /// an accelerator call never forks the host binary).
-    shot_procs: usize,
 }
 
 impl QppAccelerator {
@@ -57,10 +49,8 @@ impl QppAccelerator {
             chunk_shots: None,
             granularity: Granularity::Auto,
             fusion: None,
-            precision: None,
             compile_cache: None,
             amp_shards: None,
-            shot_procs: 1,
         }
     }
 
@@ -72,17 +62,12 @@ impl QppAccelerator {
     /// [`qcor_sim::StateVector::set_par_threshold`]), `chunk-shots`
     /// (explicit scheduler chunk size), `granularity`
     /// (`"auto"` | `"sequential"`), `fusion` (bool, or `"on"`/`"off"`;
-    /// default: the `QCOR_GATE_FUSION` process default) and `precision`
-    /// (`"f64"`/`"double"` or `"f32"`/`"single"` — the single-precision
-    /// compiled replay; default: the `QCOR_PRECISION` process default) and
-    /// `compile-cache` (bool, or `"on"`/`"off"`; default: the
-    /// `QCOR_COMPILE_CACHE` process default — reuse one structural
-    /// template per circuit shape across an angle sweep), `amp-shards`
-    /// (`"auto"`/`"off"`/a shard count, or a plain bool/usize — the
-    /// `QCOR_AMP_SHARDS` vocabulary; default: the process default) and
-    /// `shot-procs` (a positive shard count, or `"off"`; default `1` —
-    /// values above 1 merge the shards in-process, see
-    /// `qcor_sim::shard::run_sharded`).
+    /// default: the `QCOR_GATE_FUSION` process default), `compile-cache`
+    /// (bool, or `"on"`/`"off"`; default: the `QCOR_COMPILE_CACHE` process
+    /// default — reuse one structural template per circuit shape across an
+    /// angle sweep) and `amp-shards` (`"auto"`/`"off"`/a shard count, or a
+    /// plain bool/usize — the `QCOR_AMP_SHARDS` vocabulary; default: the
+    /// process default).
     ///
     /// Bad parameter values are rejected with
     /// [`XaccError::InvalidParam`] — surfaced as an `Err` through
@@ -123,24 +108,6 @@ impl QppAccelerator {
                 return Err(XaccError::InvalidParam(format!(
                     "fusion must be a bool or string, got {other:?}"
                 )))
-            }
-        };
-        // `precision` shares the `QCOR_PRECISION` token vocabulary
-        // (`qcor_sim::parse_precision_token`) — same discipline as
-        // `fusion`: unknown tokens and wrong-typed values are hard
-        // configuration errors, never silently ignored.
-        acc.precision = match params.get("precision") {
-            None => None,
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_precision_token(s) {
-                Some(p) => Some(p),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown precision {s:?}: expected f32/f64/single/double/32/64"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!("precision must be a string, got {other:?}")))
             }
         };
         // `compile-cache` shares the `QCOR_COMPILE_CACHE` token vocabulary
@@ -186,25 +153,6 @@ impl QppAccelerator {
                 )))
             }
         };
-        // `shot-procs` shares the `QCOR_SHOT_PROCS` token vocabulary
-        // (`qcor_sim::parse_shot_procs_token`).
-        acc.shot_procs = match params.get("shot-procs") {
-            None => 1,
-            Some(&crate::HetValue::Int(n)) if n >= 1 => n as usize,
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_shot_procs_token(s) {
-                Some(n) => n,
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown shot-procs setting {s:?}: expected off or a positive process count"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!(
-                    "shot-procs must be a positive integer or string, got {other:?}"
-                )))
-            }
-        };
         Ok(acc)
     }
 
@@ -239,15 +187,10 @@ impl Accelerator for QppAccelerator {
             chunk_shots: self.chunk_shots,
             granularity: self.granularity,
             fusion: self.fusion,
-            precision: self.precision,
             compile_cache: self.compile_cache,
             amp_shards: self.amp_shards,
         };
-        let counts = if self.shot_procs > 1 {
-            qcor_sim::run_sharded(circuit, Arc::clone(&self.pool), &config, self.shot_procs)
-        } else {
-            run_shots(circuit, Arc::clone(&self.pool), &config)
-        };
+        let counts = run_shots(circuit, Arc::clone(&self.pool), &config);
         buffer.merge_counts(&counts);
         Ok(())
     }
@@ -377,55 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn from_params_precision_accepts_env_token_set() {
-        // The param accepts exactly what QCOR_PRECISION accepts.
-        for (token, expect) in [
-            ("f64", Precision::F64),
-            ("double", Precision::F64),
-            ("64", Precision::F64),
-            ("f32", Precision::F32),
-            ("single", Precision::F32),
-            ("32", Precision::F32),
-        ] {
-            let acc =
-                QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("precision", token))
-                    .unwrap();
-            assert_eq!(acc.precision, Some(expect), "token {token:?}");
-        }
-        let unset = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        assert_eq!(unset.precision, None);
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_precision_as_err() {
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("precision", "f16"))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("precision")), "{err}");
-        // Wrong-typed values are rejected too, not silently ignored.
-        let err = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("precision", true))
-            .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("precision")), "{err}");
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("precision", 32usize))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("precision")), "{err}");
-    }
-
-    #[test]
-    fn f32_precision_executes_and_samples_the_distribution() {
-        let acc =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("precision", "f32"))
-                .unwrap();
-        let mut buf = AcceleratorBuffer::with_name("b", 2);
-        acc.execute(&mut buf, &library::bell_kernel(), &ExecOptions::with_shots(512).seeded(4)).unwrap();
-        assert_eq!(buf.total_shots(), 512);
-        assert!(buf.measurements().keys().all(|k| k == "00" || k == "11"));
-        let p00 = buf.probability("00");
-        assert!((p00 - 0.5).abs() < 0.1, "p(00) = {p00}");
-    }
-
-    #[test]
     fn fused_and_unfused_execute_identical_seeded_counts() {
         let fused =
             QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", true)).unwrap();
@@ -482,45 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn from_params_shot_procs_accepts_env_token_set() {
-        for (token, expect) in [("off", 1), ("1", 1), ("3", 3)] {
-            let acc =
-                QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("shot-procs", token))
-                    .unwrap();
-            assert_eq!(acc.shot_procs, expect, "token {token:?}");
-        }
-        let plain_int =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("shot-procs", 2usize))
-                .unwrap();
-        assert_eq!(plain_int.shot_procs, 2);
-        let unset = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        assert_eq!(unset.shot_procs, 1);
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_shot_procs_as_err() {
-        for bad in ["zero", "0", "-1"] {
-            let err =
-                QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("shot-procs", bad))
-                    .unwrap_err();
-            assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("shot-procs")), "{err}");
-        }
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("shot-procs", false))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("shot-procs")), "{err}");
-    }
-
-    #[test]
     fn sharded_and_unsharded_execute_identical_seeded_counts() {
-        // Both knobs at once: amplitude sharding must not perturb a single
-        // bit, and the in-process shot shards must merge to the exact
-        // single-run counts.
+        // Amplitude sharding must not perturb a single bit.
         let plain = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        let sharded = QppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("amp-shards", 3usize).with("shot-procs", 2usize),
-        )
-        .unwrap();
+        let sharded =
+            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", 3usize))
+                .unwrap();
         let opts = ExecOptions::with_shots(256).seeded(21);
         let mut buf_a = AcceleratorBuffer::with_name("a", 3);
         let mut buf_b = AcceleratorBuffer::with_name("b", 3);

@@ -1,25 +1,19 @@
-//! Perf-regression + correctness guard for sharded execution.
+//! Perf-regression + correctness guard for amplitude-sharded execution.
 //!
-//! Three gates, all of which fail the process (non-zero exit) on breach:
+//! Two gates, both of which fail the process (non-zero exit) on breach:
 //!
 //! 1. **Amplitude bit-identity** — replaying the 20-qubit kernel with
 //!    amplitude sharding on (`StateVector::set_amp_shards`) must leave
 //!    the state bit-identical to the plain sequential sweep, including
 //!    the high-qubit targets that take the pairwise-exchange step.
-//! 2. **Shot-shard merge identity** — single-process `run_shots`, the
-//!    in-process `run_sharded` oracle, and the spawn-self
-//!    `run_sharded_spawn` driver must all merge byte-identical seeded
-//!    counts for the same config — also when two threads spawn shards of
-//!    two different circuits at the same seed at once (their temp files
-//!    must not collide).
-//! 3. **Sharded replay overhead** — at `QCOR_NUM_THREADS=1` (batch jobs
+//! 2. **Sharded replay overhead** — at `QCOR_NUM_THREADS=1` (batch jobs
 //!    run inline on the submitter) the sharded replay must stay at
 //!    ≤ 1.1× the sequential replay. At higher thread counts the ratio is
 //!    recorded but not gated: CI runs in a single-CPU container, so
 //!    multi-thread "speedups" there are scheduler noise, not signal.
 //!
 //! Results land in `BENCH_shardsim.json` together with the shard-job /
-//! exchange-step / batch-steal counters (uploaded as a CI artifact; run
+//! exchange-step counters (uploaded as a CI artifact; run
 //! under both `QCOR_NUM_THREADS=1` and `4` in the workflow).
 //!
 //! ```text
@@ -29,7 +23,7 @@
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::{reset_shard_stats, shard_exchange_steps, shard_jobs_launched};
-use qcor_sim::{run_sharded, run_sharded_spawn, run_shots, CompiledCircuit, Counts, RunConfig, StateVector};
+use qcor_sim::{CompiledCircuit, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -42,11 +36,6 @@ const SHARDS: usize = 4;
 const REPS: usize = 5;
 /// Inline sharded dispatch must be near-free next to the sweeps it wraps.
 const MAX_RATIO: f64 = 1.1;
-
-/// Counts workload: small and seeded so three execution drivers can be
-/// compared byte-for-byte, with spawned children staying cheap.
-const COUNT_QUBITS: usize = 10;
-const COUNT_SHOTS: usize = 64;
 
 /// A dense measurement-free kernel mixing low-qubit sweeps with
 /// high-qubit targets (`REPLAY_QUBITS - 1` and `- 2`), so the sharded
@@ -64,18 +53,6 @@ fn replay_kernel() -> Circuit {
         }
         c.cx(REPLAY_QUBITS - 1, 0).h(REPLAY_QUBITS - 1).h(REPLAY_QUBITS - 2);
     }
-    c
-}
-
-fn counts_kernel() -> Circuit {
-    let mut c = Circuit::new(COUNT_QUBITS);
-    for q in 0..COUNT_QUBITS {
-        c.h(q).rz(q, 0.4 + 0.1 * q as f64);
-    }
-    for q in 0..COUNT_QUBITS - 1 {
-        c.cx(q, q + 1);
-    }
-    c.measure_all();
     c
 }
 
@@ -109,53 +86,7 @@ fn assert_sharded_replay_bit_identical(plan: &CompiledCircuit, pool: &Arc<Thread
     }
 }
 
-/// Gate 2: all three shot drivers merge byte-identical seeded counts.
-fn assert_shot_shards_merge_identically(pool: &Arc<ThreadPool>) {
-    let circuit = counts_kernel();
-    let config = RunConfig { shots: COUNT_SHOTS, seed: Some(11), ..RunConfig::default() };
-    let single = run_shots(&circuit, Arc::clone(pool), &config);
-    let in_process = run_sharded(&circuit, Arc::clone(pool), &config, 3);
-    assert_eq!(single, in_process, "in-process sharding changed seeded counts");
-    let spawned = run_sharded_spawn(&circuit, &config, 2).expect("spawned shard workers must succeed");
-    assert_eq!(single, spawned, "spawned sharding changed seeded counts");
-
-    // Two spawn runs in flight at once, same seed, different circuits
-    // (different widths, so a crossed circuit or counts file cannot pass).
-    // The barrier releases both spawns together so their temp-file
-    // writes and shard children overlap.
-    let circuits = [circuit, qcor_circuit::library::ghz_kernel(COUNT_QUBITS / 2)];
-    let start = std::sync::Barrier::new(circuits.len());
-    let concurrent: Vec<Counts> = std::thread::scope(|s| {
-        let runs: Vec<_> = circuits
-            .iter()
-            .map(|c| {
-                s.spawn(|| {
-                    start.wait();
-                    run_sharded_spawn(c, &config, 2)
-                })
-            })
-            .collect();
-        runs.into_iter()
-            .map(|run| {
-                run.join()
-                    .expect("spawning thread panicked")
-                    .expect("concurrent spawned shard workers must succeed")
-            })
-            .collect()
-    });
-    for (circuit, counts) in circuits.iter().zip(concurrent) {
-        let oracle = run_sharded(circuit, Arc::clone(pool), &config, 2);
-        assert_eq!(counts, oracle, "concurrent spawns at one seed crossed their temp files");
-    }
-}
-
 fn main() {
-    // Spawn-self protocol: gate 2 re-executes this binary as shard
-    // workers, which must short-circuit here before any benching.
-    if qcor_sim::maybe_shard_worker() {
-        return;
-    }
-
     let circuit = replay_kernel();
     let plan = CompiledCircuit::compile(&circuit);
     let threads = qcor_pool::num_threads_from_env();
@@ -166,13 +97,9 @@ fn main() {
         plan.len()
     );
 
-    // Correctness gates first — no point timing a broken shard sweep.
+    // Correctness gate first — no point timing a broken shard sweep.
     assert_sharded_replay_bit_identical(&plan, &pool);
     println!("sharded replay bit-identical to sequential ({SHARDS} shards, {threads} thread pool)");
-    assert_shot_shards_merge_identically(&pool);
-    println!(
-        "seeded counts identical: run_shots == run_sharded(3) == run_sharded_spawn(2), also concurrently"
-    );
 
     // Timing gate: the same compiled replay with sharding off vs on. One
     // state per variant, allocated outside the timed region; each rep
@@ -181,7 +108,6 @@ fn main() {
     let mut shard_state = StateVector::with_pool(REPLAY_QUBITS, Arc::clone(&pool));
     shard_state.set_amp_shards(Some(SHARDS));
     reset_shard_stats();
-    qcor_pool::reset_batch_steal_count();
     let (sequential_best, sharded_best) = best_of_pair(
         REPS,
         || {
@@ -199,7 +125,6 @@ fn main() {
 
     let shard_jobs = shard_jobs_launched();
     let exchanges = shard_exchange_steps();
-    let steals = qcor_pool::batch_steal_count();
     assert!(shard_jobs > 0, "sharded replay must launch shard jobs");
     assert!(exchanges > 0, "high-qubit targets must take the exchange step");
 
@@ -219,9 +144,9 @@ fn main() {
          \"logical_cpus\": {},\n    \"qcor_num_threads\": {threads},\n    \
          \"guard\": \"fail if sharded replay divided by sequential exceeds {MAX_RATIO} at QCOR_NUM_THREADS=1\",\n    \
          \"guard_enforced\": {guarded},\n    \
-         \"note\": \"sharded-execution guard: a 20-qubit compiled replay with {SHARDS} amplitude shards vs the sequential sweep; also asserts bit-identical amplitudes and byte-identical merged counts across run_shots / run_sharded / run_sharded_spawn. CI runs in a single-CPU container, so multi-thread ratios are recorded but not gated.\"\n  }},\n  \
+         \"note\": \"sharded-execution guard: a 20-qubit compiled replay with {SHARDS} amplitude shards vs the sequential sweep; also asserts bit-identical amplitudes. CI runs in a single-CPU container, so multi-thread ratios are recorded but not gated.\"\n  }},\n  \
          \"ratio_sharded_over_sequential\": {ratio:.3},\n  \
-         \"shard_counters\": {{ \"shard_jobs_launched\": {shard_jobs}, \"exchange_steps\": {exchanges}, \"batch_steals\": {steals} }},\n  \
+         \"shard_counters\": {{ \"shard_jobs_launched\": {shard_jobs}, \"exchange_steps\": {exchanges} }},\n  \
          \"benchmarks\": [\n{benchmarks}\n  ]\n}}\n",
         qcor_pool::available_parallelism(),
     );
@@ -230,7 +155,7 @@ fn main() {
     for (name, time) in &rows {
         println!("{name:<38} {:>10.1} us", time.as_secs_f64() * 1e6);
     }
-    println!("shard counters: {shard_jobs} jobs, {exchanges} exchange steps, {steals} batch steals");
+    println!("shard counters: {shard_jobs} jobs, {exchanges} exchange steps");
     if guarded {
         qcor_bench::enforce_guard_ratio(
             "sharded / sequential replay",

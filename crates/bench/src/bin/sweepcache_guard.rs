@@ -7,8 +7,7 @@
 //!    sweep must actually hit the cache (≥ sweep-1 hits on the
 //!    process-global counter after the first compile).
 //! 2. **Wire format** — the swept kernel must survive the versioned
-//!    circuit codec losslessly, and its compiled plan must survive the
-//!    compiled-plan codec with a bit-identical replay.
+//!    circuit codec losslessly.
 //! 3. **Sweep compile time** — re-compiling the swept structure through
 //!    the cache (template hit + parameter rebind) must run at
 //!    ≤ 0.7× the cold compile (full lowering + fusion) per invocation:
@@ -25,9 +24,7 @@
 use qcor_circuit::{wire as cwire, Circuit};
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::{compile_cache_hits, compile_cache_misses};
-use qcor_sim::{clear_compile_cache, compile_cached, wire as swire, CompiledCircuit, RunConfig, StateVector};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qcor_sim::{clear_compile_cache, compile_cached, CompiledCircuit, RunConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,30 +96,12 @@ fn assert_sweep_counts_and_hits(pool: &Arc<ThreadPool>) -> (u64, u64) {
     (hits, misses)
 }
 
-/// Gate 2: the swept kernel survives both codecs — the circuit codec
-/// losslessly, the compiled-plan codec with a bit-identical replay.
-fn assert_wire_round_trips(circuit: &Circuit) -> (usize, usize) {
+/// Gate 2: the swept kernel survives the circuit codec losslessly.
+fn assert_wire_round_trip(circuit: &Circuit) -> usize {
     let circuit_bytes = cwire::encode(circuit);
     let decoded = cwire::decode(&circuit_bytes).expect("circuit codec must round-trip");
     assert_eq!(circuit, &decoded, "circuit wire round trip must be lossless");
-
-    let plan = CompiledCircuit::compile(circuit);
-    let plan_bytes = swire::encode_compiled(&plan);
-    let replayed = swire::decode_compiled(&plan_bytes).expect("plan codec must round-trip");
-    let mut s1 = StateVector::new(QUBITS);
-    let mut s2 = StateVector::new(QUBITS);
-    let mut r1 = StdRng::seed_from_u64(7);
-    let mut r2 = StdRng::seed_from_u64(7);
-    assert_eq!(
-        plan.run_once(&mut s1, &mut r1),
-        replayed.run_once(&mut s2, &mut r2),
-        "decoded plan must record identically"
-    );
-    for (a, b) in s1.amplitudes().iter().zip(s2.amplitudes()) {
-        assert_eq!(a.re.to_bits(), b.re.to_bits(), "decoded replay must be bit-identical");
-        assert_eq!(a.im.to_bits(), b.im.to_bits(), "decoded replay must be bit-identical");
-    }
-    (circuit_bytes.len(), plan_bytes.len())
+    circuit_bytes.len()
 }
 
 fn main() {
@@ -138,8 +117,8 @@ fn main() {
     let pool = Arc::new(ThreadPool::new(qcor_pool::num_threads_from_env()));
     let (hits, misses) = assert_sweep_counts_and_hits(&pool);
     println!("sweep counters: {hits} hits / {misses} misses (counts identical to cold)");
-    let (circuit_bytes, plan_bytes) = assert_wire_round_trips(&circuit);
-    println!("wire round trips: circuit {circuit_bytes} bytes, compiled plan {plan_bytes} bytes");
+    let circuit_bytes = assert_wire_round_trip(&circuit);
+    println!("wire round trip: circuit {circuit_bytes} bytes");
 
     // Timing gate: per-invocation compile cost across the sweep — cold
     // (full lowering + fusion every time) vs cached (one template build,
@@ -184,12 +163,12 @@ fn main() {
         "{{\n  \"meta\": {{\n    \"command\": \"cargo run -p qcor-bench --release --bin sweepcache_guard\",\n    \
          \"logical_cpus\": {},\n    \"qcor_num_threads\": {},\n    \
          \"guard\": \"fail if cached sweep compile divided by cold exceeds {MAX_RATIO}\",\n    \
-         \"note\": \"structural compile cache guard: an angle sweep reuses one template (hit + rebind) instead of re-lowering; also asserts seeded-count equality, cache-hit counters, and both wire-codec round trips\"\n  }},\n  \
+         \"note\": \"structural compile cache guard: an angle sweep reuses one template (hit + rebind) instead of re-lowering; also asserts seeded-count equality, cache-hit counters, and the circuit wire-codec round trip\"\n  }},\n  \
          \"ratio_cached_over_cold\": {ratio:.3},\n  \
          \"sweep_points\": {SWEEP},\n  \
          \"source_instructions\": {},\n  \"fused_kernel_ops\": {},\n  \
          \"cache_counters\": {{ \"hits\": {hits}, \"misses\": {misses} }},\n  \
-         \"wire_bytes\": {{ \"circuit\": {circuit_bytes}, \"compiled_plan\": {plan_bytes} }},\n  \
+         \"wire_bytes\": {{ \"circuit\": {circuit_bytes} }},\n  \
          \"benchmarks\": [\n{benchmarks}\n  ]\n}}\n",
         qcor_pool::available_parallelism(),
         qcor_pool::num_threads_from_env(),

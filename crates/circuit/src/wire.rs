@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! bytes 0..4   magic  b"QCWF"
-//! byte  4      kind   (0x01 = Circuit; 0x02 reserved for CompiledCircuit)
+//! byte  4      kind   (0x01 = Circuit)
 //! byte  5      format version (currently 1)
 //! bytes 6..    little-endian payload, layout owned by (kind, version)
 //! ```
@@ -36,10 +36,9 @@ use crate::CircuitError;
 pub const CIRCUIT_WIRE_VERSION: u8 = 1;
 /// Magic prefix of every wire buffer.
 pub const WIRE_MAGIC: [u8; 4] = *b"QCWF";
-/// Kind byte for a [`Circuit`] payload.
+/// Kind byte for a [`Circuit`] payload. Kind `0x02` (a retired
+/// compiled-plan payload) must not be reused.
 pub const KIND_CIRCUIT: u8 = 0x01;
-/// Kind byte reserved for the simulator's `CompiledCircuit` payload.
-pub const KIND_COMPILED: u8 = 0x02;
 
 /// Typed decode/encode failure. Malformed input never panics.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,18 +155,17 @@ pub fn gate_from_code(code: u8) -> Option<GateKind> {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian writer/reader primitives, shared with qcor-sim's
-// CompiledCircuit codec.
+// Little-endian writer/reader primitives.
 // ---------------------------------------------------------------------------
 
 /// Appends little-endian primitives after the magic/kind/version header.
-pub struct WireWriter {
+struct WireWriter {
     buf: Vec<u8>,
 }
 
 impl WireWriter {
     /// Start a buffer with the `QCWF` magic, kind and version bytes.
-    pub fn new(kind: u8, version: u8) -> Self {
+    fn new(kind: u8, version: u8) -> Self {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&WIRE_MAGIC);
         buf.push(kind);
@@ -176,46 +174,46 @@ impl WireWriter {
     }
 
     /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern, little-endian.
-    pub fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Finish and take the buffer.
-    pub fn finish(self) -> Vec<u8> {
+    fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
 /// Cursor over a wire buffer; every read is bounds-checked.
-pub struct WireReader<'a> {
+struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> WireReader<'a> {
     /// Wrap a buffer; call [`WireReader::header`] before payload reads.
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         WireReader { buf, pos: 0 }
     }
 
     /// Validate magic and kind, returning the version byte. The caller
     /// decides which versions it can decode.
-    pub fn header(&mut self, expected_kind: u8) -> Result<u8, WireError> {
+    fn header(&mut self, expected_kind: u8) -> Result<u8, WireError> {
         if self.buf.len() < 6 {
             return Err(WireError::Truncated { needed: 6 - self.buf.len(), available: 0 });
         }
@@ -241,27 +239,27 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Read a little-endian IEEE-754 `f64`.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Error unless the payload consumed the whole buffer.
-    pub fn finish(&self) -> Result<(), WireError> {
+    fn finish(&self) -> Result<(), WireError> {
         let rest = self.buf.len() - self.pos;
         if rest != 0 {
             return Err(WireError::TrailingBytes(rest));
@@ -454,11 +452,8 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_kind() {
         let mut bytes = encode(&sample());
-        bytes[4] = KIND_COMPILED;
-        assert_eq!(
-            decode(&bytes),
-            Err(WireError::WrongKind { expected: KIND_CIRCUIT, found: KIND_COMPILED })
-        );
+        bytes[4] = 0x02;
+        assert_eq!(decode(&bytes), Err(WireError::WrongKind { expected: KIND_CIRCUIT, found: 0x02 }));
     }
 
     #[test]

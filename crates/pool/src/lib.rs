@@ -34,9 +34,7 @@ mod pool;
 mod scope;
 
 pub use latch::{CountLatch, WaitGroup};
-pub use pool::{
-    batch_steal_count, current_worker_pool_id, reset_batch_steal_count, PoolBuilder, Schedule, ThreadPool,
-};
+pub use pool::{batch_steal_count, current_worker_pool_id, PoolBuilder, Schedule, ThreadPool};
 pub use scope::Scope;
 
 use std::num::NonZeroUsize;

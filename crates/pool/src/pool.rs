@@ -14,25 +14,16 @@ use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Process-global count of batch jobs executed by work-stealing (idle
-/// workers claiming from the tail of an in-flight [`ThreadPool::submit_batch`]).
-static BATCH_STEALS: AtomicU64 = AtomicU64::new(0);
-
-/// Total number of `submit_batch` jobs that idle workers stole from the
-/// tail of an in-flight batch, process-global across all pools. Stable
-/// monotone counter for stats surfacing; pair with
-/// [`reset_batch_steal_count`] to measure a region.
+/// Number of `submit_batch` jobs run by work-stealing. The pool does not
+/// steal: the submitter and its dispatched participants claim batch jobs
+/// from the front, so this is always `0`. Kept for stats readers that
+/// still report the counter.
 pub fn batch_steal_count() -> u64 {
-    BATCH_STEALS.load(Ordering::Relaxed)
-}
-
-/// Reset [`batch_steal_count`] to zero (bench/test bookkeeping).
-pub fn reset_batch_steal_count() {
-    BATCH_STEALS.store(0, Ordering::Relaxed)
+    0
 }
 
 /// Chunk-scheduling policy for [`ThreadPool::parallel_for`].
@@ -172,30 +163,25 @@ impl<'f> ForJob<'f> {
 
 /// Shared state of one `submit_batch` invocation.
 ///
-/// Lives on the submitting thread's stack. Three kinds of thread touch it:
-/// the submitter (front claims + final waits), participant workers that
-/// received a dispatch message (front claims), and idle workers stealing
-/// from the tail through the pool's steal registry. The single source of
-/// truth for job ownership is each slot's `Mutex<Option<F>>`: whoever
-/// `take()`s the closure runs it, so front claimers and tail stealers can
-/// race on the same slot without double-running or losing a job.
+/// Lives on the submitting thread's stack. Two kinds of thread touch it:
+/// the submitter (front claims + final waits) and participant workers that
+/// received a dispatch message (front claims). Each slot's
+/// `Mutex<Option<F>>` is the single source of truth for job ownership:
+/// whoever `take()`s the closure runs it.
 struct BatchShared<T, F> {
     jobs: Vec<Mutex<Option<F>>>,
     results: Mutex<Vec<(usize, T)>>,
     /// Next index for front claimers (submitter + participants).
     front: AtomicUsize,
-    /// Number of tail slots already handed out to stealers.
-    steal_tail: AtomicUsize,
     /// Opens once every job has been executed by someone.
     jobs_left: CountLatch,
     /// Opens once every dispatched participant message has returned.
     participants: CountLatch,
-    /// Remote threads currently touching this descriptor: stealers inside
-    /// `steal_one` plus dispatched participants inside `run_erased`. The
-    /// submitter spins this to zero after its waits return, so a remote's
-    /// final latch notify never outlives the frame; see the registry
-    /// protocol in [`ThreadPool::submit_batch`].
-    active_stealers: AtomicUsize,
+    /// Participants currently inside `run_erased`. The submitter spins this
+    /// to zero after its waits return so a participant's final latch notify
+    /// never touches the already-unwound frame (the `ForJob::active`
+    /// protocol).
+    active: AtomicUsize,
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -222,104 +208,31 @@ impl<T, F: FnOnce() -> T> BatchShared<T, F> {
             if index >= self.jobs.len() {
                 break;
             }
-            // `None` means a tail stealer got here first; the stealer
-            // counts that job down on `jobs_left`. Bind before the `if let`
-            // so the slot guard drops before the job runs — holding it
-            // across `run_job` would block stealers probing this slot.
+            // Bind before the `if let` so the slot guard drops before the
+            // job runs.
             let job = self.jobs[index].lock().take();
             if let Some(job) = job {
                 self.run_job(index, job);
-            }
-        }
-    }
-
-    /// Steal and run at most one job from the batch tail. Returns whether
-    /// a job actually ran.
-    fn steal_one(&self) -> bool {
-        loop {
-            let t = self.steal_tail.fetch_add(1, Ordering::Relaxed);
-            if t >= self.jobs.len() {
-                return false;
-            }
-            let index = self.jobs.len() - 1 - t;
-            // Bind before the `if let` (see `claim_from_front`): the slot
-            // guard must drop before the stolen job runs.
-            let job = self.jobs[index].lock().take();
-            if let Some(job) = job {
-                BATCH_STEALS.fetch_add(1, Ordering::Relaxed);
-                self.run_job(index, job);
-                return true;
             }
         }
     }
 
     unsafe fn run_erased(ptr: *const ()) {
         // SAFETY: the submitter keeps the descriptor alive until the
-        // participants latch opens AND `active_stealers` drains to zero
-        // (see `JobRef` and the registry protocol in `submit_batch`).
+        // participants latch opens AND `active` drains to zero (see `JobRef`).
         let batch = unsafe { &*(ptr as *const BatchShared<T, F>) };
         // Register before counting down: once `participants` opens the
         // submitter may fast-path out of `wait()`, and only the post-wait
-        // spin on `active_stealers` keeps the frame alive through the
-        // latch's final lock/notify. The increment happens-before the
-        // count-down, so the spin is guaranteed to observe it.
-        batch.active_stealers.fetch_add(1, Ordering::AcqRel);
+        // spin on `active` keeps the frame alive through the latch's final
+        // lock/notify. The increment happens-before the count-down, so the
+        // spin is guaranteed to observe it.
+        batch.active.fetch_add(1, Ordering::AcqRel);
         batch.claim_from_front();
         batch.participants.count_down();
         // Last touch of the frame must be this pure atomic decrement —
         // never the latch mutex, which may already be freed once the
         // submitter's wait returns.
-        batch.active_stealers.fetch_sub(1, Ordering::Release);
-    }
-
-    unsafe fn steal_erased(ptr: *const ()) -> bool {
-        // SAFETY: registry entries are removed — and active stealers waited
-        // out — before the descriptor's frame unwinds.
-        unsafe { (*(ptr as *const BatchShared<T, F>)).steal_one() }
-    }
-}
-
-/// Type-erased registry entry for an in-flight batch idle workers may
-/// steal from. `active` points at the batch's `active_stealers` counter;
-/// it is incremented under the registry lock before `steal` is called so
-/// deregistration can wait out in-flight stealers after removing the entry.
-#[derive(Clone, Copy)]
-struct StealEntry {
-    ptr: *const (),
-    steal: unsafe fn(*const ()) -> bool,
-    active: *const AtomicUsize,
-}
-
-// SAFETY: both pointers target a `BatchShared` kept alive by its submitter
-// until the entry is deregistered and `active` drains to zero.
-unsafe impl Send for StealEntry {}
-
-type StealRegistry = Arc<Mutex<Vec<StealEntry>>>;
-
-/// Try to steal one job from any registered batch, newest first. Returns
-/// whether a job ran.
-fn try_steal_one(registry: &Mutex<Vec<StealEntry>>) -> bool {
-    let mut skip = 0;
-    loop {
-        let entry = {
-            let reg = registry.lock();
-            if reg.len() <= skip {
-                return false;
-            }
-            let entry = reg[reg.len() - 1 - skip];
-            // SAFETY: counted under the registry lock, so the submitter's
-            // deregister-then-wait sees us (see `StealEntry`).
-            unsafe { (*entry.active).fetch_add(1, Ordering::AcqRel) };
-            entry
-        };
-        // SAFETY: `active` was bumped under the lock above, keeping the
-        // descriptor alive for the duration of this call.
-        let stole = unsafe { (entry.steal)(entry.ptr) };
-        unsafe { (*entry.active).fetch_sub(1, Ordering::Release) };
-        if stole {
-            return true;
-        }
-        skip += 1;
+        batch.active.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -332,8 +245,6 @@ struct PoolInner {
     /// Kept for nested batch joins: a worker blocked in `submit_batch`
     /// drains this receiver instead of idling its team slot.
     receiver: Receiver<Message>,
-    /// In-flight `submit_batch` descriptors idle workers may steal from.
-    steals: StealRegistry,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -398,24 +309,21 @@ impl ThreadPool {
         let num_threads = num_threads.max(1);
         let (sender, receiver) = unbounded::<Message>();
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let steals: StealRegistry = Arc::new(Mutex::new(Vec::new()));
         let inner = Arc::new(PoolInner {
             id,
             name: name.clone(),
             num_threads,
             sender,
             receiver: receiver.clone(),
-            steals: Arc::clone(&steals),
             workers: Mutex::new(Vec::new()),
         });
         let mut workers = Vec::with_capacity(num_threads.saturating_sub(1));
         for w in 0..num_threads.saturating_sub(1) {
             let rx: Receiver<Message> = receiver.clone();
-            let registry = Arc::clone(&steals);
             let pool_id = id;
             let handle = std::thread::Builder::new()
                 .name(format!("{name}-{w}"))
-                .spawn(move || worker_loop(pool_id, rx, registry))
+                .spawn(move || worker_loop(pool_id, rx))
                 .expect("failed to spawn pool worker");
             workers.push(handle);
         }
@@ -641,12 +549,6 @@ impl ThreadPool {
     /// Inline small-team path: a batch of one job or a team of one runs
     /// every job directly on the calling thread, paying zero dispatch cost.
     ///
-    /// Idle workers may additionally *steal* unclaimed jobs from the tail
-    /// of the batch (newest-registered batch first) before pulling the next
-    /// queued message, so a backlog of slow detached tasks cannot starve an
-    /// in-flight batch whose submitter is blocked on completion. Stolen
-    /// jobs count toward the process-global [`batch_steal_count`].
-    ///
     /// Calls from inside one of this pool's own workers (nested batching)
     /// fan out like top-level calls and use whatever team capacity is left;
     /// while waiting, the nested caller keeps the pool work-conserving by
@@ -664,7 +566,22 @@ impl ThreadPool {
             return Vec::new();
         }
         if jobs.len() == 1 || !self.has_workers() {
-            return jobs.into_iter().map(|job| job()).collect();
+            // Run every job even after one panics, as the dispatched path
+            // does, then re-raise the first payload.
+            let mut results = Vec::with_capacity(jobs.len());
+            let mut first_panic = None;
+            for job in jobs {
+                match catch_unwind(AssertUnwindSafe(job)) {
+                    Ok(output) => results.push(output),
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = first_panic {
+                resume_unwind(payload);
+            }
+            return results;
         }
         let n = jobs.len();
         let nested = self.on_worker();
@@ -673,22 +590,16 @@ impl ThreadPool {
             jobs: jobs.into_iter().map(|job| Mutex::new(Some(job))).collect::<Vec<_>>(),
             results: Mutex::new(Vec::with_capacity(n)),
             front: AtomicUsize::new(0),
-            steal_tail: AtomicUsize::new(0),
             jobs_left: CountLatch::new(n),
             participants: CountLatch::new(messages),
-            active_stealers: AtomicUsize::new(0),
+            active: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
         };
         // SAFETY (lifetime erasure): `batch` lives on this frame; before
         // returning we wait for the jobs latch, the participants latch and
-        // every registered stealer, so no other thread outlives its access.
+        // the `active` count, so no other thread outlives its access.
         let ptr = &batch as *const BatchShared<T, F> as *const ();
-        self.inner.steals.lock().push(StealEntry {
-            ptr,
-            steal: BatchShared::<T, F>::steal_erased,
-            active: &batch.active_stealers as *const AtomicUsize,
-        });
         for _ in 0..messages {
             self.inner
                 .sender
@@ -703,16 +614,9 @@ impl ThreadPool {
             batch.jobs_left.wait();
             batch.participants.wait();
         }
-        // Deregister, then wait out stealers that entered before removal:
-        // stealers only register under the same lock, so after removal the
-        // active count can only drain.
-        {
-            let mut registry = self.inner.steals.lock();
-            if let Some(pos) = registry.iter().position(|entry| entry.ptr == ptr) {
-                registry.remove(pos);
-            }
-        }
-        while batch.active_stealers.load(Ordering::Acquire) != 0 {
+        // A participant's final count-down may still be inside the latch
+        // mutex; spin out its terminal `active` decrement (see `ForJob`).
+        while batch.active.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
         if batch.panicked.load(Ordering::Acquire) {
@@ -806,24 +710,9 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(pool_id: usize, rx: Receiver<Message>, registry: StealRegistry) {
+fn worker_loop(pool_id: usize, rx: Receiver<Message>) {
     WORKER_OF.with(|w| w.set(pool_id));
-    loop {
-        // Prefer in-flight batches over queued messages: their submitters
-        // are blocked on completion, while a backlog of detached tasks is
-        // fire-and-forget — stealing from the batch tail first resolves the
-        // priority inversion between the two.
-        if try_steal_one(&registry) {
-            continue;
-        }
-        let msg = match rx.try_recv() {
-            Ok(msg) => msg,
-            Err(crossbeam::channel::TryRecvError::Empty) => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
-            Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-        };
+    while let Ok(msg) = rx.recv() {
         match msg {
             Message::Job(job) => {
                 // SAFETY: see `JobRef` — the job descriptor outlives this call.
@@ -1248,13 +1137,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_worker_steals_from_batch_tail() {
+    fn busy_worker_joins_batch_after_its_task() {
         // The lone worker is pinned inside a detached task while the main
-        // thread submits a batch and blocks inside job 0; the worker's
-        // steal-first loop must then claim job 1 from the tail (its
-        // dispatch message is behind the pinned task in the queue).
+        // thread submits a batch and blocks inside job 0, which releases
+        // the task; the freed worker must then pick up the queued dispatch
+        // message and run job 1.
         let pool = ThreadPool::new(2);
-        let before = batch_steal_count();
         let busy = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
         let (busy2, release2) = (Arc::clone(&busy), Arc::clone(&release));
@@ -1284,7 +1172,6 @@ mod tests {
         ];
         let out = pool.submit_batch(jobs.into_iter().map(|job| move || job()).collect::<Vec<_>>());
         assert_eq!(out, vec![0, 1]);
-        assert!(batch_steal_count() > before, "worker should have stolen job 1 from the tail");
     }
 
     #[test]
@@ -1326,5 +1213,30 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(pool.submit_batch(vec![|| 1, || 2]), vec![1, 2]);
+    }
+
+    #[test]
+    fn submit_batch_panic_drains_whole_batch_on_every_team_size() {
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let ran = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let jobs: Vec<_> = (0..8usize)
+                    .map(|i| {
+                        let ran = &ran;
+                        move || {
+                            if i == 2 {
+                                panic!("job 2 failed");
+                            }
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                    .collect();
+                pool.submit_batch(jobs);
+            }));
+            let payload = result.expect_err("the job's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 2 failed"), "threads={threads}");
+            assert_eq!(ran.load(Ordering::Relaxed), 7, "threads={threads}: every other job must still run");
+        }
     }
 }

@@ -80,12 +80,8 @@ pub use qcor_sim::{fusion_env_default, CompiledCircuit, KernelOp};
 // Sharded execution. Amplitude sharding (`RunConfig::amp_shards`,
 // `InitOptions::amp_shards`, `QCOR_AMP_SHARDS`) splits every kernel sweep
 // into per-shard batch jobs on the pool, bit-identical to the sequential
-// sweep on any pool size. Process-level shot sharding (`qcor_sim::shard`)
-// partitions a run's chunk schedule across OS processes — binaries that
-// call `run_sharded_spawn` must route re-executions through
-// `maybe_shard_worker` at the top of `main`; `run_sharded` is the
-// in-process oracle with the same counts.
-pub use qcor_sim::{amp_shards_env_default, maybe_shard_worker, run_sharded, run_sharded_spawn, AmpShards};
+// sweep on any pool size.
+pub use qcor_sim::{amp_shards_env_default, AmpShards};
 
 // Noise-model execution. `compile_noisy` lowers a circuit plus a
 // `NoiseModel` once into fused kernel ops interleaved with channel ops;

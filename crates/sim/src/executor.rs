@@ -81,14 +81,6 @@
 //! a private sequential pool, so chunk jobs can use leftover pool capacity
 //! for their amplitude loops.
 //!
-//! # Shot-process sharding
-//!
-//! [`crate::shard`] partitions a run's chunk schedule across OS processes:
-//! shard `s` of `p` owns exactly the chunks with `index % p == s` of the
-//! **same** [`ShotPlan`], with the same derived seeds — so per-shard counts
-//! merge (by addition) into counts byte-identical to a single-process run.
-//! `run_shots_owned` is the executor-side entry point for one shard.
-//!
 //! Bitstring convention: the leftmost character is the outcome of the
 //! lowest-indexed *measured* qubit.
 
@@ -609,7 +601,7 @@ pub fn run_shots_planned(
     plan: &ShotPlan,
 ) -> Counts {
     let token = crate::cancel::thread_cancel_token();
-    run_shots_with_token(circuit, pool, config, plan, token.as_ref()).counts
+    run_shots_core(circuit, pool, config, plan, token.as_ref(), None).counts
 }
 
 /// The outcome of a cancellable sweep: the merged counts of every chunk
@@ -640,36 +632,7 @@ pub fn run_shots_cancellable(
     plan: &ShotPlan,
     token: &CancelToken,
 ) -> ShotRun {
-    run_shots_with_token(circuit, pool, config, plan, Some(token))
-}
-
-/// Execute one process shard of a plan: only the chunks with
-/// `index % procs == shard` run, on the **same** chunk partition and
-/// derived seeds as the full plan — so summing the counts of all `procs`
-/// shards reproduces a single-process run byte-for-byte (see
-/// [`crate::shard`]). Inner-parallel plans are forced onto the chunk path
-/// so every shard sees the same chunk indexing; chunk 0 keeps the base
-/// seed and amplitudes are pool-size-invariant, so the counts still match.
-pub(crate) fn run_shots_owned(
-    circuit: &Circuit,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
-    shard: usize,
-    procs: usize,
-) -> Counts {
-    assert!(procs >= 1 && shard < procs, "shard {shard} out of range for {procs} procs");
-    run_shots_core(circuit, pool, config, plan, None, Some((shard, procs)), None).counts
-}
-
-fn run_shots_with_token(
-    circuit: &Circuit,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
-    token: Option<&CancelToken>,
-) -> ShotRun {
-    run_shots_core(circuit, pool, config, plan, token, None, None)
+    run_shots_core(circuit, pool, config, plan, Some(token), None)
 }
 
 /// Execute `circuit` under `noise` as trajectory sampling on the batched
@@ -702,7 +665,7 @@ pub fn run_noisy_shots_planned(
     plan: &ShotPlan,
 ) -> Counts {
     let token = crate::cancel::thread_cancel_token();
-    run_shots_core(circuit, pool, config, plan, token.as_ref(), None, Some((noise, readout))).counts
+    run_shots_core(circuit, pool, config, plan, token.as_ref(), Some((noise, readout))).counts
 }
 
 fn run_shots_core(
@@ -711,7 +674,6 @@ fn run_shots_core(
     config: &RunConfig,
     plan: &ShotPlan,
     token: Option<&CancelToken>,
-    owner: Option<(usize, usize)>,
     noisy: Option<(&crate::density::NoiseModel, f64)>,
 ) -> ShotRun {
     let mut merged = Counts::new();
@@ -733,7 +695,7 @@ fn run_shots_core(
         },
         None => ShotExec::for_config(circuit, config),
     };
-    if plan.inner_parallel() && owner.is_none() {
+    if plan.inner_parallel() {
         // Single work item: the only checkpoint is before it starts.
         if token.is_some_and(CancelToken::is_cancelled) {
             return ShotRun { counts: merged, completed_chunks: 0, total_chunks: 1, cancelled: true };
@@ -752,7 +714,6 @@ fn run_shots_core(
     let jobs: Vec<_> = plan
         .chunks()
         .enumerate()
-        .filter(|(index, _)| owner.is_none_or(|(shard, procs)| index % procs == shard))
         .map(|(index, span)| {
             let seed = derive_stream_seed(base_seed, index);
             let token = token.cloned();

@@ -21,8 +21,6 @@
 //!   sweep only re-binds parameters,
 //! * [`cache`] — the process-wide compile cache keyed by structural
 //!   circuit hash (`QCOR_COMPILE_CACHE`, `QCOR_COMPILE_CACHE_CAPACITY`),
-//! * [`wire`] — the versioned binary codec for compiled plans (the
-//!   source-circuit codec lives in `qcor_circuit::wire`),
 //! * [`executor`] — the batched shot scheduler ([`ShotPlan`]), counts,
 //!   and exact distributions,
 //! * [`apply`] — the [`ApplyState`] trait: the primitive-kernel surface
@@ -32,9 +30,6 @@
 //! * [`noise`] — noise-channel lowering ([`compile_noisy`]) shared by the
 //!   exact density replay and the trajectory sampler, plus the batched
 //!   noisy shot entry [`run_noisy_shots`],
-//! * [`shard`] — process-level shot sharding: [`run_sharded_spawn`]
-//!   partitions a run's chunk schedule across OS processes and merges
-//!   counts byte-identically,
 //! * [`stats`] — per-thread kernel iteration and forked-sweep counters
 //!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
 //!   rule's tests), the process-global compile-cache hit/miss counters, and
@@ -49,10 +44,8 @@ pub mod density;
 pub mod executor;
 pub mod gates;
 pub mod noise;
-pub mod shard;
 mod state;
 pub mod stats;
-pub mod wire;
 
 pub use apply::ApplyState;
 pub use cache::{clear_compile_cache, compile_cache_env_default, compile_cached, parse_cache_token};
@@ -67,5 +60,4 @@ pub use executor::{
     AmpShards, Counts, Granularity, RunConfig, ShotPlan, ShotRecord, ShotRun,
 };
 pub use noise::{apply_readout_error, compile_noisy, NoisyCompiled, NoisyOp};
-pub use shard::{maybe_shard_worker, run_sharded, run_sharded_spawn, SHARD_WORKER_ENV};
 pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

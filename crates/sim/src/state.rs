@@ -411,10 +411,9 @@ impl StateVector {
     /// With amplitude sharding on, the range is instead split into exactly
     /// `s` balanced contiguous jobs handed to [`ThreadPool::submit_batch`]:
     /// nested calls from pool-owned chunk states then fan out onto leftover
-    /// team capacity, and idle workers may steal shard jobs from the batch
-    /// tail. Kernels iterate the *compressed* index space here, so a job's
-    /// contiguous `k`-range expands to both halves of every amplitude pair
-    /// it touches — the pairwise-exchange step needs no cross-job
+    /// team capacity. Kernels iterate the *compressed* index space here,
+    /// so a job's contiguous `k`-range expands to both halves of every
+    /// amplitude pair it touches — the pairwise-exchange step needs no cross-job
     /// communication and results stay bit-identical on any pool size.
     #[inline]
     fn dispatch<F: Fn(Range<usize>) + Sync>(&self, len: usize, iter_bytes: usize, f: F) {

@@ -225,8 +225,7 @@ pub fn shard_exchange_steps() -> u64 {
     SHARD_EXCHANGES.load(Ordering::Relaxed)
 }
 
-/// Zero the amplitude-shard counters. The pool-level steal counter lives
-/// in `qcor_pool::batch_steal_count` and is reset separately.
+/// Zero the amplitude-shard counters.
 pub fn reset_shard_stats() {
     SHARD_JOBS.store(0, Ordering::Relaxed);
     SHARD_EXCHANGES.store(0, Ordering::Relaxed);

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use qcor_circuit::{library, xasm, Circuit};
 use qcor_pool::ThreadPool;
 use qcor_sim::{
-    derive_stream_seed, run_once_interpreted, run_sharded, run_shots, run_shots_task_parallel, AmpShards,
-    CompiledCircuit, Granularity, RunConfig, ShotPlan, StateVector,
+    run_once_interpreted, run_shots, run_shots_task_parallel, AmpShards, CompiledCircuit, Granularity,
+    RunConfig, ShotPlan, StateVector,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
@@ -331,7 +331,7 @@ proptest! {
         prop_assert_eq!(fused, interp, "fusion knob must not change seeded counts");
     }
 
-    // ---- amplitude sharding + process-level shot sharding ---------------
+    // ---- amplitude sharding --------------------------------------------
 
     /// Amplitude-sharded kernel dispatch is **bit-identical** to the
     /// sequential sweep: replaying a random builder circuit on a sharded
@@ -378,60 +378,6 @@ proptest! {
         let off = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &off_cfg);
         let on = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &on_cfg);
         prop_assert_eq!(off, on, "amp-shards must not change seeded counts");
-    }
-
-    /// Process-level shot shards merge byte-identically: for any process
-    /// count, summing each shard's owned-chunk counts reproduces the
-    /// single-process run exactly — mid-circuit `Measure`/`Reset`
-    /// included, since shards replay the very chunk streams the single
-    /// run would have drawn.
-    #[test]
-    fn shot_shards_merge_to_single_process_counts(
-        ops in builder_ops(),
-        seed in 0u64..500,
-        chunk in 0usize..16,
-        procs in 1usize..6,
-    ) {
-        let mut circuit = build_circuit(&ops, true);
-        circuit.measure_all();
-        let chunk_shots = (chunk > 0).then_some(chunk);
-        let config = RunConfig { shots: 32, seed: Some(seed), chunk_shots, ..RunConfig::default() };
-        let single = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &config);
-        let merged = run_sharded(&circuit, Arc::new(ThreadPool::new(2)), &config, procs);
-        prop_assert_eq!(single, merged, "shard merge must be byte-identical");
-    }
-
-    /// The `(seed, shard)` stream contract: shard `s`'s first owned chunk
-    /// is chunk `s`, so when every shard owns exactly one chunk its counts
-    /// equal a standalone run seeded with `derive_stream_seed(seed, s)` —
-    /// shards derive from `(seed, shard)` exactly like chunks derive from
-    /// `(seed, chunk)`.
-    #[test]
-    fn shard_streams_derive_from_seed_and_shard(
-        seed in 0u64..500,
-        procs in 1usize..5,
-        chunk in 1usize..12,
-    ) {
-        let circuit = library::ghz_kernel(3);
-        let config = RunConfig {
-            shots: chunk * procs, // exactly one chunk per shard
-            seed: Some(seed),
-            chunk_shots: Some(chunk),
-            ..RunConfig::default()
-        };
-        for shard in 0..procs {
-            let owned = qcor_sim::shard::run_shard(
-                &circuit, Arc::new(ThreadPool::new(1)), &config, shard, procs,
-            );
-            let replay_cfg = RunConfig {
-                shots: chunk,
-                seed: Some(derive_stream_seed(seed, shard)),
-                chunk_shots: Some(chunk),
-                ..RunConfig::default()
-            };
-            let replay = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &replay_cfg);
-            prop_assert_eq!(owned, replay, "shard {} must draw stream (seed, {})", shard, shard);
-        }
     }
 
     /// Relabeled measurement reports logical qubits: a shot record from

@@ -9,6 +9,7 @@
 //!   thread; concurrent kernels are perfectly isolated.
 
 use qcor::{initialize, initialize_legacy_shared, qalloc, InitOptions, Kernel, QReg};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const BELL: &str = r#"
 __qpu__ void bell(qreg q) {
@@ -30,12 +31,24 @@ fn bell_run(shots: usize, seed: u64, legacy: bool) -> QReg {
     q
 }
 
+/// Both legacy tests drive the one process-wide `qpp-legacy-shared`
+/// singleton, and the test harness runs tests in parallel: this lock keeps
+/// the corruption test's threads from racing the sequential test's runs.
+static LEGACY_SINGLETON: Mutex<()> = Mutex::new(());
+
+fn lock_legacy_singleton() -> MutexGuard<'static, ()> {
+    // A failed assertion in the other legacy test poisons the lock; the
+    // singleton itself is still usable.
+    LEGACY_SINGLETON.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn is_clean_bell(q: &QReg, shots: usize) -> bool {
     q.total_shots() == shots && q.measurement_counts().keys().all(|k| k == "00" || k == "11")
 }
 
 #[test]
 fn legacy_shared_backend_corrupts_concurrent_kernels() {
+    let _singleton = lock_legacy_singleton();
     let mut corrupted = false;
     for attempt in 0..25 {
         let handles: Vec<_> =
@@ -60,6 +73,7 @@ fn legacy_shared_backend_corrupts_concurrent_kernels() {
 #[test]
 fn legacy_shared_backend_is_fine_single_threaded() {
     // The pre-fix code was correct sequentially — only concurrency breaks it.
+    let _singleton = lock_legacy_singleton();
     std::thread::spawn(|| {
         for seed in 0..4 {
             let q = bell_run(128, seed, true);

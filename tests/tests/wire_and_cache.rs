@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 use qcor_circuit::{library, wire as cwire, Circuit};
 use qcor_pool::ThreadPool;
-use qcor_sim::{
-    clear_compile_cache, compile_cached, run_shots, wire as swire, CompiledCircuit, RunConfig, StateVector,
-};
+use qcor_sim::{clear_compile_cache, compile_cached, run_shots, CompiledCircuit, RunConfig, StateVector};
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,35 +37,6 @@ fn circuit_wire_round_trip_preserves_seeded_counts() {
         let b = run_shots(&decoded, pool, &config);
         assert_eq!(a, b, "decoded circuit must execute identically (theta = {theta})");
     }
-}
-
-#[test]
-fn compiled_plan_wire_round_trip_replays_identically() {
-    let circuit = sweep_kernel(1.1);
-    let plan = CompiledCircuit::compile(&circuit);
-    let decoded = swire::decode_compiled(&swire::encode_compiled(&plan)).unwrap();
-    let mut s1 = StateVector::new(4);
-    let mut s2 = StateVector::new(4);
-    let mut r1 = StdRng::seed_from_u64(9);
-    let mut r2 = StdRng::seed_from_u64(9);
-    assert_eq!(
-        plan.run_once(&mut s1, &mut r1),
-        decoded.run_once(&mut s2, &mut r2),
-        "decoded plan must record identically"
-    );
-    for (a, b) in s1.amplitudes().iter().zip(s2.amplitudes()) {
-        assert_eq!(a.re.to_bits(), b.re.to_bits(), "amplitudes must be bit-identical");
-        assert_eq!(a.im.to_bits(), b.im.to_bits(), "amplitudes must be bit-identical");
-    }
-}
-
-#[test]
-fn circuit_and_compiled_wire_kinds_are_not_interchangeable() {
-    let circuit = sweep_kernel(0.4);
-    let circuit_bytes = cwire::encode(&circuit);
-    let plan_bytes = swire::encode_compiled(&CompiledCircuit::compile(&circuit));
-    assert!(matches!(swire::decode_compiled(&circuit_bytes), Err(qcor_circuit::WireError::WrongKind { .. })));
-    assert!(matches!(cwire::decode(&plan_bytes), Err(qcor_circuit::WireError::WrongKind { .. })));
 }
 
 #[test]
@@ -131,8 +100,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any sweep angle round-trips through the circuit codec and merges
-    /// identical seeded counts, and its compiled plan survives the
-    /// compiled-plan codec with a byte-identical measurement record.
+    /// identical seeded counts.
     #[test]
     fn wire_round_trips_preserve_execution(theta in -6.0f64..6.0, seed in 0u64..300) {
         let circuit = sweep_kernel(theta);
@@ -143,13 +111,6 @@ proptest! {
             run_shots(&circuit, Arc::clone(&pool), &config),
             run_shots(&decoded, pool, &config)
         );
-        let plan = CompiledCircuit::compile(&circuit);
-        let replayed = swire::decode_compiled(&swire::encode_compiled(&plan)).unwrap();
-        let mut s1 = StateVector::new(4);
-        let mut s2 = StateVector::new(4);
-        let mut r1 = StdRng::seed_from_u64(seed);
-        let mut r2 = StdRng::seed_from_u64(seed);
-        prop_assert_eq!(plan.run_once(&mut s1, &mut r1), replayed.run_once(&mut s2, &mut r2));
     }
 
     /// The structural hash is angle-independent: every angle pair maps to

@@ -140,17 +140,6 @@ impl InitOptions {
         self
     }
 
-    /// Select the backend's amplitude-sharded kernel dispatch: `"auto"`
-    /// (the default — shard large sweeps one job per pool thread),
-    /// `"off"`, or a fixed shard count such as `"4"`. Sharded amplitudes
-    /// and seeded counts are bit-identical to the unsharded dispatch on
-    /// any pool size. Unknown tokens are rejected by the backend as
-    /// `InvalidParam`. Defaults to the `QCOR_AMP_SHARDS` process default.
-    pub fn amp_shards(mut self, shards: impl Into<String>) -> Self {
-        self.params.insert("amp-shards", shards.into());
-        self
-    }
-
     /// Pin this initialization to `backend` verbatim (explicitly override
     /// any process-wide routing policy).
     pub fn route_pinned(mut self) -> Self {
@@ -482,35 +471,6 @@ mod tests {
             let err = initialize(InitOptions::default().threads(1).param("compile-cache", "perhaps"));
             assert!(
                 matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("compile-cache")),
-                "{err:?}"
-            );
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn sharding_knobs_reach_backend_and_counts_match() {
-        std::thread::spawn(|| {
-            initialize(InitOptions::default().threads(1).shots(128).seed(31)).unwrap();
-            let q_plain = qalloc(3);
-            execute(&q_plain, &library::ghz_kernel(3)).unwrap();
-            let plain = q_plain.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            initialize(InitOptions::default().threads(1).shots(128).seed(31).amp_shards("3")).unwrap();
-            let q_sharded = qalloc(3);
-            execute(&q_sharded, &library::ghz_kernel(3)).unwrap();
-            let sharded = q_sharded.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            assert_eq!(plain, sharded, "sharding must not change seeded counts");
-
-            // Unknown tokens surface as InvalidParam through initialize,
-            // exactly like fusion.
-            let err = initialize(InitOptions::default().threads(1).amp_shards("many"));
-            assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("amp-shards")),
                 "{err:?}"
             );
         })

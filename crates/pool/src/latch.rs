@@ -10,75 +10,118 @@
 //!
 //! Both latches follow the only condvar protocol that cannot lose a wakeup:
 //!
-//! 1. **Waiters re-check the predicate under the lock.** `wait` takes the
-//!    mutex and loops `while count != 0 { cond.wait(..) }` — the initial
-//!    lock-free fast-path check is an optimization only, never the decision
-//!    to sleep. A spurious wakeup or a stale fast-path read therefore can't
-//!    strand a waiter.
-//! 2. **The final decrementer notifies while holding the lock.** Taking the
-//!    mutex between the atomic decrement and `notify_all` serializes the
-//!    notification against any waiter that is between its predicate check
-//!    and its `cond.wait` — the decrementer either sees the waiter already
-//!    parked (notify wakes it) or the waiter's in-lock re-check sees the
-//!    zero count (it never parks).
+//! 1. **Waiters check the predicate under the lock.** `wait` takes the
+//!    mutex and loops `while count != 0 { cond.wait(..) }`, so a spurious
+//!    wakeup can't strand a waiter.
+//! 2. **The final decrementer notifies while holding the lock.** The
+//!    decrement that reaches zero and its `notify_all` both run under the
+//!    mutex, which serializes the notification against any waiter that is
+//!    between its predicate check and its `cond.wait` — the decrementer
+//!    either sees the waiter already parked (notify wakes it) or the
+//!    waiter's in-lock re-check sees the zero count (it never parks).
+//! 3. **A latch is safe to free once `wait` returns.** Latches live in the
+//!    frame of the thread that waits on them (a `parallel_for` job, a
+//!    `submit_batch` descriptor, a `Scope`), and that frame unwinds as soon
+//!    as `wait` returns, so no participant may touch the latch after the
+//!    waiter can observe zero. A decrement that leaves the count above zero
+//!    is a lock-free compare-and-swap and never touches the latch again;
+//!    the decrement that reaches zero happens under the lock, and `wait`
+//!    decides only under the lock (there is no lock-free fast path), so the
+//!    waiter cannot return before the final decrementer has released the
+//!    mutex — its last touch. Had the final decrement run before taking the
+//!    lock, a waiter's zero read could free the latch while the decrementer
+//!    was still about to lock it: a worker then parks on a mutex word in a
+//!    frame that has already returned.
 //!
-//! The counters themselves use `AcqRel`/`Acquire` orderings so a waiter
-//! that observes zero also observes every write the participants made
-//! before counting down. The `latch_wakeup_race_*` tests below hammer the
-//! narrow window between the fast-path check and `cond.wait` (set
-//! `QCOR_STRESS=1` for the multi-thousand-iteration version in
-//! `tests/tests/pool_stress.rs`, which drives the full fork/join stack).
+//! The counters use `AcqRel`/`Acquire` orderings so a waiter that observes
+//! zero also observes every write the participants made before counting
+//! down. The `latch_wakeup_race_*` tests below hammer the narrow window
+//! between a waiter's check and `cond.wait` (set `QCOR_STRESS=1` for the
+//! multi-thousand-iteration version in `tests/tests/pool_stress.rs`, which
+//! drives the full fork/join stack).
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A latch initialized with a count; [`CountLatch::count_down`] decrements it
-/// and [`CountLatch::wait`] blocks until it reaches zero.
-///
-/// The fast path (`count_down` when other participants remain) is a single
-/// atomic `fetch_sub`; the mutex/condvar pair is only touched by the last
-/// decrementer and by waiters.
-#[derive(Debug)]
-pub struct CountLatch {
-    remaining: AtomicUsize,
+/// The count, lock and condvar behind both latches, with the one
+/// decrement/wait protocol of the module's lost-wakeup audit.
+#[derive(Debug, Default)]
+struct Gate {
+    count: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
 }
 
+impl Gate {
+    fn new(count: usize) -> Self {
+        Self { count: AtomicUsize::new(count), lock: Mutex::new(()), cond: Condvar::new() }
+    }
+
+    fn count(&self) -> usize {
+        self.count.load(Ordering::Acquire)
+    }
+
+    /// Decrement once; `false` (and no change) if the count was already
+    /// zero. Only a decrement that may reach zero takes the lock.
+    fn decrement(&self) -> bool {
+        let mut current = self.count.load(Ordering::Acquire);
+        while current > 1 {
+            match self.count.compare_exchange_weak(current, current - 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return true,
+                Err(actual) => current = actual,
+            }
+        }
+        let _guard = self.lock.lock();
+        match self.count.fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| c.checked_sub(1)) {
+            Ok(1) => {
+                self.cond.notify_all();
+                true
+            }
+            Ok(_) => true,
+            Err(_) => false,
+        }
+    }
+
+    fn wait(&self) {
+        let mut guard = self.lock.lock();
+        while self.count.load(Ordering::Acquire) != 0 {
+            self.cond.wait(&mut guard);
+        }
+    }
+}
+
+/// A latch initialized with a count; [`CountLatch::count_down`] decrements it
+/// and [`CountLatch::wait`] blocks until it reaches zero.
+///
+/// A `count_down` that leaves other participants outstanding is a single
+/// lock-free compare-and-swap; the mutex/condvar pair is only touched by
+/// the last decrementer and by waiters. The latch may be dropped as soon as
+/// `wait` returns (audit point 3).
+#[derive(Debug)]
+pub struct CountLatch(Gate);
+
 impl CountLatch {
     /// Create a latch that requires `count` decrements before waiters wake.
     pub fn new(count: usize) -> Self {
-        Self { remaining: AtomicUsize::new(count), lock: Mutex::new(()), cond: Condvar::new() }
+        Self(Gate::new(count))
     }
 
     /// Number of outstanding decrements.
     pub fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
+        self.0.count()
     }
 
     /// Record one participant's completion. Panics if called more times than
     /// the initial count.
     pub fn count_down(&self) {
-        let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
-        assert!(prev > 0, "CountLatch::count_down called more times than its count");
-        if prev == 1 {
-            // Last participant: wake every waiter. Taking the lock before
-            // notifying avoids the lost-wakeup race with `wait`'s re-check.
-            let _guard = self.lock.lock();
-            self.cond.notify_all();
-        }
+        assert!(self.0.decrement(), "CountLatch::count_down called more times than its count");
     }
 
     /// Block until the count reaches zero. Returns immediately if it already
     /// has.
     pub fn wait(&self) {
-        if self.remaining.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut guard = self.lock.lock();
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            self.cond.wait(&mut guard);
-        }
+        self.0.wait();
     }
 }
 
@@ -87,13 +130,10 @@ impl CountLatch {
 /// [`WaitGroup::wait`] blocks until the count is zero.
 ///
 /// Unlike [`CountLatch`] the total is not fixed up front, which suits
-/// [`crate::Scope`] where tasks may spawn further tasks.
+/// [`crate::Scope`] where tasks may spawn further tasks. Like it, the group
+/// may be dropped as soon as `wait` returns.
 #[derive(Debug, Default)]
-pub struct WaitGroup {
-    count: AtomicUsize,
-    lock: Mutex<()>,
-    cond: Condvar,
-}
+pub struct WaitGroup(Gate);
 
 impl WaitGroup {
     /// Create an empty wait group.
@@ -103,33 +143,22 @@ impl WaitGroup {
 
     /// Register `n` additional participants.
     pub fn add(&self, n: usize) {
-        self.count.fetch_add(n, Ordering::AcqRel);
+        self.0.count.fetch_add(n, Ordering::AcqRel);
     }
 
     /// Current participant count.
     pub fn count(&self) -> usize {
-        self.count.load(Ordering::Acquire)
+        self.0.count()
     }
 
     /// Record one participant's completion.
     pub fn done(&self) {
-        let prev = self.count.fetch_sub(1, Ordering::AcqRel);
-        assert!(prev > 0, "WaitGroup::done called without a matching add");
-        if prev == 1 {
-            let _guard = self.lock.lock();
-            self.cond.notify_all();
-        }
+        assert!(self.0.decrement(), "WaitGroup::done called without a matching add");
     }
 
     /// Block until the participant count reaches zero.
     pub fn wait(&self) {
-        if self.count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut guard = self.lock.lock();
-        while self.count.load(Ordering::Acquire) != 0 {
-            self.cond.wait(&mut guard);
-        }
+        self.0.wait();
     }
 }
 

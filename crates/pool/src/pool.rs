@@ -94,10 +94,6 @@ struct ForJob<'f> {
     /// Next iteration index (dynamic) or next participant slot (static).
     cursor: AtomicUsize,
     latch: CountLatch,
-    /// Workers currently inside `run_erased`. The issuing thread spins
-    /// this to zero after `latch.wait()` returns so a worker's final latch
-    /// notify never touches the already-unwound frame.
-    active: AtomicUsize,
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -145,19 +141,12 @@ impl<'f> ForJob<'f> {
 
     unsafe fn run_erased(ptr: *const ()) {
         // SAFETY: `ptr` was produced from a `&ForJob` that is kept alive by
-        // the issuing thread until the latch opens and `active` drains to
-        // zero (see `JobRef`).
+        // the issuing thread until the latch opens (see `JobRef`); the
+        // count-down is this worker's last touch, and the latch is safe to
+        // free once its wait returns.
         let job = unsafe { &*(ptr as *const ForJob<'static>) };
-        // Register before counting down: the increment happens-before the
-        // count-down, so once `latch.wait()` returns on the issuing thread
-        // its post-wait spin observes every worker still in here.
-        job.active.fetch_add(1, Ordering::AcqRel);
         job.work();
         job.latch.count_down();
-        // Last touch of the frame must be this pure atomic decrement —
-        // never the latch mutex, which may already be freed once the
-        // issuing thread's wait returns.
-        job.active.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -177,11 +166,6 @@ struct BatchShared<T, F> {
     jobs_left: CountLatch,
     /// Opens once every dispatched participant message has returned.
     participants: CountLatch,
-    /// Participants currently inside `run_erased`. The submitter spins this
-    /// to zero after its waits return so a participant's final latch notify
-    /// never touches the already-unwound frame (the `ForJob::active`
-    /// protocol).
-    active: AtomicUsize,
     panicked: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
@@ -219,20 +203,12 @@ impl<T, F: FnOnce() -> T> BatchShared<T, F> {
 
     unsafe fn run_erased(ptr: *const ()) {
         // SAFETY: the submitter keeps the descriptor alive until the
-        // participants latch opens AND `active` drains to zero (see `JobRef`).
+        // participants latch opens (see `JobRef`); the count-down is this
+        // participant's last touch, and the latch is safe to free once its
+        // wait returns.
         let batch = unsafe { &*(ptr as *const BatchShared<T, F>) };
-        // Register before counting down: once `participants` opens the
-        // submitter may fast-path out of `wait()`, and only the post-wait
-        // spin on `active` keeps the frame alive through the latch's final
-        // lock/notify. The increment happens-before the count-down, so the
-        // spin is guaranteed to observe it.
-        batch.active.fetch_add(1, Ordering::AcqRel);
         batch.claim_from_front();
         batch.participants.count_down();
-        // Last touch of the frame must be this pure atomic decrement —
-        // never the latch mutex, which may already be freed once the
-        // submitter's wait returns.
-        batch.active.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -413,7 +389,6 @@ impl ThreadPool {
                 _ => range.start,
             }),
             latch: CountLatch::new(team - 1),
-            active: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
         };
@@ -430,12 +405,6 @@ impl ThreadPool {
         // The calling thread is a full team member.
         job.work();
         job.latch.wait();
-        // A worker's final count-down may still be inside the latch mutex;
-        // its terminal `active` decrement is the signal that it is done
-        // touching `job`, so spin that out before the frame unwinds.
-        while job.active.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
         if job.panicked.load(Ordering::Acquire) {
             let payload =
                 job.panic_payload.lock().take().unwrap_or_else(|| Box::new("parallel_for worker panicked"));
@@ -592,13 +561,12 @@ impl ThreadPool {
             front: AtomicUsize::new(0),
             jobs_left: CountLatch::new(n),
             participants: CountLatch::new(messages),
-            active: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
         };
         // SAFETY (lifetime erasure): `batch` lives on this frame; before
-        // returning we wait for the jobs latch, the participants latch and
-        // the `active` count, so no other thread outlives its access.
+        // returning we wait for the jobs latch and the participants latch,
+        // so no other thread outlives its access.
         let ptr = &batch as *const BatchShared<T, F> as *const ();
         for _ in 0..messages {
             self.inner
@@ -613,11 +581,6 @@ impl ThreadPool {
         } else {
             batch.jobs_left.wait();
             batch.participants.wait();
-        }
-        // A participant's final count-down may still be inside the latch
-        // mutex; spin out its terminal `active` decrement (see `ForJob`).
-        while batch.active.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
         }
         if batch.panicked.load(Ordering::Acquire) {
             let payload = batch.panic_payload.lock().take().unwrap_or_else(|| Box::new("batch job panicked"));
@@ -634,7 +597,9 @@ impl ThreadPool {
     /// Work-conserving join for nested batches: the caller is one of this
     /// pool's own workers, so instead of blocking (which would idle a team
     /// slot and can deadlock once every worker nests) it keeps executing
-    /// queued pool messages until both latches open.
+    /// queued pool messages until both latches read zero, then waits on
+    /// both — the wait, not the lock-free read, is what orders the return
+    /// after each latch's final decrementer has let go of it.
     fn drain_while_waiting(&self, jobs_left: &CountLatch, participants: &CountLatch) {
         let mut idle_spins = 0u32;
         while jobs_left.remaining() > 0 || participants.remaining() > 0 {
@@ -666,6 +631,8 @@ impl ThreadPool {
                 }
             }
         }
+        jobs_left.wait();
+        participants.wait();
     }
 
     /// Run `f` on one of the pool's background workers as a detached

@@ -77,12 +77,6 @@ pub use qcor_sim::{cancel_requested, run_shots_cancellable, CancelToken, ShotRun
 // select it (default on).
 pub use qcor_sim::{fusion_env_default, CompiledCircuit, KernelOp};
 
-// Sharded execution. Amplitude sharding (`RunConfig::amp_shards`,
-// `InitOptions::amp_shards`, `QCOR_AMP_SHARDS`) splits every kernel sweep
-// into per-shard batch jobs on the pool, bit-identical to the sequential
-// sweep on any pool size.
-pub use qcor_sim::{amp_shards_env_default, AmpShards};
-
 // Noise-model execution. `compile_noisy` lowers a circuit plus a
 // `NoiseModel` once into fused kernel ops interleaved with channel ops;
 // the exact density path replays them as superoperator sweeps

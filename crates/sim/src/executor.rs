@@ -63,31 +63,13 @@
 //! consume identical RNG streams (same draw count and order), so seeded
 //! counts agree between them.
 //!
-//! # Amplitude sharding
-//!
-//! [`RunConfig::amp_shards`] / `QCOR_AMP_SHARDS` select **amplitude-sharded
-//! kernel dispatch** (see [`StateVector::set_amp_shards`]): every kernel
-//! sweep is split into exactly `s` contiguous compressed-index ranges
-//! submitted to the pool as batch jobs. Because the shard boundaries are a
-//! pure function of the shard count — never of the pool size — and each
-//! shard job owns both halves of every amplitude pair it updates (the
-//! pairwise-exchange step for high targets), sharded amplitudes are
-//! bit-identical to the sequential sweep on any pool size. The default
-//! [`AmpShards::Auto`] engages only on states of at least 2^18 amplitudes
-//! (8× the size where sweeps start to fork at all, and where
-//! cache-blocked replay engages) with a multi-thread pool; a fixed
-//! shard count engages at any size (the property tests exploit this).
-//! When sharding engages, shot-chunk states share the run's pool instead of
-//! a private sequential pool, so chunk jobs can use leftover pool capacity
-//! for their amplitude loops.
-//!
 //! Bitstring convention: the leftmost character is the outcome of the
 //! lowest-indexed *measured* qubit.
 
 use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
 use crate::gates::apply_instruction;
-use crate::state::{StateVector, AMP_SHARD_MIN_AMPS, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
+use crate::state::{StateVector, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
 use qcor_circuit::{Circuit, GateKind};
 use qcor_pool::ThreadPool;
 use rand::rngs::StdRng;
@@ -216,68 +198,6 @@ pub fn parse_fusion_token(s: &str) -> Option<bool> {
     }
 }
 
-/// Amplitude-sharded kernel dispatch policy (see the
-/// [module docs](self) and [`StateVector::set_amp_shards`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AmpShards {
-    /// Shard into one job per pool thread, but only on states of at least
-    /// 2^18 amplitudes (8× the smallest state whose sweeps fork, and the
-    /// size where cache-blocked replay engages too) with a multi-thread
-    /// pool — below that the classic cost-ruled dispatch (a `parallel_for`
-    /// or an inline sweep) costs less than the batch bookkeeping.
-    #[default]
-    Auto,
-    /// Never shard: the classic dispatch only.
-    Off,
-    /// Always split every sweep into exactly `n` shard jobs, regardless of
-    /// state size or pool width (`n < 2` degenerates to [`AmpShards::Off`]).
-    /// Used by the property tests to exercise the sharded kernels on small
-    /// states, and to pin a shard count independent of the pool.
-    Fixed(usize),
-}
-
-impl AmpShards {
-    /// Resolve the number of shard jobs per kernel sweep for a state of
-    /// `amps` amplitudes on a pool of `pool_threads` threads.
-    /// `None` = sharding off (classic dispatch).
-    pub fn shard_count(self, amps: usize, pool_threads: usize) -> Option<usize> {
-        match self {
-            AmpShards::Off => None,
-            AmpShards::Fixed(n) => (n >= 2).then_some(n),
-            AmpShards::Auto => (pool_threads > 1 && amps >= AMP_SHARD_MIN_AMPS).then_some(pool_threads),
-        }
-    }
-}
-
-/// Resolve the process-wide amplitude-sharding default from
-/// `QCOR_AMP_SHARDS`. Unset means [`AmpShards::Auto`]; recognized tokens
-/// are those of [`parse_amp_shards_token`]; anything else panics loudly
-/// (misconfiguration should never silently change what benchmarks
-/// measure). Read and parsed once per process, like
-/// [`fusion_env_default`].
-pub fn amp_shards_env_default() -> AmpShards {
-    static DEFAULT: std::sync::OnceLock<AmpShards> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("QCOR_AMP_SHARDS") {
-        Err(_) => AmpShards::Auto,
-        Ok(v) => parse_amp_shards_token(&v).unwrap_or_else(|| {
-            panic!("invalid QCOR_AMP_SHARDS value {v:?}: expected auto/off/<shard count>")
-        }),
-    })
-}
-
-/// Parse one amplitude-sharding token — the single vocabulary shared by
-/// the `QCOR_AMP_SHARDS` environment variable and the qpp backend's string
-/// `amp-shards` param, so the two can never drift apart (the same
-/// discipline as [`parse_fusion_token`]). `None` = unrecognized.
-pub fn parse_amp_shards_token(s: &str) -> Option<AmpShards> {
-    let t = s.trim().to_ascii_lowercase();
-    match t.as_str() {
-        "" | "auto" | "on" | "true" => Some(AmpShards::Auto),
-        "off" | "false" | "0" => Some(AmpShards::Off),
-        _ => t.parse::<usize>().ok().map(AmpShards::Fixed),
-    }
-}
-
 /// Chunk-sizing policy of the batched shot scheduler (see the
 /// [module docs](self) for the full description).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -333,10 +253,6 @@ pub struct RunConfig {
     /// per plan. Irrelevant when the interpreted executor runs (fusion
     /// off).
     pub compile_cache: Option<bool>,
-    /// Amplitude-sharded kernel dispatch (see [`AmpShards`] and the
-    /// [module docs](self)). `None` defers to the `QCOR_AMP_SHARDS`
-    /// environment default ([`AmpShards::Auto`]).
-    pub amp_shards: Option<AmpShards>,
 }
 
 impl RunConfig {
@@ -351,13 +267,6 @@ impl RunConfig {
     /// [`crate::cache::compile_cache_env_default`]).
     pub fn compile_cache_enabled(&self) -> bool {
         self.compile_cache.unwrap_or_else(crate::cache::compile_cache_env_default)
-    }
-
-    /// Resolve the effective amplitude-sharding policy
-    /// ([`RunConfig::amp_shards`], falling back to
-    /// [`amp_shards_env_default`]).
-    pub fn amp_shards_resolved(&self) -> AmpShards {
-        self.amp_shards.unwrap_or_else(amp_shards_env_default)
     }
 
     /// Compile honoring the resolved compile-cache setting.
@@ -380,7 +289,6 @@ impl Default for RunConfig {
             granularity: Granularity::Auto,
             fusion: None,
             compile_cache: None,
-            amp_shards: None,
         }
     }
 }
@@ -527,24 +435,6 @@ impl ShotExec<'_> {
     }
 }
 
-/// Allocate a chunk's private state. `pool` work-shares its amplitude
-/// loops; `amp_shards` turns on amplitude-sharded dispatch
-/// ([`StateVector::set_amp_shards`]).
-fn make_state(
-    num_qubits: usize,
-    pool: Option<Arc<ThreadPool>>,
-    par_threshold: usize,
-    amp_shards: Option<usize>,
-) -> StateVector {
-    let mut state = match pool {
-        Some(pool) => StateVector::with_pool(num_qubits, pool),
-        None => StateVector::new(num_qubits),
-    };
-    state.set_par_threshold(par_threshold);
-    state.set_amp_shards(amp_shards);
-    state
-}
-
 /// Run `shots` repetitions of `exec` against `state`, drawing from `rng`,
 /// accumulating bitstring counts into `counts`.
 fn sample_into(
@@ -685,8 +575,6 @@ fn run_shots_core(
         Some(s) => s,
         None => StdRng::from_entropy().gen(),
     };
-    let amps = 1usize << circuit.num_qubits();
-    let shards = config.amp_shards_resolved().shard_count(amps, pool.num_threads());
     // Compile once per plan; every chunk replays the same fused op list.
     let exec = match noisy {
         Some((noise, readout)) => ShotExec::Trajectory {
@@ -700,16 +588,12 @@ fn run_shots_core(
         if token.is_some_and(CancelToken::is_cancelled) {
             return ShotRun { counts: merged, completed_chunks: 0, total_chunks: 1, cancelled: true };
         }
-        let mut state = make_state(circuit.num_qubits(), Some(pool), config.par_threshold, shards);
+        let mut state = StateVector::with_pool(circuit.num_qubits(), pool);
+        state.set_par_threshold(config.par_threshold);
         let mut rng = StdRng::seed_from_u64(base_seed);
         sample_into(&mut state, &exec, &mut rng, plan.shots(), &mut merged);
         return ShotRun { counts: merged, completed_chunks: 1, total_chunks: 1, cancelled: false };
     }
-    let par_threshold = config.par_threshold;
-    // Sharded runs hand each chunk the shared pool so its amplitude loops
-    // can use leftover pool capacity through the sharded batch dispatch;
-    // unsharded chunks keep their classic private sequential states.
-    let chunk_pool = shards.map(|_| Arc::clone(&pool));
     let exec = &exec;
     let jobs: Vec<_> = plan
         .chunks()
@@ -717,14 +601,13 @@ fn run_shots_core(
         .map(|(index, span)| {
             let seed = derive_stream_seed(base_seed, index);
             let token = token.cloned();
-            let chunk_pool = chunk_pool.clone();
             move || {
                 // Cooperative cancellation checkpoint: a cancelled sweep
                 // skips every chunk that has not started yet.
                 if token.is_some_and(|t| t.is_cancelled()) {
                     return None;
                 }
-                let mut state = make_state(circuit.num_qubits(), chunk_pool, par_threshold, shards);
+                let mut state = StateVector::new(circuit.num_qubits());
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut counts = Counts::new();
                 sample_into(&mut state, exec, &mut rng, span.len(), &mut counts);

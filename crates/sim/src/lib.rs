@@ -32,8 +32,7 @@
 //!   noisy shot entry [`run_noisy_shots`],
 //! * [`stats`] — per-thread kernel iteration and forked-sweep counters
 //!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
-//!   rule's tests), the process-global compile-cache hit/miss counters, and
-//!   the amplitude-shard job/exchange counters.
+//!   rule's tests) and the process-global compile-cache hit/miss counters.
 
 pub mod apply;
 pub mod cache;
@@ -54,10 +53,10 @@ pub use compile::{CompiledCircuit, CompiledTemplate, KernelOp};
 pub use complex::{c64, Complex64};
 pub use density::{DensityMatrix, NoiseModel};
 pub use executor::{
-    amp_shards_env_default, derive_stream_seed, exact_distribution, fusion_env_default,
-    parse_amp_shards_token, parse_fusion_token, run_noisy_shots, run_noisy_shots_planned, run_once,
-    run_once_interpreted, run_shots, run_shots_cancellable, run_shots_planned, run_shots_task_parallel,
-    AmpShards, Counts, Granularity, RunConfig, ShotPlan, ShotRecord, ShotRun,
+    derive_stream_seed, exact_distribution, fusion_env_default, parse_fusion_token, run_noisy_shots,
+    run_noisy_shots_planned, run_once, run_once_interpreted, run_shots, run_shots_cancellable,
+    run_shots_planned, run_shots_task_parallel, Counts, Granularity, RunConfig, ShotPlan, ShotRecord,
+    ShotRun,
 };
 pub use noise::{apply_readout_error, compile_noisy, NoisyCompiled, NoisyOp};
 pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

@@ -56,11 +56,11 @@
 //! **contiguous runs**: instead of re-expanding the compressed counter per
 //! iteration, the loop emits maximal unit-stride spans (`2^t` pairs at a
 //! time for target `t`), which the compiler can autovectorize and the
-//! prefetcher can stream. The `layout_probe` bench bin compares this shape
-//! against a split re/im (SoA) sweep; on the measured hardware the
-//! contiguous-run AoS sweep was at parity or better, so the interleaved
-//! layout is kept — it is also what keeps `amplitudes()` zero-copy (see
-//! `BENCH_layout.json` for the recorded numbers).
+//! prefetcher can stream. Timed against the alternatives on an uncontrolled
+//! dense layer over 2^20 amplitudes (1 logical CPU, best of 5), a split
+//! re/im (SoA) sweep took 1.055× and a per-iteration-expand AoS sweep
+//! 1.051× the contiguous-run AoS sweep, so the interleaved layout is kept —
+//! it is also what keeps `amplitudes()` zero-copy.
 //!
 //! # Cache-blocked replay
 //!
@@ -204,9 +204,8 @@ const AMP_BYTES: usize = std::mem::size_of::<Complex64>();
 /// fork/join but also saves more per byte; pricing the *share* rather than
 /// the total keeps one constant for both.
 ///
-/// The shot plan's inner-parallel floor (`INNER_PAR_MIN_AMPS`) and the
-/// `AmpShards::Auto` floor (`AMP_SHARD_MIN_AMPS`) are expressed through
-/// this constant, so the plan, the shard policy and the kernels cannot
+/// The shot plan's inner-parallel floor (`INNER_PAR_MIN_AMPS`) is
+/// expressed through this constant, so the plan and the kernels cannot
 /// disagree about which states are worth inner parallelism.
 pub const FORK_MIN_BYTES_PER_THREAD: usize = 1 << 18;
 
@@ -219,14 +218,6 @@ pub const FORK_MIN_BYTES_PER_THREAD: usize = 1 << 18;
 /// stated for two threads; a wider team needs a proportionally larger
 /// state before its full-width sweeps fork.)
 pub(crate) const INNER_PAR_MIN_AMPS: usize = 2 * FORK_MIN_BYTES_PER_THREAD / AMP_BYTES;
-
-/// [`crate::AmpShards::Auto`] floor, in amplitudes: 2^18 (4 MiB), eight
-/// times the size where sweeps start to fork at all. A sharded sweep pays a
-/// `submit_batch` of boxed jobs where the classic dispatch pays one
-/// fork/join, and it shares its threshold with cache-blocked replay
-/// (`compile::CACHE_BLOCK_MIN_QUBITS`, asserted equal there), which only
-/// pays once the state has outgrown the last-level cache.
-pub(crate) const AMP_SHARD_MIN_AMPS: usize = 8 * INNER_PAR_MIN_AMPS;
 
 /// The total sweep bytes at which a state on `pool` starts forking, given
 /// the per-thread floor: `usize::MAX` (never) on a team of one, so the
@@ -251,11 +242,6 @@ pub struct StateVector {
     /// Sweeps touching at least this many bytes fork (see
     /// [`fork_min_bytes`]); fixed per `(pool, par_threshold)`.
     fork_min_bytes: usize,
-    /// When `Some(s)` with `s > 1`, every kernel sweep is split into
-    /// exactly `s` contiguous compressed-index ranges submitted to the
-    /// pool as batch jobs (amplitude sharding) instead of the classic
-    /// `parallel_for` dispatch. `None` = sharding off.
-    amp_shards: Option<usize>,
     /// Reusable destination buffer for permutation kernels, allocated on
     /// first use and kept for the lifetime of the state so repeated
     /// `apply_controlled_permutation` calls (Shor's modular exponentiation)
@@ -291,7 +277,6 @@ impl StateVector {
             amps,
             fork_min_bytes: fork_min_bytes(&pool, FORK_MIN_BYTES_PER_THREAD),
             pool,
-            amp_shards: None,
             scratch: Vec::new(),
             scratch_allocs: 0,
         }
@@ -309,7 +294,6 @@ impl StateVector {
             amps,
             pool: ThreadPool::sequential(),
             fork_min_bytes: usize::MAX,
-            amp_shards: None,
             scratch: Vec::new(),
             scratch_allocs: 0,
         }
@@ -328,7 +312,6 @@ impl StateVector {
             amps,
             pool: Arc::clone(&self.pool),
             fork_min_bytes: self.fork_min_bytes,
-            amp_shards: self.amp_shards,
             scratch: Vec::new(),
             scratch_allocs: 0,
         }
@@ -388,67 +371,15 @@ impl StateVector {
         self.fork_min_bytes = fork_min_bytes(&self.pool, bytes_per_thread.max(1));
     }
 
-    /// Set the amplitude-shard count: `Some(s)` with `s > 1` splits every
-    /// kernel sweep into exactly `s` contiguous compressed-index ranges
-    /// submitted to the pool as batch jobs; `None` (the default) keeps the
-    /// classic `parallel_for` dispatch. The shard partition is a pure
-    /// function of `(len, s)` and each job's per-index arithmetic is
-    /// partition-independent (writes are disjoint — expansion is
-    /// injective), so sharded amplitudes are bit-identical to sequential
-    /// replay on any pool size.
-    pub fn set_amp_shards(&mut self, shards: Option<usize>) {
-        self.amp_shards = shards.filter(|&s| s > 1);
-    }
-
-    /// The configured amplitude-shard count, if sharding is on.
-    pub fn amp_shards(&self) -> Option<usize> {
-        self.amp_shards
-    }
-
     /// Work-share `f` over `0..len` when the sweep's `len * iter_bytes`
     /// bytes reach the state's fork floor, else run it inline.
-    ///
-    /// With amplitude sharding on, the range is instead split into exactly
-    /// `s` balanced contiguous jobs handed to [`ThreadPool::submit_batch`]:
-    /// nested calls from pool-owned chunk states then fan out onto leftover
-    /// team capacity. Kernels iterate the *compressed* index space here,
-    /// so a job's contiguous `k`-range expands to both halves of every
-    /// amplitude pair it touches — the pairwise-exchange step needs no cross-job
-    /// communication and results stay bit-identical on any pool size.
     #[inline]
     fn dispatch<F: Fn(Range<usize>) + Sync>(&self, len: usize, iter_bytes: usize, f: F) {
-        if let Some(shards) = self.amp_shards {
-            if len >= shards {
-                crate::stats::record_shard_jobs(shards as u64);
-                let f = &f;
-                let jobs: Vec<_> = (0..shards)
-                    .map(|s| {
-                        let (lo, hi) = (s * len / shards, (s + 1) * len / shards);
-                        move || f(lo..hi)
-                    })
-                    .collect();
-                self.pool.submit_batch(jobs);
-                return;
-            }
-        }
         if len.saturating_mul(iter_bytes) >= self.fork_min_bytes {
             crate::stats::record_forked_sweep();
             self.pool.parallel_for(0..len, f);
         } else {
             f(0..len);
-        }
-    }
-
-    /// Record one pairwise-exchange sweep: amplitude sharding is on and the
-    /// pair stride spans at least one shard of the raw amplitude space, so
-    /// every shard job updates pair partners outside its own contiguous raw
-    /// range (it owns both halves of each of its pairs).
-    #[inline]
-    fn note_shard_exchange(&self, stride: usize) {
-        if let Some(shards) = self.amp_shards {
-            if stride >= self.amps.len().div_ceil(shards) {
-                crate::stats::record_shard_exchange();
-            }
         }
     }
 
@@ -489,7 +420,6 @@ impl StateVector {
         let inserts = BitInserts::new(ctrl_mask, stride);
         let pairs = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Dense, pairs);
-        self.note_shard_exchange(stride);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
         if ctrl_mask == 0 {
             // Uncontrolled sweep: emit maximal contiguous runs (the `2^t`
@@ -550,7 +480,6 @@ impl StateVector {
         let inserts = BitInserts::new(ctrl_mask, s0 | s1);
         let quads = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Dense2, quads);
-        self.note_shard_exchange(s1);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
 
         /// One 4×4 mat-vec on the quad based at `i00`.
@@ -606,7 +535,6 @@ impl StateVector {
         let inserts = BitInserts::new(ctrl_mask, stride);
         let pairs = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Flip, pairs);
-        self.note_shard_exchange(stride);
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
         let pure_flip = m01 == Complex64::ONE && m10 == Complex64::ONE;
         self.dispatch(pairs, 2 * AMP_BYTES, |range| {
@@ -699,7 +627,6 @@ impl StateVector {
         let inserts = BitInserts::new(ctrl_mask | bit_a, bit_b);
         let count = self.amps.len() >> inserts.width();
         crate::stats::record_iterations(KernelClass::Swap, count);
-        self.note_shard_exchange(bit_a.max(bit_b));
         let ptr = AmpsPtr(self.amps.as_mut_ptr());
         self.dispatch(count, 2 * AMP_BYTES, |range| {
             for k in range {
@@ -1348,72 +1275,6 @@ mod tests {
         for (e, g) in expect.iter().zip(sv.amplitudes()) {
             assert_eq!(e, g);
         }
-    }
-
-    /// Replay the scramble circuit on a sharded state and demand
-    /// bit-identical amplitudes against the sequential sweep — the
-    /// shard boundaries are a function of the shard count only, and a
-    /// shard job owns both halves of every pair it updates, so no pool
-    /// size or shard count may perturb a single bit.
-    /// The shard counters are process-global; every test that drives
-    /// sharded kernels serializes through this lock so the counter test's
-    /// absolute assertions cannot race another test's increments.
-    static SHARD_STATS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn sharded_kernels_are_bit_identical_to_sequential() {
-        let _guard = SHARD_STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let scramble = |sv: &mut StateVector| {
-            let x = [[Complex64::ZERO, Complex64::ONE], [Complex64::ONE, Complex64::ZERO]];
-            for q in 0..6 {
-                sv.apply_single(q, h_matrix(), 0);
-                sv.phase_where(1 << q, 0, 0.17 * (q as f64 + 1.0));
-            }
-            for q in 0..5 {
-                sv.apply_single(q + 1, x, 1 << q);
-            }
-            sv.apply_antidiag(0, Complex64::ONE, Complex64::ONE, 1 << 5);
-            sv.apply_swap(1, 4, 1 << 0);
-            sv.scale_all(c64(0.0, 1.0));
-        };
-        let mut reference = StateVector::new(6);
-        scramble(&mut reference);
-        for threads in [1, 4] {
-            for shards in [2, 3, 5, 64] {
-                let pool = Arc::new(ThreadPool::new(threads));
-                let mut sv = StateVector::with_pool(6, pool);
-                sv.set_amp_shards(Some(shards));
-                assert_eq!(sv.amp_shards(), Some(shards));
-                scramble(&mut sv);
-                assert_eq!(sv.amplitudes(), reference.amplitudes(), "threads={threads} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_counters_track_jobs_and_exchanges() {
-        let _guard = SHARD_STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::stats::reset_shard_stats();
-        let mut sv = StateVector::new(4);
-        sv.set_amp_shards(Some(2));
-        // Low target: 8 pairs split into 2 shard jobs, stride 1 stays
-        // inside one shard of the raw space — no exchange step.
-        sv.apply_single(0, h_matrix(), 0);
-        assert_eq!(crate::stats::shard_jobs_launched(), 2);
-        assert_eq!(crate::stats::shard_exchange_steps(), 0);
-        // High target: stride 8 = len/2 spans a full shard, so each job
-        // owns both halves of its pairs — one exchange step.
-        sv.apply_single(3, h_matrix(), 0);
-        assert_eq!(crate::stats::shard_jobs_launched(), 4);
-        assert_eq!(crate::stats::shard_exchange_steps(), 1);
-        // shards = 1 is filtered to None (sharding off).
-        sv.set_amp_shards(Some(1));
-        assert_eq!(sv.amp_shards(), None);
-        sv.apply_single(0, h_matrix(), 0);
-        assert_eq!(crate::stats::shard_jobs_launched(), 4);
-        crate::stats::reset_shard_stats();
-        assert_eq!(crate::stats::shard_jobs_launched(), 0);
-        assert_eq!(crate::stats::shard_exchange_steps(), 0);
     }
 
     #[test]

@@ -148,8 +148,7 @@ pub(crate) fn record_forked_sweep() {
 /// (`parallel_for` / ordered reduce) rather than run inline, over the
 /// thread's lifetime — take a difference around the region of interest.
 /// Thread-local like the iteration counters, so concurrently running tests
-/// cannot disturb it; amplitude-sharded batch dispatch is counted
-/// separately ([`shard_jobs_launched`]). This is what pins the fork rule
+/// cannot disturb it. This is what pins the fork rule
 /// (`StateVector`'s module docs): a small register must read 0 here.
 pub fn forked_sweeps() -> u64 {
     FORKED_SWEEPS.with(Cell::get)
@@ -194,41 +193,19 @@ pub fn reset_compile_cache_stats() {
     CACHE_MISSES.store(0, Ordering::Relaxed);
 }
 
-// Amplitude-shard counters. Process-global atomics like the cache
-// counters: shard jobs are submitted from pool worker threads (chunked
-// shot plans) as well as the driving thread, and one add per kernel sweep
-// is noise next to the amplitude loop it describes.
-
-static SHARD_JOBS: AtomicU64 = AtomicU64::new(0);
-static SHARD_EXCHANGES: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn record_shard_jobs(n: u64) {
-    SHARD_JOBS.fetch_add(n, Ordering::Relaxed);
-}
-
-pub(crate) fn record_shard_exchange() {
-    SHARD_EXCHANGES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Process-wide number of amplitude-shard jobs submitted to the pool by
-/// sharded kernel sweeps since the last [`reset_shard_stats`].
+/// Number of amplitude-shard jobs submitted to the pool. Kernel sweeps
+/// are never sharded — each one forks over the pool or runs inline — so
+/// this is always `0`. Kept for stats readers that still report the
+/// counter.
 pub fn shard_jobs_launched() -> u64 {
-    SHARD_JOBS.load(Ordering::Relaxed)
+    0
 }
 
-/// Process-wide number of sharded pair sweeps whose pair stride spanned at
-/// least one shard of the raw amplitude space — the sweeps where a shard
-/// job owns both halves of each pair it updates (the pairwise-exchange
-/// step) instead of a purely local index range. Since the last
-/// [`reset_shard_stats`].
+/// Number of sharded pair sweeps whose stride spanned a shard. Kernel
+/// sweeps are never sharded, so this is always `0`. Kept for stats readers
+/// that still report the counter.
 pub fn shard_exchange_steps() -> u64 {
-    SHARD_EXCHANGES.load(Ordering::Relaxed)
-}
-
-/// Zero the amplitude-shard counters.
-pub fn reset_shard_stats() {
-    SHARD_JOBS.store(0, Ordering::Relaxed);
-    SHARD_EXCHANGES.store(0, Ordering::Relaxed);
+    0
 }
 
 // Shot-plan counter. One ShotPlan execution = one call into the batched

@@ -18,6 +18,11 @@ use std::sync::Arc;
 /// threads under the default floor (16-byte amplitudes).
 const FLOOR_QUBITS: usize = (2 * FORK_MIN_BYTES_PER_THREAD / 16).trailing_zeros() as usize;
 
+/// Qubits of the smallest register the compiled executor replays
+/// cache-blocked (`compile::CACHE_BLOCK_MIN_QUBITS`): from here its
+/// block-local runs go through a forked `for_each_block`.
+const CACHE_BLOCK_MIN_QUBITS: usize = 18;
+
 /// The Beauregard round `sample_phase` replays per phase bit on the
 /// 11-qubit register of N = 15, as the benchmark's Shor probe builds it.
 fn shor_round() -> Circuit {
@@ -85,7 +90,7 @@ fn shor_round_never_forks_under_the_default_floor() {
 
 #[test]
 fn forking_starts_at_the_floor_and_moves_no_bit() {
-    for n in [FLOOR_QUBITS - 1, FLOOR_QUBITS, FLOOR_QUBITS + 1] {
+    for n in [FLOOR_QUBITS - 1, FLOOR_QUBITS, FLOOR_QUBITS + 1, CACHE_BLOCK_MIN_QUBITS] {
         let circuit = layered(n);
         let (seq_amps, seq_bits, seq_forked) = replay(&circuit, ThreadPool::sequential(), None);
         assert_eq!(seq_forked, 0, "a team of one never forks");
@@ -98,7 +103,11 @@ fn forking_starts_at_the_floor_and_moves_no_bit() {
         }
         assert!(amps == seq_amps && bits == seq_bits, "n={n}: default floor changed the result");
         let (amps, bits, forced) = replay(&circuit, pool, Some(1));
-        assert!(forced > forked, "n={n}: the override must fork the controlled sweeps too");
+        if n < CACHE_BLOCK_MIN_QUBITS {
+            assert!(forced > forked, "n={n}: the override must fork the controlled sweeps too");
+        } else {
+            assert_eq!(forced, forked, "n={n}: every sweep of a blocked replay already forks");
+        }
         assert!(amps == seq_amps && bits == seq_bits, "n={n}: forced forking changed the result");
     }
 }

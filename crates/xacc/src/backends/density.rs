@@ -39,18 +39,18 @@ impl DensityAccelerator {
     /// [`XaccError::InvalidParam`].
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         let noise = NoiseModel {
-            depolarizing: params.get_float("depolarizing").unwrap_or(0.0),
-            dephasing: params.get_float("dephasing").unwrap_or(0.0),
-            amplitude_damping: params.get_float("amplitude-damping").unwrap_or(0.0),
+            depolarizing: params.try_float("depolarizing")?.unwrap_or(0.0),
+            dephasing: params.try_float("dephasing")?.unwrap_or(0.0),
+            amplitude_damping: params.try_float("amplitude-damping")?.unwrap_or(0.0),
         };
         noise.validate().map_err(XaccError::InvalidParam)?;
-        let p_readout = params.get_float("readout-error").unwrap_or(0.0);
+        let p_readout = params.try_float("readout-error")?.unwrap_or(0.0);
         if !(0.0..=1.0).contains(&p_readout) {
             return Err(XaccError::InvalidParam(format!(
                 "readout-error probability {p_readout} outside [0, 1]"
             )));
         }
-        let mut acc = Self::new(params.get_usize("threads").unwrap_or(1).max(1), noise);
+        let mut acc = Self::new(params.try_usize("threads")?.unwrap_or(1).max(1), noise);
         acc.p_readout = p_readout;
         Ok(acc)
     }

@@ -70,19 +70,19 @@ impl NoisyQppAccelerator {
     /// like the `qpp` backend's scheduler knobs.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         let noise = NoiseModel {
-            depolarizing: params.get_float("depolarizing").unwrap_or(0.001),
-            dephasing: params.get_float("dephasing").unwrap_or(0.0),
-            amplitude_damping: params.get_float("amplitude-damping").unwrap_or(0.0),
+            depolarizing: params.try_float("depolarizing")?.unwrap_or(0.001),
+            dephasing: params.try_float("dephasing")?.unwrap_or(0.0),
+            amplitude_damping: params.try_float("amplitude-damping")?.unwrap_or(0.0),
         };
         noise.validate().map_err(XaccError::InvalidParam)?;
-        let p_readout = params.get_float("readout-error").unwrap_or(0.01);
+        let p_readout = params.try_float("readout-error")?.unwrap_or(0.01);
         if !(0.0..=1.0).contains(&p_readout) {
             return Err(XaccError::InvalidParam(format!(
                 "readout-error probability {p_readout} outside [0, 1]"
             )));
         }
-        let mut acc = Self::with_noise(params.get_usize("threads").unwrap_or(1).max(1), noise, p_readout);
-        acc.chunk_shots = params.get_usize("chunk-shots").map(|k| k.max(1));
+        let mut acc = Self::with_noise(params.try_usize("threads")?.unwrap_or(1).max(1), noise, p_readout);
+        acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
         acc.compile_cache = match params.get("compile-cache") {
             None => None,
             Some(&crate::HetValue::Bool(b)) => Some(b),

@@ -11,7 +11,7 @@ use crate::hetmap::HetMap;
 use crate::XaccError;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, AmpShards, Granularity, RunConfig, FORK_MIN_BYTES_PER_THREAD};
+use qcor_sim::{run_shots, Granularity, RunConfig, FORK_MIN_BYTES_PER_THREAD};
 use std::sync::Arc;
 
 /// State-vector simulator backend.
@@ -30,9 +30,6 @@ pub struct QppAccelerator {
     /// Compile-cache override; `None` defers to the `QCOR_COMPILE_CACHE`
     /// process default (enabled).
     compile_cache: Option<bool>,
-    /// Amplitude-sharding override; `None` defers to the
-    /// `QCOR_AMP_SHARDS` process default (auto).
-    amp_shards: Option<AmpShards>,
 }
 
 impl QppAccelerator {
@@ -50,7 +47,6 @@ impl QppAccelerator {
             granularity: Granularity::Auto,
             fusion: None,
             compile_cache: None,
-            amp_shards: None,
         }
     }
 
@@ -65,21 +61,20 @@ impl QppAccelerator {
     /// default: the `QCOR_GATE_FUSION` process default), `compile-cache`
     /// (bool, or `"on"`/`"off"`; default: the `QCOR_COMPILE_CACHE` process
     /// default — reuse one structural template per circuit shape across an
-    /// angle sweep) and `amp-shards` (`"auto"`/`"off"`/a shard count, or a
-    /// plain bool/usize — the `QCOR_AMP_SHARDS` vocabulary; default: the
-    /// process default).
+    /// angle sweep).
     ///
-    /// Bad parameter values are rejected with
-    /// [`XaccError::InvalidParam`] — surfaced as an `Err` through
-    /// `get_accelerator`/`initialize`, like the routing params.
+    /// Bad parameter values — an unknown token or a value of the wrong type
+    /// or sign — are rejected with [`XaccError::InvalidParam`], surfaced as
+    /// an `Err` through `get_accelerator`/`initialize` like the routing
+    /// params.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
-        let threads = params.get_usize("threads").unwrap_or_else(qcor_pool::num_threads_from_env);
+        let threads = params.try_usize("threads")?.unwrap_or_else(qcor_pool::num_threads_from_env);
         let mut acc = Self::new(threads.max(1));
-        if let Some(t) = params.get_usize("par-threshold") {
+        if let Some(t) = params.try_usize("par-threshold")? {
             acc.par_threshold = t.max(1);
         }
-        acc.chunk_shots = params.get_usize("chunk-shots").map(|k| k.max(1));
-        if let Some(g) = params.get_str("granularity") {
+        acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
+        if let Some(g) = params.try_str("granularity")? {
             acc.granularity = match g {
                 "sequential" => Granularity::Sequential,
                 "auto" => Granularity::Auto,
@@ -129,30 +124,6 @@ impl QppAccelerator {
                 )))
             }
         };
-        // `amp-shards` shares the `QCOR_AMP_SHARDS` token vocabulary
-        // (`qcor_sim::parse_amp_shards_token`); plain bools and usizes map
-        // onto it (`true` = auto, `false`/`0` = off, `n` = fixed) — same
-        // discipline as `fusion`.
-        acc.amp_shards = match params.get("amp-shards") {
-            None => None,
-            Some(&crate::HetValue::Bool(true)) => Some(AmpShards::Auto),
-            Some(&crate::HetValue::Bool(false)) => Some(AmpShards::Off),
-            Some(&crate::HetValue::Int(0)) => Some(AmpShards::Off),
-            Some(&crate::HetValue::Int(n)) if n > 0 => Some(AmpShards::Fixed(n as usize)),
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_amp_shards_token(s) {
-                Some(a) => Some(a),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown amp-shards setting {s:?}: expected auto/off or a shard count"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!(
-                    "amp-shards must be a bool, non-negative integer or string, got {other:?}"
-                )))
-            }
-        };
         Ok(acc)
     }
 
@@ -188,7 +159,6 @@ impl Accelerator for QppAccelerator {
             granularity: self.granularity,
             fusion: self.fusion,
             compile_cache: self.compile_cache,
-            amp_shards: self.amp_shards,
         };
         let counts = run_shots(circuit, Arc::clone(&self.pool), &config);
         buffer.merge_counts(&counts);
@@ -331,62 +301,6 @@ mod tests {
         let mut buf_b = AcceleratorBuffer::with_name("b", 3);
         fused.execute(&mut buf_a, &library::ghz_kernel(3), &opts).unwrap();
         unfused.execute(&mut buf_b, &library::ghz_kernel(3), &opts).unwrap();
-        assert_eq!(buf_a.measurements(), buf_b.measurements());
-    }
-
-    #[test]
-    fn from_params_amp_shards_accepts_env_token_set() {
-        // The param accepts exactly what QCOR_AMP_SHARDS accepts, plus
-        // plain bools and integers.
-        for (token, expect) in [
-            ("auto", AmpShards::Auto),
-            ("on", AmpShards::Auto),
-            ("off", AmpShards::Off),
-            ("0", AmpShards::Off),
-            ("4", AmpShards::Fixed(4)),
-        ] {
-            let acc =
-                QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", token))
-                    .unwrap();
-            assert_eq!(acc.amp_shards, Some(expect), "token {token:?}");
-        }
-        let plain_bool =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", true))
-                .unwrap();
-        assert_eq!(plain_bool.amp_shards, Some(AmpShards::Auto));
-        let plain_int =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", 3usize))
-                .unwrap();
-        assert_eq!(plain_int.amp_shards, Some(AmpShards::Fixed(3)));
-        let unset = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        assert_eq!(unset.amp_shards, None);
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_amp_shards_as_err() {
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", "many"))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("amp-shards")), "{err}");
-        // Wrong-typed values are rejected too, not silently ignored.
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", 1.5f64))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("amp-shards")), "{err}");
-    }
-
-    #[test]
-    fn sharded_and_unsharded_execute_identical_seeded_counts() {
-        // Amplitude sharding must not perturb a single bit.
-        let plain = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        let sharded =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("amp-shards", 3usize))
-                .unwrap();
-        let opts = ExecOptions::with_shots(256).seeded(21);
-        let mut buf_a = AcceleratorBuffer::with_name("a", 3);
-        let mut buf_b = AcceleratorBuffer::with_name("b", 3);
-        plain.execute(&mut buf_a, &library::ghz_kernel(3), &opts).unwrap();
-        sharded.execute(&mut buf_b, &library::ghz_kernel(3), &opts).unwrap();
         assert_eq!(buf_a.measurements(), buf_b.measurements());
     }
 

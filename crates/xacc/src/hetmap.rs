@@ -2,6 +2,7 @@
 //! `HeterogeneousMap` that configures accelerators
 //! (e.g. `{{"shots", 1024}, {"threads", 12}}`).
 
+use crate::XaccError;
 use std::collections::BTreeMap;
 
 /// A value in a [`HetMap`].
@@ -117,6 +118,39 @@ impl HetMap {
         match self.entries.get(key)? {
             HetValue::Bool(v) => Some(*v),
             _ => None,
+        }
+    }
+
+    /// Checked non-negative integer lookup for a backend param: `Ok(None)`
+    /// when `key` is absent, [`XaccError::InvalidParam`] when it is present
+    /// but not a non-negative integer — a bad value never falls back to the
+    /// default silently.
+    pub fn try_usize(&self, key: &str) -> Result<Option<usize>, XaccError> {
+        self.checked(key, "a non-negative integer", Self::get_usize)
+    }
+
+    /// Checked float lookup (accepts what [`HetMap::get_float`] accepts),
+    /// erroring like [`HetMap::try_usize`].
+    pub fn try_float(&self, key: &str) -> Result<Option<f64>, XaccError> {
+        self.checked(key, "a number", Self::get_float)
+    }
+
+    /// Checked string lookup, erroring like [`HetMap::try_usize`].
+    pub fn try_str(&self, key: &str) -> Result<Option<&str>, XaccError> {
+        self.checked(key, "a string", Self::get_str)
+    }
+
+    fn checked<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        get: impl Fn(&'a Self, &str) -> Option<T>,
+    ) -> Result<Option<T>, XaccError> {
+        match self.entries.get(key) {
+            None => Ok(None),
+            Some(value) => get(self, key)
+                .map(Some)
+                .ok_or_else(|| XaccError::InvalidParam(format!("{key} must be {expected}, got {value:?}"))),
         }
     }
 

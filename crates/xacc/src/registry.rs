@@ -295,6 +295,29 @@ mod tests {
     }
 
     #[test]
+    fn simulator_backends_reject_mistyped_params() {
+        // A value of the wrong type or sign must be an Err naming the key,
+        // never a silent fall-back to the default.
+        let cases: [(&str, &str, crate::HetValue); 7] = [
+            ("qpp", "threads", "3".into()),
+            ("qpp", "threads", (-2i64).into()),
+            ("qpp", "granularity", true.into()),
+            ("qpp", "chunk-shots", 2.5.into()),
+            ("qpp-noisy", "depolarizing", "0.2".into()),
+            ("qpp-noisy", "chunk-shots", (-1i64).into()),
+            ("qpp-density", "readout-error", "0.3".into()),
+        ];
+        for (backend, key, value) in cases {
+            let params = HetMap::new().with("threads", 1usize).with(key, value.clone());
+            match get_accelerator(backend, &params) {
+                Err(XaccError::InvalidParam(msg)) => assert!(msg.contains(key), "{backend} {key}: {msg}"),
+                Err(other) => panic!("{backend} {key}={value:?}: expected InvalidParam, got {other:?}"),
+                Ok(_) => panic!("{backend} {key}={value:?}: expected InvalidParam, got an instance"),
+            }
+        }
+    }
+
+    #[test]
     fn factory_receives_params() {
         let params = HetMap::new().with("threads", 3usize);
         let acc = get_accelerator("qpp", &params).unwrap();

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use qcor_circuit::{library, xasm, Circuit};
 use qcor_pool::ThreadPool;
 use qcor_sim::{
-    run_once_interpreted, run_shots, run_shots_task_parallel, AmpShards, CompiledCircuit, Granularity,
-    RunConfig, ShotPlan, StateVector,
+    run_once_interpreted, run_shots, run_shots_task_parallel, CompiledCircuit, Granularity, RunConfig,
+    ShotPlan, StateVector,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
@@ -329,55 +329,6 @@ proptest! {
         let fused = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &fused_cfg);
         let interp = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &interp_cfg);
         prop_assert_eq!(fused, interp, "fusion knob must not change seeded counts");
-    }
-
-    // ---- amplitude sharding --------------------------------------------
-
-    /// Amplitude-sharded kernel dispatch is **bit-identical** to the
-    /// sequential sweep: replaying a random builder circuit on a sharded
-    /// state (any fixed shard count, any pool size) must reproduce every
-    /// amplitude exactly — shard boundaries are a function of the shard
-    /// count only, and each shard job owns both halves of every pair it
-    /// updates.
-    #[test]
-    fn sharded_amplitudes_bit_identical_to_sequential(
-        ops in builder_ops(),
-        seed in 0u64..500,
-        shards in 2usize..6,
-        threads in 1usize..4,
-    ) {
-        let circuit = build_circuit(&ops, false);
-        let compiled = CompiledCircuit::compile(&circuit);
-        let mut plain = StateVector::new(BUILDER_QUBITS);
-        compiled.run_once(&mut plain, &mut StdRng::seed_from_u64(seed));
-        let mut sharded = StateVector::with_pool(BUILDER_QUBITS, Arc::new(ThreadPool::new(threads)));
-        sharded.set_amp_shards(Some(shards));
-        compiled.run_once(&mut sharded, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(plain.amplitudes(), sharded.amplitudes());
-    }
-
-    /// The amp-shards knob never changes seeded counts, through the full
-    /// scheduler and with mid-circuit `Measure`/`Reset` in play: sharded
-    /// measurement reductions sum through the same ordered reduce, so the
-    /// RNG consumes identical draws.
-    #[test]
-    fn sharded_seeded_counts_identical(
-        ops in builder_ops(),
-        seed in 0u64..500,
-        chunk in 0usize..16,
-        shards in 2usize..6,
-    ) {
-        let mut circuit = build_circuit(&ops, true);
-        circuit.measure_all();
-        let chunk_shots = (chunk > 0).then_some(chunk);
-        let off_cfg = RunConfig {
-            shots: 32, seed: Some(seed), chunk_shots,
-            amp_shards: Some(AmpShards::Off), ..RunConfig::default()
-        };
-        let on_cfg = RunConfig { amp_shards: Some(AmpShards::Fixed(shards)), ..off_cfg.clone() };
-        let off = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &off_cfg);
-        let on = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &on_cfg);
-        prop_assert_eq!(off, on, "amp-shards must not change seeded counts");
     }
 
     /// Relabeled measurement reports logical qubits: a shot record from

@@ -4,9 +4,11 @@
 //! Four gates, all of which fail the process (non-zero exit) on breach:
 //!
 //! 1. **Runtime** — a GHZ+CX-heavy kernel with fusable single-qubit runs
-//!    is sampled through the shot scheduler with fusion on and off;
-//!    compiled ÷ interpreted must be ≤ 1.0 (the compiled path must never
-//!    lose to per-shot re-interpretation).
+//!    is sampled for the same seeded shots on one RNG stream by the
+//!    compiled replay (compile included) and by the interpreter
+//!    ([`run_once_interpreted`]); the counts must be equal and compiled ÷
+//!    interpreted must be ≤ 1.0 (the compiled path must never lose to
+//!    per-shot re-interpretation).
 //! 2. **Iteration reduction** — the control-aware kernels must execute
 //!    exactly `2^c`-fewer loop iterations per `c` control bits (asserted
 //!    via the `qcor_sim::stats` per-thread iteration counter), the fused
@@ -33,13 +35,14 @@
 //! cargo run -p qcor-bench --release --bin gatefuse_guard
 //! ```
 
+use qcor_bench::seeded_counts;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::{
     kernel_class_iterations, kernel_iteration_breakdown, kernel_iterations, reset_kernel_iterations,
     KernelClass,
 };
-use qcor_sim::{run_once_interpreted, run_shots, CompiledCircuit, Complex64, RunConfig, StateVector};
+use qcor_sim::{run_once_interpreted, CompiledCircuit, Complex64, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -266,27 +269,28 @@ fn main() {
         breakdown.iter().filter(|(_, c)| *c > 0).map(|(l, c)| format!("{l} {c}")).collect();
     println!("compiled per-class iterations: {}", shown.join(", "));
 
-    // Runtime gate: same pool, same plan, fusion knob flipped.
-    let pool = Arc::new(ThreadPool::new(qcor_pool::num_threads_from_env()));
-    let base = RunConfig { shots: SHOTS, seed: Some(1), ..RunConfig::default() };
-    let interp_cfg = RunConfig { fusion: Some(false), ..base.clone() };
-    let fused_cfg = RunConfig { fusion: Some(true), ..base };
-    let expected = run_shots(&circuit, Arc::clone(&pool), &interp_cfg); // warm-up + reference
+    // Runtime gate: the same seeded shots on one stream, interpreted vs
+    // compiled (the compile is inside the timed region). The first
+    // interpreted run is the warm-up and the reference counts.
+    let interpret =
+        || seeded_counts(QUBITS, SHOTS, 1, |state, rng| run_once_interpreted(state, &circuit, rng));
+    let expected = interpret();
     let mut rows: Vec<(String, Duration)> = Vec::new();
     let interp_best = best_of(REPS, || {
-        let counts = run_shots(&circuit, Arc::clone(&pool), &interp_cfg);
-        assert_eq!(counts.values().sum::<usize>(), SHOTS);
+        assert_eq!(interpret().values().sum::<usize>(), SHOTS);
     });
     rows.push(("guard_kernel/interpreted".to_string(), interp_best));
     let fused_best = best_of(REPS, || {
-        let counts = run_shots(&circuit, Arc::clone(&pool), &fused_cfg);
-        assert_eq!(counts, expected, "fusion changed seeded counts");
+        let compiled = CompiledCircuit::compile(&circuit);
+        let counts = seeded_counts(QUBITS, SHOTS, 1, |state, rng| compiled.run_once(state, rng));
+        assert_eq!(counts, expected, "the compiled replay changed seeded counts");
     });
     rows.push(("guard_kernel/compiled".to_string(), fused_best));
 
     let ratio = fused_best.as_secs_f64() / interp_best.as_secs_f64();
 
     // Deep-circuit gate: 20 qubits, one shot per rep, Dense2-heavy.
+    let pool = Arc::new(ThreadPool::new(qcor_pool::num_threads_from_env()));
     let (deep_interp, deep_fused, deep_ratio, deep_src, deep_ops) = deep_scenario(&pool);
     println!("deep kernel: {deep_src} instructions -> {deep_ops} fused kernel ops");
     rows.push(("deep_kernel/interpreted".to_string(), deep_interp));
@@ -308,7 +312,7 @@ fn main() {
         "{{\n  \"meta\": {{\n    \"command\": \"cargo run -p qcor-bench --release --bin gatefuse_guard\",\n    \
          \"logical_cpus\": {},\n    \"qcor_num_threads\": {},\n    \
          \"guard\": \"fail if compiled divided by interpreted exceeds {MAX_RATIO}, or deep-kernel ratio exceeds {MAX_DEEP_RATIO}\",\n    \
-         \"note\": \"compile-then-execute guard: gate fusion + two-qubit block fusion + control-aware kernels; also asserts 2^c iteration reduction, exact 2^(n-2-c) Dense2 quad counts, and zero steady-state allocations\"\n  }},\n  \
+         \"note\": \"compile-then-execute guard: gate fusion + two-qubit block fusion + control-aware kernels, timed against the interpreter on the same seeded shots (compile included); also asserts 2^c iteration reduction, exact 2^(n-2-c) Dense2 quad counts, and zero steady-state allocations\"\n  }},\n  \
          \"ratio_compiled_over_interpreted\": {ratio:.3},\n  \
          \"deep_ratio_compiled_over_interpreted\": {deep_ratio:.3},\n  \
          \"source_instructions\": {},\n  \"fused_kernel_ops\": {},\n  \

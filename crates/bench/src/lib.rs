@@ -13,6 +13,9 @@
 //! wall-clock numbers do.
 
 use qcor_pool::ThreadPool;
+use qcor_sim::{Counts, ShotRecord, StateVector};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,6 +27,28 @@ pub fn time_once<F: FnOnce()>(f: F) -> Duration {
     let start = Instant::now();
     f();
     start.elapsed()
+}
+
+/// Merged counts of `shots` shots on one RNG stream seeded with `seed`,
+/// each run by `shot` on a `num_qubits` state reset in between. Any two
+/// executors that draw from the stream in program order (the compiled
+/// replay, the interpreter) merge identical counts here.
+pub fn seeded_counts(
+    num_qubits: usize,
+    shots: usize,
+    seed: u64,
+    mut shot: impl FnMut(&mut StateVector, &mut StdRng) -> ShotRecord,
+) -> Counts {
+    let mut state = StateVector::new(num_qubits);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut counts = Counts::new();
+    for i in 0..shots {
+        if i > 0 {
+            state.reset_to_zero();
+        }
+        *counts.entry(shot(&mut state, &mut rng).bitstring()).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Shared tail of a perf-guard binary (`shotsched_guard`, `queue_guard`):

@@ -211,10 +211,51 @@ impl Circuit {
 
     /// All bound angle parameters, flattened in program order. Slot `i` of
     /// this vector is parameter slot `i` in the structural view of the
-    /// circuit (see [`crate::wire::structural_hash`]): two circuits with
-    /// equal structure differ only in this vector.
+    /// circuit (see [`Circuit::structural_hash`]): two circuits with equal
+    /// structure differ only in this vector.
     pub fn flat_params(&self) -> Vec<f64> {
         self.instructions.iter().flat_map(|i| i.params.iter().copied()).collect()
+    }
+
+    /// Hash of the circuit's *structure*: qubit count, gate kinds, operands,
+    /// classical bits and parameter counts — but not parameter values.
+    /// Parameterized gates are identified by their parameter slot (their
+    /// position in [`Circuit::flat_params`]), which the structure fully
+    /// determines, so an angle sweep over one structure is a single hash.
+    /// This is the key of the simulator's compile cache.
+    pub fn structural_hash(&self) -> u64 {
+        let mut h = HASH_SEED;
+        h = mix_u64(h, self.num_qubits as u64);
+        h = mix_u64(h, self.len() as u64);
+        for inst in &self.instructions {
+            h = mix_u64(h, inst.gate as u64);
+            for &q in &inst.qubits {
+                h = mix_u64(h, q as u64);
+            }
+            h = mix_u64(h, inst.params.len() as u64);
+            match inst.cbit {
+                Some(c) => {
+                    h = mix_u64(h, 1);
+                    h = mix_u64(h, c as u64);
+                }
+                None => h = mix_u64(h, 0),
+            }
+        }
+        h
+    }
+
+    /// True when two circuits share a structure (equal up to parameter
+    /// values). The compile cache verifies this on every hit so a hash
+    /// collision can never substitute one circuit's plan for another's.
+    pub fn structurally_equal(&self, other: &Circuit) -> bool {
+        self.num_qubits == other.num_qubits
+            && self.len() == other.len()
+            && self.instructions.iter().zip(&other.instructions).all(|(x, y)| {
+                x.gate == y.gate
+                    && x.qubits == y.qubits
+                    && x.cbit == y.cbit
+                    && x.params.len() == y.params.len()
+            })
     }
 
     // ----- builder methods -------------------------------------------------
@@ -332,6 +373,17 @@ impl Circuit {
     pub fn barrier(&mut self, q: usize) -> &mut Self {
         self.push(Instruction::new(GateKind::Barrier, vec![q], vec![]))
     }
+}
+
+const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const HASH_MULT: u64 = 0x2545_f491_4f6c_dd1d;
+
+// One whole word per round (not a byte at a time — the hash sits on the
+// compile-cache lookup path, where a deep circuit is several hundred
+// words). The hash is in-process only, never stored, so the mixing
+// function is free to change.
+fn mix_u64(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(HASH_MULT).rotate_left(23)
 }
 
 impl std::fmt::Display for Circuit {
@@ -475,6 +527,13 @@ mod tests {
     }
 
     #[test]
+    fn try_new_rejects_registers_wider_than_the_bitmask() {
+        let err = Circuit::try_new(crate::MAX_QUBITS + 1).unwrap_err();
+        assert!(matches!(err, CircuitError::TooManyQubits { requested: 65, max: 64 }), "{err:?}");
+        assert_eq!(Circuit::try_new(crate::MAX_QUBITS).unwrap().num_qubits(), crate::MAX_QUBITS);
+    }
+
+    #[test]
     fn inverse_reverses_and_inverts() {
         let mut c = Circuit::new(2);
         c.h(0).s(0).cx(0, 1).rz(1, 0.3);
@@ -566,6 +625,61 @@ mod tests {
             params: vec![ParamExpr::var("mystery")],
         });
         assert!(matches!(pc.bind(&[]), Err(CircuitError::UnboundParam(_))));
+    }
+
+    #[test]
+    fn structural_hash_ignores_angles_only() {
+        let mut a = Circuit::new(3);
+        a.ry(0, 0.1).cphase(0, 1, 0.2).measure(2);
+        let mut b = Circuit::new(3);
+        b.ry(0, 2.9).cphase(0, 1, -1.4).measure(2);
+        assert_eq!(a.structural_hash(), b.structural_hash());
+        assert!(a.structurally_equal(&b));
+
+        // A different operand, gate kind, cbit or length must change it.
+        let mut c = Circuit::new(3);
+        c.ry(1, 0.1).cphase(0, 1, 0.2).measure(2);
+        assert_ne!(a.structural_hash(), c.structural_hash());
+        assert!(!a.structurally_equal(&c));
+        let mut d = Circuit::new(3);
+        d.rx(0, 0.1).cphase(0, 1, 0.2).measure(2);
+        assert_ne!(a.structural_hash(), d.structural_hash());
+        let mut e = Circuit::new(3);
+        e.ry(0, 0.1).cphase(0, 1, 0.2).measure_to(2, 1);
+        assert_ne!(a.structural_hash(), e.structural_hash());
+    }
+
+    #[test]
+    fn structural_hash_separates_every_gate_kind() {
+        // One single-gate circuit per kind, on operands that fit every
+        // arity: all 25 hashes must be pairwise distinct.
+        use GateKind::*;
+        let kinds = [
+            H, X, Y, Z, S, Sdg, T, Tdg, Rx, Ry, Rz, Phase, U3, CX, CY, CZ, CPhase, CRz, Swap, CCX, CSwap,
+            CCPhase, Measure, Reset, Barrier,
+        ];
+        let hashes: Vec<u64> = kinds
+            .iter()
+            .map(|&gate| {
+                let qubits = (0..gate.arity()).collect();
+                let params = vec![0.5; gate.num_params()];
+                let mut c = Circuit::new(3);
+                c.push(Instruction::new(gate, qubits, params));
+                c.structural_hash()
+            })
+            .collect();
+        for (i, a) in hashes.iter().enumerate() {
+            for (j, b) in hashes.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} and {:?} share a structural hash", kinds[i], kinds[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_params_orders_slots_by_program_order() {
+        let mut c = Circuit::new(2);
+        c.h(0).ry(0, 0.5).u3(1, 1.0, 2.0, 3.0).cphase(0, 1, -0.25);
+        assert_eq!(c.flat_params(), vec![0.5, 1.0, 2.0, 3.0, -0.25]);
     }
 
     #[test]

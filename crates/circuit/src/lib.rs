@@ -27,19 +27,17 @@ mod gate;
 pub mod library;
 pub mod passes;
 pub mod qasm;
-pub mod wire;
 pub mod xasm;
 
 pub use circuit::{Circuit, ParamCircuit, ParamInstruction};
 pub use expr::{EvalError, ParamExpr};
 pub use gate::{GateKind, Instruction};
-pub use wire::WireError;
 
 /// Hard upper bound on register width. The compiler and simulator pack
 /// qubit sets into `usize` bitmasks (`support_mask`, control masks, phase
 /// sweeps), so a qubit index of 64 or more would shift past the word and —
 /// in release builds — silently wrap, corrupting fusion decisions. Circuits
-/// wider than this are rejected at construction and at wire decode.
+/// wider than this are rejected at construction.
 pub const MAX_QUBITS: usize = 64;
 
 /// Errors produced while parsing or manipulating circuits.

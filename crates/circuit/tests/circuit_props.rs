@@ -100,27 +100,6 @@ proptest! {
         }
     }
 
-    // The binary wire format round-trips every builder circuit exactly.
-    #[test]
-    fn wire_round_trips_builder_circuits(c in circuit_strategy(4, 40)) {
-        let bytes = qcor_circuit::wire::encode(&c);
-        let back = qcor_circuit::wire::decode(&bytes).unwrap();
-        prop_assert_eq!(back, c);
-    }
-
-    // Truncating an encoded circuit anywhere yields a typed error, never a
-    // panic or a silently-shortened circuit.
-    #[test]
-    fn wire_decode_rejects_truncations(c in circuit_strategy(4, 12)) {
-        let bytes = qcor_circuit::wire::encode(&c);
-        for cut in 0..bytes.len() {
-            prop_assert!(matches!(
-                qcor_circuit::wire::decode(&bytes[..cut]),
-                Err(qcor_circuit::WireError::Truncated { .. })
-            ));
-        }
-    }
-
     #[test]
     fn optimizer_never_grows_and_is_idempotent(mut c in circuit_strategy(4, 40)) {
         let before = c.len();

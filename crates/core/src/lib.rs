@@ -111,7 +111,7 @@ pub enum QcorError {
     /// matches the requested capability).
     Routing(String),
     /// A backend factory rejected its construction parameters (e.g. an
-    /// unknown `granularity` or `fusion` value). Permanently invalid
+    /// unknown `granularity` or a mistyped `threads` value). Permanently invalid
     /// configuration — retrying without fixing the params cannot succeed,
     /// unlike [`QcorError::Execution`].
     InvalidParam(String),

@@ -386,7 +386,7 @@ mod tests {
         // assertions elsewhere in this process stay undisturbed.)
         let reg = registry::global();
         reg.register_factory_with_capability("remote-b", BackendCapability::Remote, |params| {
-            Ok(Arc::new(qcor_xacc::backends::RemoteAccelerator::from_params(params)) as Arc<dyn Accelerator>)
+            Ok(Arc::new(qcor_xacc::backends::RemoteAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
         let mgr = QPUManager::instance();
         let policy = RoutingPolicy::Capability(BackendCapability::Remote);

@@ -118,28 +118,6 @@ impl InitOptions {
         self
     }
 
-    /// Force gate fusion on or off for this backend (compile-then-execute:
-    /// the circuit is lowered once per shot plan into fused kernel ops and
-    /// replayed per shot — see `qcor_sim::CompiledCircuit`). Defaults to
-    /// the `QCOR_GATE_FUSION` process default (enabled); `false` keeps the
-    /// interpreted executor for A/B comparison. Seeded counts are
-    /// identical either way.
-    pub fn gate_fusion(mut self, enabled: bool) -> Self {
-        self.params.insert("fusion", enabled);
-        self
-    }
-
-    /// Force the structural compile cache on or off for this backend (an
-    /// angle sweep over one circuit shape reuses a cached
-    /// `qcor_sim::CompiledTemplate` and only re-binds parameters). Defaults
-    /// to the `QCOR_COMPILE_CACHE` process default (enabled); `false`
-    /// compiles cold every invocation for A/B comparison. Seeded counts
-    /// are identical either way.
-    pub fn compile_cache(mut self, enabled: bool) -> Self {
-        self.params.insert("compile-cache", enabled);
-        self
-    }
-
     /// Pin this initialization to `backend` verbatim (explicitly override
     /// any process-wide routing policy).
     pub fn route_pinned(mut self) -> Self {
@@ -410,7 +388,7 @@ mod tests {
     #[test]
     fn bad_backend_params_error_through_initialize() {
         // Fallible factory construction: qpp's unknown-granularity and
-        // unknown-fusion rejections surface as Err through initialize(),
+        // mistyped-threshold rejections surface as Err through initialize(),
         // exactly like the routing params — no panic inside the factory.
         std::thread::spawn(|| {
             let err = initialize(InitOptions::default().threads(1).param("granularity", "Sequential"));
@@ -418,59 +396,9 @@ mod tests {
                 matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("granularity")),
                 "{err:?}"
             );
-            let err = initialize(InitOptions::default().threads(1).param("fusion", "perhaps"));
+            let err = initialize(InitOptions::default().threads(1).param("par-threshold", "perhaps"));
             assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("fusion")),
-                "{err:?}"
-            );
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn gate_fusion_knob_reaches_backend_and_counts_match() {
-        std::thread::spawn(|| {
-            initialize(InitOptions::default().threads(1).shots(128).seed(21).gate_fusion(true)).unwrap();
-            let q_fused = qalloc(3);
-            execute(&q_fused, &library::ghz_kernel(3)).unwrap();
-            let fused = q_fused.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            initialize(InitOptions::default().threads(1).shots(128).seed(21).gate_fusion(false)).unwrap();
-            let q_interp = qalloc(3);
-            execute(&q_interp, &library::ghz_kernel(3)).unwrap();
-            let interp = q_interp.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            assert_eq!(fused, interp, "fusion must not change seeded counts");
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn compile_cache_knob_reaches_backend_and_counts_match() {
-        std::thread::spawn(|| {
-            initialize(InitOptions::default().threads(1).shots(128).seed(29).compile_cache(true)).unwrap();
-            let q_cached = qalloc(3);
-            execute(&q_cached, &library::ghz_kernel(3)).unwrap();
-            let cached = q_cached.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            initialize(InitOptions::default().threads(1).shots(128).seed(29).compile_cache(false)).unwrap();
-            let q_cold = qalloc(3);
-            execute(&q_cold, &library::ghz_kernel(3)).unwrap();
-            let cold = q_cold.measurement_counts();
-            QPUManager::instance().clear_current();
-
-            assert_eq!(cached, cold, "compile cache must not change seeded counts");
-
-            // Unknown tokens surface as InvalidParam through initialize,
-            // exactly like fusion.
-            let err = initialize(InitOptions::default().threads(1).param("compile-cache", "perhaps"));
-            assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("compile-cache")),
+                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("par-threshold")),
                 "{err:?}"
             );
         })

@@ -72,10 +72,9 @@ pub use qcor_sim::{cancel_requested, run_shots_cancellable, CancelToken, ShotRun
 
 // Compile-then-execute: a `CompiledCircuit` lowers a circuit once into
 // fused kernel ops (precomputed matrices, merged phase sweeps, two-qubit
-// block fusion, control-aware kernels) and replays it per shot.
-// `RunConfig::fusion`, `InitOptions::gate_fusion` and `QCOR_GATE_FUSION`
-// select it (default on).
-pub use qcor_sim::{fusion_env_default, CompiledCircuit, KernelOp};
+// block fusion, control-aware kernels) and replays it per shot. Every
+// executor compiles through the structural compile cache.
+pub use qcor_sim::{CompiledCircuit, KernelOp};
 
 // Noise-model execution. `compile_noisy` lowers a circuit plus a
 // `NoiseModel` once into fused kernel ops interleaved with channel ops;

@@ -5,24 +5,22 @@
 //! per invocation even though every fusion decision is angle-independent
 //! (parameterized gates hash and compare by parameter *slot*, not bound
 //! value). This cache stores one [`CompiledTemplate`] per structure —
-//! keyed by [`qcor_circuit::wire::structural_hash`], verified against the
-//! stored skeleton with [`qcor_circuit::wire::structurally_equal`] so a
-//! hash collision can never replay the wrong plan — and every lookup
-//! (hit *or* miss) finishes with [`CompiledTemplate::rebind`], so results
-//! never depend on cache state.
+//! keyed by [`Circuit::structural_hash`], verified against the stored
+//! skeleton with [`Circuit::structurally_equal`] so a hash collision can
+//! never replay the wrong plan — and every lookup (hit *or* miss) finishes
+//! with [`CompiledTemplate::rebind`], so results never depend on cache
+//! state.
 //!
-//! Knobs:
-//! * `QCOR_COMPILE_CACHE` — `1/true/on` (default) or `0/false/off`;
-//!   [`crate::RunConfig::compile_cache`] overrides per run.
-//! * `QCOR_COMPILE_CACHE_CAPACITY` — max cached templates (default 64,
-//!   clamped to ≥ 1); least-recently-used entries evict beyond it.
+//! Every executor in the crate compiles through [`compile_cached`].
+//! `QCOR_COMPILE_CACHE_CAPACITY` sets the maximum number of cached
+//! templates (default 64, clamped to ≥ 1); least-recently-used entries
+//! evict beyond it.
 //!
 //! Hit/miss counters live in [`crate::stats`] as process-global atomics so
 //! compiles issued from pool worker threads stay observable.
 
 use crate::compile::{CompiledCircuit, CompiledTemplate};
 use crate::stats::{record_cache_hit, record_cache_miss};
-use qcor_circuit::wire::{structural_hash, structurally_equal};
 use qcor_circuit::Circuit;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -63,43 +61,19 @@ fn capacity_env() -> usize {
     }
 }
 
-/// Process-default for the compile-cache knob, read once from
-/// `QCOR_COMPILE_CACHE`. Unset means enabled; a bad value panics loudly
-/// (mirroring `QCOR_GATE_FUSION`) rather than silently changing the
-/// compile path under a typo.
-pub fn compile_cache_env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("QCOR_COMPILE_CACHE") {
-        Err(_) => true,
-        Ok(v) => parse_cache_token(&v)
-            .unwrap_or_else(|| panic!("QCOR_COMPILE_CACHE must be one of 1/0/true/false/on/off, got {v:?}")),
-    })
-}
-
-/// Shared vocabulary for the compile-cache knob: `""`/`1`/`true`/`on`
-/// enable, `0`/`false`/`off` disable, anything else is `None`. Used by the
-/// env default, the backend string param and `InitOptions`.
-pub fn parse_cache_token(value: &str) -> Option<bool> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "" | "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
 /// Fetch (or build) the template for `circuit`'s structure. The returned
 /// template is shared: concurrent callers on the same structure clone one
 /// `Arc`. Template construction runs outside the cache lock, so a slow
 /// compile never blocks unrelated lookups; two racing first-compiles of
 /// the same structure both succeed and the later insert wins.
 fn cached_template(circuit: &Circuit) -> Arc<CompiledTemplate> {
-    let hash = structural_hash(circuit);
+    let hash = circuit.structural_hash();
     {
         let mut inner = cache().lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&hash) {
-            if structurally_equal(&entry.skeleton, circuit) {
+            if entry.skeleton.structurally_equal(circuit) {
                 entry.last_used = tick;
                 let template = entry.template.clone();
                 drop(inner);
@@ -213,16 +187,5 @@ mod tests {
             compile_cached(&c);
         }
         assert!(compile_cache_len() <= capacity, "cache must not exceed its capacity");
-    }
-
-    #[test]
-    fn cache_token_vocabulary() {
-        assert_eq!(parse_cache_token("1"), Some(true));
-        assert_eq!(parse_cache_token("on"), Some(true));
-        assert_eq!(parse_cache_token("TRUE"), Some(true));
-        assert_eq!(parse_cache_token(""), Some(true));
-        assert_eq!(parse_cache_token("0"), Some(false));
-        assert_eq!(parse_cache_token("off"), Some(false));
-        assert_eq!(parse_cache_token("maybe"), None);
     }
 }

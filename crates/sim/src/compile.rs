@@ -62,18 +62,17 @@
 //! # Determinism contract
 //!
 //! A compiled replay draws from the RNG exactly once per `Measure`/`Reset`,
-//! in program order — identical to the interpreted path — so compiled and
-//! interpreted runs of the same [`crate::ShotPlan`] consume identical RNG
-//! streams and their merged [`crate::Counts`] stay inside the PR 2
-//! `(seed, tasks, chunk_shots)` byte-identical contract. Fused arithmetic
+//! in program order — identical to the interpreted path — so a compiled
+//! replay and the interpreter consume identical RNG streams over the same
+//! [`crate::ShotPlan`] chunks, and their merged [`crate::Counts`] stay
+//! inside the `(seed, tasks, chunk_shots)` byte-identical contract. Fused arithmetic
 //! rounds differently at the last ulp (a 2×2 product is not two sequential
 //! applies, and a relabeled measurement sums the same probabilities in a
 //! different order), so *amplitudes* agree to ~1e-12 rather than
 //! bit-for-bit; an outcome would only flip if a measurement probability and
 //! an RNG draw coincided to ~1e-12, which the equivalence property tests
-//! (`cross_crate_props`) assert never happens for seeded runs. The fusion
-//! knob ([`crate::RunConfig::fusion`], `QCOR_GATE_FUSION`) keeps the
-//! interpreted path selectable for exactly this A/B comparison.
+//! (`cross_crate_props`) assert never happens for seeded runs, with the
+//! interpreter ([`crate::run_once_interpreted`]) as their oracle.
 
 use crate::complex::Complex64;
 use crate::executor::ShotRecord;
@@ -1479,7 +1478,7 @@ pub struct CompiledTemplate {
 impl CompiledTemplate {
     /// Lower and fuse the *structure* of `circuit`, ignoring its bound
     /// angles. Two circuits that agree structurally (same gates, operands
-    /// and parameter arity — see `qcor_circuit::wire::structurally_equal`)
+    /// and parameter arity — see [`Circuit::structurally_equal`])
     /// produce interchangeable templates.
     pub fn compile(circuit: &Circuit) -> CompiledTemplate {
         let mut fuser = Fuser::new(circuit.num_qubits(), circuit.len(), true);

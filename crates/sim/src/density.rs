@@ -312,7 +312,7 @@ impl DensityMatrix {
     /// like the executor's bitstrings.
     ///
     /// The circuit is lowered once via [`compile_noisy`] (through the
-    /// structural compile cache when enabled) and replayed as compiled
+    /// structural compile cache) and replayed as compiled
     /// kernels on the superoperator view. Mid-circuit measurements branch
     /// the density matrix per outcome (project + renormalize, outcomes
     /// re-merged by probability weight; a re-measured qubit's last outcome
@@ -324,7 +324,7 @@ impl DensityMatrix {
         pool: Arc<ThreadPool>,
         noise: &NoiseModel,
     ) -> Result<BTreeMap<String, f64>, String> {
-        let plan = compile_noisy(circuit, noise, crate::cache::compile_cache_env_default());
+        let plan = compile_noisy(circuit, noise);
         Self::run_noisy_compiled(&plan, pool)
     }
 

@@ -56,16 +56,17 @@
 //!
 //! Each call compiles the circuit **once per plan** into a
 //! [`CompiledCircuit`] (gate fusion, precomputed matrices and control
-//! masks — see [`crate::compile`]) and replays the fused op list per shot;
-//! per-shot instruction dispatch and matrix re-derivation are gone.
-//! [`RunConfig::fusion`] / `QCOR_GATE_FUSION` select the legacy
-//! interpreted executor for A/B comparison; compiled and interpreted runs
-//! consume identical RNG streams (same draw count and order), so seeded
-//! counts agree between them.
+//! masks — see [`crate::compile`]) through the structural compile cache
+//! ([`crate::cache`]) and replays the fused op list per shot; per-shot
+//! instruction dispatch and matrix re-derivation are gone. The
+//! per-instruction interpreter ([`run_once_interpreted`]) stays as the
+//! test oracle: it consumes the identical RNG stream (same draw count and
+//! order), so seeded counts agree with the compiled replay.
 //!
 //! Bitstring convention: the leftmost character is the outcome of the
 //! lowest-indexed *measured* qubit.
 
+use crate::cache::compile_cached;
 use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
 use crate::gates::apply_instruction;
@@ -120,38 +121,21 @@ impl ShotRecord {
 
 /// Run `circuit` once against `state`, recording measurement outcomes.
 ///
-/// Honors the process-wide fusion default (`QCOR_GATE_FUSION`): by default
-/// the circuit is compiled (gate fusion + kernel classification, see
-/// [`CompiledCircuit`]) and replayed; with fusion disabled this is
-/// [`run_once_interpreted`]. Callers running the same circuit repeatedly
-/// should compile once and call [`CompiledCircuit::run_once`] per shot —
-/// that is what the shot scheduler does.
+/// The circuit is compiled through the structural compile cache (gate
+/// fusion + kernel classification, see [`CompiledCircuit`]) and replayed.
+/// `run_once` sits in per-shot hot loops (semiclassical QPE re-invokes a
+/// freshly built circuit per shot), exactly the sweep shape the cache
+/// accelerates. Callers running the same circuit repeatedly should compile
+/// once and call [`CompiledCircuit::run_once`] per shot — that is what the
+/// shot scheduler does.
 pub fn run_once(state: &mut StateVector, circuit: &Circuit, rng: &mut impl Rng) -> ShotRecord {
-    if fusion_env_default() {
-        compile_with_env_cache(circuit).run_once(state, rng)
-    } else {
-        run_once_interpreted(state, circuit, rng)
-    }
-}
-
-/// Compile honoring the process-wide compile-cache default
-/// (`QCOR_COMPILE_CACHE`, enabled unless set off) — the path for callers
-/// without a [`RunConfig`] such as [`run_once`] and [`exact_distribution`].
-/// `run_once` in particular sits in per-shot hot loops (semiclassical QPE
-/// re-invokes a freshly built circuit per shot), exactly the sweep shape
-/// the structural cache accelerates.
-fn compile_with_env_cache(circuit: &Circuit) -> CompiledCircuit {
-    if crate::cache::compile_cache_env_default() {
-        crate::cache::compile_cached(circuit)
-    } else {
-        CompiledCircuit::compile(circuit)
-    }
+    compile_cached(circuit).run_once(state, rng)
 }
 
 /// Run `circuit` once by interpreting each instruction in turn — the
-/// pre-compilation executor, kept selectable (`QCOR_GATE_FUSION=0`,
-/// [`RunConfig::fusion`]) as the A/B baseline the `gatefuse_guard` CI gate
-/// and the fused-vs-unfused equivalence tests compare against.
+/// pre-compilation executor, kept as the oracle the `gatefuse_guard` CI
+/// gate and the fused-vs-interpreted equivalence tests compare the
+/// compiled replay against.
 pub fn run_once_interpreted(state: &mut StateVector, circuit: &Circuit, rng: &mut impl Rng) -> ShotRecord {
     assert!(
         circuit.num_qubits() <= state.num_qubits(),
@@ -166,36 +150,6 @@ pub fn run_once_interpreted(state: &mut StateVector, circuit: &Circuit, rng: &mu
         }
     }
     record
-}
-
-/// Resolve the process-wide gate-fusion default from `QCOR_GATE_FUSION`.
-/// Unset means **enabled**; `0`/`false`/`off` disable, `1`/`true`/`on`
-/// enable, anything else panics loudly (misconfiguration should never
-/// silently change which executor benchmarks measure).
-///
-/// The variable is read and parsed **once** per process: `run_once` sits
-/// in per-shot hot loops (Shor's semiclassical QPE, QAOA sampling), and a
-/// mid-process env change flipping the executor would break the
-/// documented process-wide-default semantics anyway.
-pub fn fusion_env_default() -> bool {
-    static DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("QCOR_GATE_FUSION") {
-        Err(_) => true,
-        Ok(v) => parse_fusion_token(&v).unwrap_or_else(|| {
-            panic!("invalid QCOR_GATE_FUSION value {v:?}: expected 0/1/true/false/on/off")
-        }),
-    })
-}
-
-/// Parse one gate-fusion token — the single vocabulary shared by the
-/// `QCOR_GATE_FUSION` environment variable and the qpp backend's string
-/// `fusion` param, so the two can never drift apart. `None` = unrecognized.
-pub fn parse_fusion_token(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "" | "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
 }
 
 /// Chunk-sizing policy of the batched shot scheduler (see the
@@ -239,44 +193,6 @@ pub struct RunConfig {
     pub chunk_shots: Option<usize>,
     /// Chunk-sizing policy used when `chunk_shots` is `None`.
     pub granularity: Granularity,
-    /// Gate fusion: compile the circuit once per [`ShotPlan`] (fused kernel
-    /// ops, precomputed matrices/masks — see [`CompiledCircuit`]) and
-    /// replay it per shot, instead of re-interpreting every instruction.
-    /// `None` defers to the `QCOR_GATE_FUSION` environment default
-    /// (enabled); `Some(false)` forces the interpreted executor for A/B
-    /// comparison.
-    pub fusion: Option<bool>,
-    /// Structural compile cache: look the circuit's structure up in the
-    /// process-wide template cache and only re-bind angles on a hit (see
-    /// [`crate::cache`]). `None` defers to the `QCOR_COMPILE_CACHE`
-    /// environment default (enabled); `Some(false)` forces a cold compile
-    /// per plan. Irrelevant when the interpreted executor runs (fusion
-    /// off).
-    pub compile_cache: Option<bool>,
-}
-
-impl RunConfig {
-    /// Resolve the effective fusion setting ([`RunConfig::fusion`], falling
-    /// back to [`fusion_env_default`]).
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion.unwrap_or_else(fusion_env_default)
-    }
-
-    /// Resolve the effective compile-cache setting
-    /// ([`RunConfig::compile_cache`], falling back to
-    /// [`crate::cache::compile_cache_env_default`]).
-    pub fn compile_cache_enabled(&self) -> bool {
-        self.compile_cache.unwrap_or_else(crate::cache::compile_cache_env_default)
-    }
-
-    /// Compile honoring the resolved compile-cache setting.
-    fn compile(&self, circuit: &Circuit) -> CompiledCircuit {
-        if self.compile_cache_enabled() {
-            crate::cache::compile_cached(circuit)
-        } else {
-            CompiledCircuit::compile(circuit)
-        }
-    }
 }
 
 impl Default for RunConfig {
@@ -287,8 +203,6 @@ impl Default for RunConfig {
             par_threshold: FORK_MIN_BYTES_PER_THREAD,
             chunk_shots: None,
             granularity: Granularity::Auto,
-            fusion: None,
-            compile_cache: None,
         }
     }
 }
@@ -405,29 +319,18 @@ impl ShotPlan {
 }
 
 /// The executor a shot plan replays per shot: the circuit compiled once
-/// into fused kernel ops, the interpreted per-instruction dispatcher
-/// (fusion off), or the noisy trajectory sampler (noise channels lowered
-/// once via [`crate::noise::compile_noisy`], Kraus branches drawn per shot;
-/// always compiled — the fusion knob does not apply).
-enum ShotExec<'c> {
+/// into fused kernel ops, or the noisy trajectory sampler (noise channels
+/// lowered once via [`crate::noise::compile_noisy`], Kraus branches drawn
+/// per shot).
+enum ShotExec {
     Compiled(CompiledCircuit),
-    Interpreted(&'c Circuit),
     Trajectory { plan: crate::noise::NoisyCompiled, readout: f64 },
 }
 
-impl ShotExec<'_> {
-    fn for_config<'c>(circuit: &'c Circuit, config: &RunConfig) -> ShotExec<'c> {
-        if config.fusion_enabled() {
-            ShotExec::Compiled(config.compile(circuit))
-        } else {
-            ShotExec::Interpreted(circuit)
-        }
-    }
-
+impl ShotExec {
     fn run_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
         match self {
             ShotExec::Compiled(compiled) => compiled.run_once(state, rng),
-            ShotExec::Interpreted(circuit) => run_once_interpreted(state, circuit, rng),
             ShotExec::Trajectory { plan, readout } => {
                 crate::noise::run_trajectory_once(plan, *readout, state, rng)
             }
@@ -439,7 +342,7 @@ impl ShotExec<'_> {
 /// accumulating bitstring counts into `counts`.
 fn sample_into(
     state: &mut StateVector,
-    exec: &ShotExec<'_>,
+    exec: &ShotExec,
     rng: &mut StdRng,
     shots: usize,
     counts: &mut Counts,
@@ -527,7 +430,7 @@ pub fn run_shots_cancellable(
 
 /// Execute `circuit` under `noise` as trajectory sampling on the batched
 /// shot scheduler: channels are lowered once ([`crate::noise::compile_noisy`],
-/// through the compile cache when enabled) and every shot replays the
+/// through the compile cache) and every shot replays the
 /// compiled plan, drawing its Kraus branches, measurement outcomes, and
 /// readout flips (per-bit flip probability `readout`) from its chunk's
 /// derived RNG stream. Inherits the scheduler's determinism contract: for
@@ -577,11 +480,10 @@ fn run_shots_core(
     };
     // Compile once per plan; every chunk replays the same fused op list.
     let exec = match noisy {
-        Some((noise, readout)) => ShotExec::Trajectory {
-            plan: crate::noise::compile_noisy(circuit, noise, config.compile_cache_enabled()),
-            readout,
-        },
-        None => ShotExec::for_config(circuit, config),
+        Some((noise, readout)) => {
+            ShotExec::Trajectory { plan: crate::noise::compile_noisy(circuit, noise), readout }
+        }
+        None => ShotExec::Compiled(compile_cached(circuit)),
     };
     if plan.inner_parallel() {
         // Single work item: the only checkpoint is before it starts.
@@ -658,8 +560,8 @@ pub fn run_shots_task_parallel(
 }
 
 /// Exact output distribution of a measurement-free prefix: strips terminal
-/// measurements, evolves once (compiled when the process-wide fusion
-/// default is on), and returns the probability of each basis state. Errors
+/// measurements, evolves the compiled prefix once, and returns the
+/// probability of each basis state. Errors
 /// if a non-terminal measurement or reset is present.
 pub fn exact_distribution(circuit: &Circuit, pool: Arc<ThreadPool>) -> Result<Vec<f64>, String> {
     let mut prefix = Circuit::new(circuit.num_qubits());
@@ -679,11 +581,7 @@ pub fn exact_distribution(circuit: &Circuit, pool: Arc<ThreadPool>) -> Result<Ve
     }
     let mut state = StateVector::with_pool(circuit.num_qubits(), pool);
     let mut rng = StdRng::seed_from_u64(0);
-    if fusion_env_default() {
-        compile_with_env_cache(&prefix).run_once(&mut state, &mut rng);
-    } else {
-        run_once_interpreted(&mut state, &prefix, &mut rng);
-    }
+    compile_cached(&prefix).run_once(&mut state, &mut rng);
     Ok(state.probabilities())
 }
 

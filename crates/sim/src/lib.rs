@@ -20,7 +20,7 @@
 //!   [`CompiledTemplate`] lowers a circuit *structure* once so an angle
 //!   sweep only re-binds parameters,
 //! * [`cache`] — the process-wide compile cache keyed by structural
-//!   circuit hash (`QCOR_COMPILE_CACHE`, `QCOR_COMPILE_CACHE_CAPACITY`),
+//!   circuit hash (capacity `QCOR_COMPILE_CACHE_CAPACITY`),
 //! * [`executor`] — the batched shot scheduler ([`ShotPlan`]), counts,
 //!   and exact distributions,
 //! * [`apply`] — the [`ApplyState`] trait: the primitive-kernel surface
@@ -47,16 +47,15 @@ mod state;
 pub mod stats;
 
 pub use apply::ApplyState;
-pub use cache::{clear_compile_cache, compile_cache_env_default, compile_cached, parse_cache_token};
+pub use cache::{clear_compile_cache, compile_cached};
 pub use cancel::{cancel_requested, set_thread_cancel_token, thread_cancel_token, CancelToken};
 pub use compile::{CompiledCircuit, CompiledTemplate, KernelOp};
 pub use complex::{c64, Complex64};
 pub use density::{DensityMatrix, NoiseModel};
 pub use executor::{
-    derive_stream_seed, exact_distribution, fusion_env_default, parse_fusion_token, run_noisy_shots,
-    run_noisy_shots_planned, run_once, run_once_interpreted, run_shots, run_shots_cancellable,
-    run_shots_planned, run_shots_task_parallel, Counts, Granularity, RunConfig, ShotPlan, ShotRecord,
-    ShotRun,
+    derive_stream_seed, exact_distribution, run_noisy_shots, run_noisy_shots_planned, run_once,
+    run_once_interpreted, run_shots, run_shots_cancellable, run_shots_planned, run_shots_task_parallel,
+    Counts, Granularity, RunConfig, ShotPlan, ShotRecord, ShotRun,
 };
 pub use noise::{apply_readout_error, compile_noisy, NoisyCompiled, NoisyOp};
 pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

@@ -113,13 +113,12 @@ impl NoisyCompiled {
 
 /// Lower `circuit` + `noise` into a [`NoisyCompiled`] op stream.
 ///
-/// Unitary runs compile through the regular fusing compiler; with
-/// `use_cache` they go through the structural compile cache
+/// Unitary runs compile through the structural compile cache
 /// ([`crate::cache::compile_cached`]), so an angle sweep over a noisy
 /// ansatz re-binds templates instead of re-lowering. A noiseless model
 /// fuses across the whole unitary prefix; an active model flushes after
 /// every gate (its channels are fusion barriers by construction).
-pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel, use_cache: bool) -> NoisyCompiled {
+pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> NoisyCompiled {
     let n = circuit.num_qubits();
     let active = !noise.is_noiseless();
     let mut ops: Vec<NoisyOp> = Vec::new();
@@ -128,8 +127,7 @@ pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel, use_cache: bool) -> 
         if pending.is_empty() {
             return;
         }
-        let compiled = if use_cache { compile_cached(pending) } else { CompiledCircuit::compile(pending) };
-        ops.extend(compiled.ops().iter().cloned().map(NoisyOp::Unitary));
+        ops.extend(compile_cached(pending).ops().iter().cloned().map(NoisyOp::Unitary));
         *pending = Circuit::new(n);
     };
     for inst in circuit.instructions() {
@@ -174,13 +172,7 @@ pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel, use_cache: bool) -> 
     let pre_drawable = active
         && ops.iter().any(|op| matches!(op, NoisyOp::Depolarize { .. } | NoisyOp::Dephase { .. }))
         && !ops.iter().any(|op| matches!(op, NoisyOp::AmplitudeDamp { .. }));
-    let fused = pre_drawable.then(|| {
-        if use_cache {
-            compile_cached(circuit)
-        } else {
-            CompiledCircuit::compile(circuit)
-        }
-    });
+    let fused = pre_drawable.then(|| compile_cached(circuit));
     NoisyCompiled { num_qubits: n, ops, source_len: circuit.len(), fused }
 }
 
@@ -374,7 +366,7 @@ mod tests {
     fn noiseless_lowering_fuses_across_gates() {
         let mut c = Circuit::new(2);
         c.h(0).t(0).s(0).cx(0, 1).measure_all();
-        let plan = compile_noisy(&c, &NoiseModel::default(), false);
+        let plan = compile_noisy(&c, &NoiseModel::default());
         // The single-qubit run fuses: fewer unitary ops than gates.
         let unitaries = plan.ops().iter().filter(|op| matches!(op, NoisyOp::Unitary(_))).count();
         assert!(unitaries < 4, "noiseless lowering must fuse the unitary prefix, got {unitaries}");
@@ -387,7 +379,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         let noise = NoiseModel { depolarizing: 0.1, dephasing: 0.2, amplitude_damping: 0.3 };
-        let plan = compile_noisy(&c, &noise, false);
+        let plan = compile_noisy(&c, &noise);
         // h(0): 1 qubit → depol, dephase, damp; cx(0,1): 2 qubits → 6 ops.
         let channels: Vec<&NoisyOp> =
             plan.ops().iter().filter(|op| !matches!(op, NoisyOp::Unitary(_))).collect();
@@ -402,7 +394,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.h(0);
         let noise = NoiseModel { depolarizing: 0.05, ..Default::default() };
-        let plan = compile_noisy(&c, &noise, false);
+        let plan = compile_noisy(&c, &noise);
         assert!(plan.ops().iter().all(|op| !matches!(op, NoisyOp::Dephase { .. })));
         assert!(plan.ops().iter().all(|op| !matches!(op, NoisyOp::AmplitudeDamp { .. })));
         assert_eq!(plan.ops().iter().filter(|op| matches!(op, NoisyOp::Depolarize { .. })).count(), 1);
@@ -411,7 +403,7 @@ mod tests {
     #[test]
     fn noiseless_trajectory_matches_ideal_replay() {
         let circuit = library::bell_kernel();
-        let plan = compile_noisy(&circuit, &NoiseModel::default(), false);
+        let plan = compile_noisy(&circuit, &NoiseModel::default());
         for seed in 0..8 {
             let mut state = StateVector::new(2);
             let mut rng = StdRng::seed_from_u64(seed);
@@ -439,14 +431,14 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).measure_all();
         let dephase = NoiseModel { dephasing: 0.01, ..Default::default() };
-        assert!(compile_noisy(&c, &dephase, false).has_clean_fast_path());
+        assert!(compile_noisy(&c, &dephase).has_clean_fast_path());
         let depol = NoiseModel { depolarizing: 0.01, ..Default::default() };
-        assert!(compile_noisy(&c, &depol, false).has_clean_fast_path());
+        assert!(compile_noisy(&c, &depol).has_clean_fast_path());
         // Damping draws against the live state — decisions cannot move
         // ahead of the replay, so every shot takes the interleaved path.
         let damp = NoiseModel { amplitude_damping: 0.01, ..Default::default() };
-        assert!(!compile_noisy(&c, &damp, false).has_clean_fast_path());
+        assert!(!compile_noisy(&c, &damp).has_clean_fast_path());
         // A noiseless plan is already fully fused; no separate fast path.
-        assert!(!compile_noisy(&c, &NoiseModel::default(), false).has_clean_fast_path());
+        assert!(!compile_noisy(&c, &NoiseModel::default()).has_clean_fast_path());
     }
 }

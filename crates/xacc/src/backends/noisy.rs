@@ -34,9 +34,6 @@ pub struct NoisyQppAccelerator {
     /// Explicit shots-per-chunk for the batched shot scheduler
     /// (`None` = adaptive granularity).
     chunk_shots: Option<usize>,
-    /// Compile-cache override; `None` defers to the `QCOR_COMPILE_CACHE`
-    /// process default.
-    compile_cache: Option<bool>,
 }
 
 impl NoisyQppAccelerator {
@@ -57,14 +54,13 @@ impl NoisyQppAccelerator {
             noise,
             p_readout,
             chunk_shots: None,
-            compile_cache: None,
         }
     }
 
     /// Construct from registry params: `threads`, `depolarizing`
     /// (default 0.001), `dephasing` (default 0), `amplitude-damping`
-    /// (default 0), `readout-error` (default 0.01), `chunk-shots` (explicit
-    /// scheduler chunk size) and `compile-cache` (bool, or `"on"`/`"off"`).
+    /// (default 0), `readout-error` (default 0.01) and `chunk-shots`
+    /// (explicit scheduler chunk size).
     ///
     /// Bad parameter values are rejected with [`XaccError::InvalidParam`],
     /// like the `qpp` backend's scheduler knobs.
@@ -83,23 +79,6 @@ impl NoisyQppAccelerator {
         }
         let mut acc = Self::with_noise(params.try_usize("threads")?.unwrap_or(1).max(1), noise, p_readout);
         acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
-        acc.compile_cache = match params.get("compile-cache") {
-            None => None,
-            Some(&crate::HetValue::Bool(b)) => Some(b),
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_cache_token(s) {
-                Some(b) => Some(b),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown compile-cache setting {s:?}: expected a bool or 0/1/true/false/on/off"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!(
-                    "compile-cache must be a bool or string, got {other:?}"
-                )))
-            }
-        };
         Ok(acc)
     }
 
@@ -135,7 +114,6 @@ impl Accelerator for NoisyQppAccelerator {
             shots: opts.shots,
             seed: opts.seed,
             chunk_shots: self.chunk_shots,
-            compile_cache: self.compile_cache,
             ..Default::default()
         };
         let counts =

@@ -24,12 +24,6 @@ pub struct QppAccelerator {
     chunk_shots: Option<usize>,
     /// Chunk-sizing policy when `chunk_shots` is unset.
     granularity: Granularity,
-    /// Gate fusion (compile-then-execute) override; `None` defers to the
-    /// `QCOR_GATE_FUSION` process default.
-    fusion: Option<bool>,
-    /// Compile-cache override; `None` defers to the `QCOR_COMPILE_CACHE`
-    /// process default (enabled).
-    compile_cache: Option<bool>,
 }
 
 impl QppAccelerator {
@@ -45,8 +39,6 @@ impl QppAccelerator {
             par_threshold: FORK_MIN_BYTES_PER_THREAD,
             chunk_shots: None,
             granularity: Granularity::Auto,
-            fusion: None,
-            compile_cache: None,
         }
     }
 
@@ -56,12 +48,8 @@ impl QppAccelerator {
     /// [`qcor_sim::FORK_MIN_BYTES_PER_THREAD`]; `1` forks every sweep as
     /// Quantum++ does — see
     /// [`qcor_sim::StateVector::set_par_threshold`]), `chunk-shots`
-    /// (explicit scheduler chunk size), `granularity`
-    /// (`"auto"` | `"sequential"`), `fusion` (bool, or `"on"`/`"off"`;
-    /// default: the `QCOR_GATE_FUSION` process default), `compile-cache`
-    /// (bool, or `"on"`/`"off"`; default: the `QCOR_COMPILE_CACHE` process
-    /// default — reuse one structural template per circuit shape across an
-    /// angle sweep).
+    /// (explicit scheduler chunk size) and `granularity`
+    /// (`"auto"` | `"sequential"`).
     ///
     /// Bad parameter values — an unknown token or a value of the wrong type
     /// or sign — are rejected with [`XaccError::InvalidParam`], surfaced as
@@ -85,45 +73,6 @@ impl QppAccelerator {
                 }
             };
         }
-        // String values share the `QCOR_GATE_FUSION` token vocabulary
-        // (`qcor_sim::parse_fusion_token`); plain bools pass through; any
-        // other value or type is a hard configuration error.
-        acc.fusion = match params.get("fusion") {
-            None => None,
-            Some(&crate::HetValue::Bool(b)) => Some(b),
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_fusion_token(s) {
-                Some(b) => Some(b),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown fusion setting {s:?}: expected a bool or 0/1/true/false/on/off"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!(
-                    "fusion must be a bool or string, got {other:?}"
-                )))
-            }
-        };
-        // `compile-cache` shares the `QCOR_COMPILE_CACHE` token vocabulary
-        // (`qcor_sim::parse_cache_token`) — same discipline as `fusion`.
-        acc.compile_cache = match params.get("compile-cache") {
-            None => None,
-            Some(&crate::HetValue::Bool(b)) => Some(b),
-            Some(crate::HetValue::Str(s)) => match qcor_sim::parse_cache_token(s) {
-                Some(b) => Some(b),
-                None => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown compile-cache setting {s:?}: expected a bool or 0/1/true/false/on/off"
-                    )))
-                }
-            },
-            Some(other) => {
-                return Err(XaccError::InvalidParam(format!(
-                    "compile-cache must be a bool or string, got {other:?}"
-                )))
-            }
-        };
         Ok(acc)
     }
 
@@ -157,8 +106,6 @@ impl Accelerator for QppAccelerator {
             par_threshold: self.par_threshold,
             chunk_shots: self.chunk_shots,
             granularity: self.granularity,
-            fusion: self.fusion,
-            compile_cache: self.compile_cache,
         };
         let counts = run_shots(circuit, Arc::clone(&self.pool), &config);
         buffer.merge_counts(&counts);
@@ -190,20 +137,16 @@ mod tests {
             &HetMap::new()
                 .with("threads", 1usize)
                 .with("chunk-shots", 8usize)
-                .with("granularity", "sequential")
-                .with("fusion", false),
+                .with("granularity", "sequential"),
         )
         .unwrap();
         assert_eq!(acc.chunk_shots, Some(8));
         assert_eq!(acc.granularity, Granularity::Sequential);
-        assert_eq!(acc.fusion, Some(false));
         assert_eq!(acc.par_threshold, FORK_MIN_BYTES_PER_THREAD, "unset = the kernels' fork floor");
-        let on = QppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("fusion", "on").with("par-threshold", 1usize),
-        )
-        .unwrap();
-        assert_eq!(on.fusion, Some(true));
-        assert_eq!(on.par_threshold, 1);
+        let forking =
+            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("par-threshold", 1usize))
+                .unwrap();
+        assert_eq!(forking.par_threshold, 1);
     }
 
     #[test]
@@ -216,91 +159,16 @@ mod tests {
     }
 
     #[test]
-    fn from_params_fusion_accepts_env_token_set() {
-        // The param accepts exactly what QCOR_GATE_FUSION accepts.
-        for (token, expect) in
-            [("1", true), ("true", true), ("on", true), ("0", false), ("false", false), ("off", false)]
-        {
-            let acc =
-                QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", token))
-                    .unwrap();
-            assert_eq!(acc.fusion, Some(expect), "token {token:?}");
-        }
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_fusion_as_err() {
-        let err = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", "maybe"))
-            .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("fusion")), "{err}");
-        // Wrong-typed values are rejected too, not silently ignored.
-        let err = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", 3usize))
-            .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("fusion")), "{err}");
-    }
-
-    #[test]
-    fn from_params_compile_cache_accepts_env_token_set() {
-        // The param accepts exactly what QCOR_COMPILE_CACHE accepts.
-        for (token, expect) in
-            [("1", true), ("true", true), ("on", true), ("0", false), ("false", false), ("off", false)]
-        {
-            let acc = QppAccelerator::from_params(
-                &HetMap::new().with("threads", 1usize).with("compile-cache", token),
-            )
-            .unwrap();
-            assert_eq!(acc.compile_cache, Some(expect), "token {token:?}");
-        }
-        let plain_bool =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("compile-cache", false))
-                .unwrap();
-        assert_eq!(plain_bool.compile_cache, Some(false));
-        let unset = QppAccelerator::from_params(&HetMap::new().with("threads", 1usize)).unwrap();
-        assert_eq!(unset.compile_cache, None);
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_compile_cache_as_err() {
-        let err = QppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("compile-cache", "maybe"),
-        )
-        .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("compile-cache")), "{err}");
-        // Wrong-typed values are rejected too, not silently ignored.
-        let err =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("compile-cache", 3usize))
-                .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("compile-cache")), "{err}");
-    }
-
-    #[test]
     fn cached_and_uncached_execute_identical_seeded_counts() {
-        let cached =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("compile-cache", true))
-                .unwrap();
-        let cold =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("compile-cache", false))
-                .unwrap();
+        // A cleared cache compiles cold (a miss); the repeat run rebinds the
+        // stored template (a hit). Cache state must never show in counts.
+        let acc = QppAccelerator::new(1);
         let opts = ExecOptions::with_shots(256).seeded(33);
         let mut buf_a = AcceleratorBuffer::with_name("a", 3);
         let mut buf_b = AcceleratorBuffer::with_name("b", 3);
-        cached.execute(&mut buf_a, &library::ghz_kernel(3), &opts).unwrap();
-        cold.execute(&mut buf_b, &library::ghz_kernel(3), &opts).unwrap();
-        assert_eq!(buf_a.measurements(), buf_b.measurements());
-    }
-
-    #[test]
-    fn fused_and_unfused_execute_identical_seeded_counts() {
-        let fused =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", true)).unwrap();
-        let unfused =
-            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("fusion", false))
-                .unwrap();
-        let opts = ExecOptions::with_shots(256).seeded(12);
-        let mut buf_a = AcceleratorBuffer::with_name("a", 3);
-        let mut buf_b = AcceleratorBuffer::with_name("b", 3);
-        fused.execute(&mut buf_a, &library::ghz_kernel(3), &opts).unwrap();
-        unfused.execute(&mut buf_b, &library::ghz_kernel(3), &opts).unwrap();
+        qcor_sim::clear_compile_cache();
+        acc.execute(&mut buf_a, &library::ghz_kernel(3), &opts).unwrap();
+        acc.execute(&mut buf_b, &library::ghz_kernel(3), &opts).unwrap();
         assert_eq!(buf_a.measurements(), buf_b.measurements());
     }
 

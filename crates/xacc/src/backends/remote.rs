@@ -27,13 +27,16 @@ impl RemoteAccelerator {
         RemoteAccelerator { inner: QppAccelerator::new(threads), latency }
     }
 
-    /// Construct from registry params: `threads`, `latency-ms`
-    /// (default 50).
-    pub fn from_params(params: &HetMap) -> Self {
-        Self::new(
-            params.get_usize("threads").unwrap_or(1).max(1),
-            Duration::from_millis(params.get_usize("latency-ms").unwrap_or(50) as u64),
-        )
+    /// Construct from registry params: `threads` (default 1) and
+    /// `latency-ms` (default 50).
+    ///
+    /// Bad parameter values are rejected with [`XaccError::InvalidParam`],
+    /// like the simulator backends' params.
+    pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
+        Ok(Self::new(
+            params.try_usize("threads")?.unwrap_or(1).max(1),
+            Duration::from_millis(params.try_usize("latency-ms")?.unwrap_or(50) as u64),
+        ))
     }
 
     /// The configured latency.
@@ -84,7 +87,7 @@ mod tests {
 
     #[test]
     fn params_configure_latency() {
-        let acc = RemoteAccelerator::from_params(&HetMap::new().with("latency-ms", 5usize));
+        let acc = RemoteAccelerator::from_params(&HetMap::new().with("latency-ms", 5usize)).unwrap();
         assert_eq!(acc.latency(), Duration::from_millis(5));
     }
 }

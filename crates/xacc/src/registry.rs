@@ -215,7 +215,7 @@ pub fn global() -> &'static ServiceRegistry {
             Ok(Arc::new(backends::NoisyQppAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
         reg.register_factory_with_capability("remote", BackendCapability::Remote, |params| {
-            Ok(Arc::new(backends::RemoteAccelerator::from_params(params)) as Arc<dyn Accelerator>)
+            Ok(Arc::new(backends::RemoteAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
         reg.register_factory_with_capability("qpp-density", BackendCapability::Density, |params| {
             Ok(Arc::new(backends::DensityAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
@@ -298,7 +298,7 @@ mod tests {
     fn simulator_backends_reject_mistyped_params() {
         // A value of the wrong type or sign must be an Err naming the key,
         // never a silent fall-back to the default.
-        let cases: [(&str, &str, crate::HetValue); 7] = [
+        let cases: [(&str, &str, crate::HetValue); 9] = [
             ("qpp", "threads", "3".into()),
             ("qpp", "threads", (-2i64).into()),
             ("qpp", "granularity", true.into()),
@@ -306,6 +306,8 @@ mod tests {
             ("qpp-noisy", "depolarizing", "0.2".into()),
             ("qpp-noisy", "chunk-shots", (-1i64).into()),
             ("qpp-density", "readout-error", "0.3".into()),
+            ("remote", "latency-ms", "fast".into()),
+            ("remote", "threads", "3".into()),
         ];
         for (backend, key, value) in cases {
             let params = HetMap::new().with("threads", 1usize).with(key, value.clone());

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use qcor_circuit::{library, xasm, Circuit};
 use qcor_pool::ThreadPool;
 use qcor_sim::{
-    run_once_interpreted, run_shots, run_shots_task_parallel, CompiledCircuit, Granularity, RunConfig,
-    ShotPlan, StateVector,
+    derive_stream_seed, run_once_interpreted, run_shots, run_shots_task_parallel, CompiledCircuit, Counts,
+    Granularity, RunConfig, ShotPlan, StateVector,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
@@ -120,6 +120,25 @@ fn counts_via_accelerator(circuit: &Circuit, threads: usize, seed: u64) -> qcor_
     let mut buf = AcceleratorBuffer::with_name("prop", circuit.num_qubits());
     acc.execute(&mut buf, circuit, &ExecOptions::with_shots(64).seeded(seed)).unwrap();
     buf.measurements().clone()
+}
+
+/// Seeded counts of the interpreter over the scheduler's own partition:
+/// the same `ShotPlan::chunks()` and `derive_stream_seed` streams that
+/// `run_shots` replays compiled, so the two must merge identical counts.
+fn interpreted_counts(circuit: &Circuit, config: &RunConfig) -> Counts {
+    let base = config.seed.expect("the oracle needs a seeded config");
+    let mut counts = Counts::new();
+    for (index, span) in ShotPlan::for_circuit(circuit, config).chunks().enumerate() {
+        let mut state = StateVector::new(circuit.num_qubits());
+        let mut rng = StdRng::seed_from_u64(derive_stream_seed(base, index));
+        for shot in 0..span.len() {
+            if shot > 0 {
+                state.reset_to_zero();
+            }
+            *counts.entry(run_once_interpreted(&mut state, circuit, &mut rng).bitstring()).or_insert(0) += 1;
+        }
+    }
+    counts
 }
 
 proptest! {
@@ -265,11 +284,11 @@ proptest! {
         }
     }
 
-    /// Seeded counts are identical with fusion on and off, across the full
-    /// scheduler (random circuits with mid-stream measurements included):
-    /// both executors consume the same RNG stream in the same order, so
-    /// the `(seed, tasks, chunk_shots)` determinism contract holds across
-    /// the fusion knob.
+    /// The compiled scheduler merges the same seeded counts as the
+    /// interpreter over the same chunks (random circuits with mid-stream
+    /// measurements included): both executors consume the same RNG stream
+    /// in the same order, so the `(seed, tasks, chunk_shots)` determinism
+    /// contract holds against the oracle.
     #[test]
     fn fused_and_unfused_seeded_counts_identical(
         src in xasm_source(),
@@ -278,13 +297,9 @@ proptest! {
     ) {
         let circuit = xasm::parse_kernel(&src, 3).unwrap().bind(&[]).unwrap();
         let chunk_shots = (chunk > 0).then_some(chunk);
-        let fused_cfg = RunConfig {
-            shots: 48, seed: Some(seed), chunk_shots, fusion: Some(true), ..RunConfig::default()
-        };
-        let interp_cfg = RunConfig { fusion: Some(false), ..fused_cfg.clone() };
-        let fused = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &fused_cfg);
-        let interp = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &interp_cfg);
-        prop_assert_eq!(fused, interp, "fusion knob must not change seeded counts");
+        let config = RunConfig { shots: 48, seed: Some(seed), chunk_shots, ..RunConfig::default() };
+        let fused = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
+        prop_assert_eq!(fused, interpreted_counts(&circuit, &config), "fusion must not change seeded counts");
     }
 
     // ---- two-qubit block fusion + swap relabeling -----------------------
@@ -322,13 +337,9 @@ proptest! {
         let mut circuit = build_circuit(&ops, true);
         circuit.measure_all();
         let chunk_shots = (chunk > 0).then_some(chunk);
-        let fused_cfg = RunConfig {
-            shots: 32, seed: Some(seed), chunk_shots, fusion: Some(true), ..RunConfig::default()
-        };
-        let interp_cfg = RunConfig { fusion: Some(false), ..fused_cfg.clone() };
-        let fused = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &fused_cfg);
-        let interp = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &interp_cfg);
-        prop_assert_eq!(fused, interp, "fusion knob must not change seeded counts");
+        let config = RunConfig { shots: 32, seed: Some(seed), chunk_shots, ..RunConfig::default() };
+        let fused = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
+        prop_assert_eq!(fused, interpreted_counts(&circuit, &config), "fusion must not change seeded counts");
     }
 
     /// Relabeled measurement reports logical qubits: a shot record from

@@ -85,7 +85,7 @@ fn noiseless_compiled_density_is_the_outer_product_of_the_state() {
             let psi = prepared(&circuit);
             // Density path: replay the *same* lowered plan as superoperator
             // sweeps through the ApplyState implementation.
-            let plan = compile_noisy(&circuit, &NoiseModel::default(), false);
+            let plan = compile_noisy(&circuit, &NoiseModel::default());
             let mut rho = DensityMatrix::new(n);
             for op in plan.ops() {
                 match op {

@@ -60,8 +60,7 @@ pub fn run_vqe(
         n_params,
         &HetMap::new().with("gradient-strategy", "central").with("step", 1e-3),
     )?;
-    let optimizer = create_optimizer(optimizer_name, &HetMap::new())
-        .ok_or_else(|| QcorError::Kernel(format!("unknown optimizer `{optimizer_name}`")))?;
+    let optimizer = create_optimizer(optimizer_name, &HetMap::new())?;
     let OptimizerResult { opt_val, opt_params, evaluations, .. } = optimizer.optimize(&objective, x0);
     Ok(VqeResult { energy: opt_val, params: opt_params, evaluations, start: x0.to_vec() })
 }
@@ -126,8 +125,7 @@ pub fn run_vqe_sampled(
         // differences at 1e-3 would drown in shot noise.
         &HetMap::new().with("gradient-strategy", "central").with("step", 1e-2).with("strategy", "sampled"),
     )?;
-    let optimizer = create_optimizer(optimizer_name, &HetMap::new().with("max-iters", SAMPLED_MAX_ITERS))
-        .ok_or_else(|| QcorError::Kernel(format!("unknown optimizer `{optimizer_name}`")))?;
+    let optimizer = create_optimizer(optimizer_name, &HetMap::new().with("max-iters", SAMPLED_MAX_ITERS))?;
     let OptimizerResult { opt_val, opt_params, evaluations, .. } = optimizer.optimize(&objective, x0);
     Ok(VqeResult { energy: opt_val, params: opt_params, evaluations, start: x0.to_vec() })
 }

@@ -1,14 +1,14 @@
 //! Criterion companion to Figure 3: Bell-kernel shot loops at different
 //! simulator thread counts, with the batched shot scheduler (default) and
-//! the pre-scheduler per-gate dispatch path (`Granularity::Sequential`)
-//! side by side. The headline series is `shots512/{1,2}`: before the
+//! the pre-scheduler per-gate dispatch path (one chunk of every shot, fork
+//! floor 1) side by side. The headline series is `shots512/{1,2}`: before the
 //! scheduler, `/2` was ~100× slower than `/1` on a 1-CPU host because
 //! every tiny amplitude loop paid a pool fork/join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcor_circuit::library;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, Granularity, RunConfig};
+use qcor_sim::{run_shots, RunConfig, ShotPlan};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,13 +33,8 @@ fn bench_bell(c: &mut Criterion) {
         // trajectory.
         group.bench_with_input(BenchmarkId::new("shots512_seq", threads), &threads, |b, _| {
             b.iter(|| {
-                let config = RunConfig {
-                    shots: 512,
-                    seed: Some(1),
-                    granularity: Granularity::Sequential,
-                    par_threshold: 1,
-                    ..RunConfig::default()
-                };
+                let config =
+                    RunConfig { shots: 512, seed: Some(1), chunk_shots: Some(512), par_threshold: 1 };
                 let counts = run_shots(&circuit, Arc::clone(&pool), &config);
                 assert_eq!(counts.values().sum::<usize>(), 512);
             });
@@ -48,10 +43,12 @@ fn bench_bell(c: &mut Criterion) {
     // Shot-level parallelism ablation (paper §II's second parallelism
     // level): the same 512 shots split across 2 tasks vs one task.
     for tasks in [1usize, 2] {
+        let pool = Arc::new(ThreadPool::new(tasks));
         group.bench_with_input(BenchmarkId::new("shot_parallel_512", tasks), &tasks, |b, &tasks| {
             b.iter(|| {
                 let config = RunConfig { shots: 512, seed: Some(1), ..RunConfig::default() };
-                let counts = qcor_sim::run_shots_task_parallel(&circuit, tasks, 1, &config);
+                let plan = ShotPlan::for_tasks(&circuit, &config, tasks);
+                let counts = plan.execute(&circuit, Arc::clone(&pool), &config, None, None).counts;
                 assert_eq!(counts.values().sum::<usize>(), 512);
             });
         });

@@ -14,7 +14,7 @@
 
 use qcor_circuit::library;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, run_shots_task_parallel, RunConfig};
+use qcor_sim::{run_shots, RunConfig, ShotPlan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,8 +47,10 @@ fn main() {
         rows.push((format!("bell_kernel/shots512/{threads}"), best));
     }
     for tasks in [1usize, 2] {
+        let pool = Arc::new(ThreadPool::new(tasks));
+        let plan = ShotPlan::for_tasks(&circuit, &config, tasks);
         let best = best_of(REPS, || {
-            let counts = run_shots_task_parallel(&circuit, tasks, 1, &config);
+            let counts = plan.execute(&circuit, Arc::clone(&pool), &config, None, None).counts;
             assert_eq!(counts.values().sum::<usize>(), SHOTS);
         });
         rows.push((format!("bell_kernel/shot_parallel_512/{tasks}"), best));

@@ -266,8 +266,8 @@ impl ExecServiceConfig {
                 "reject" => BackpressurePolicy::Reject,
                 "shed-oldest" => BackpressurePolicy::ShedOldest,
                 // Loud failure beats silently blocking under a policy the
-                // operator didn't ask for (same stance as qpp's unknown
-                // `granularity` values).
+                // operator didn't ask for (same stance as the backends'
+                // mistyped params).
                 other => panic!(
                     "QCOR_QUEUE_POLICY=`{other}` is not a backpressure policy \
                      (expected block | reject | shed-oldest)"

@@ -110,10 +110,11 @@ pub enum QcorError {
     /// Backend routing failed (bad policy parameters, or no backend
     /// matches the requested capability).
     Routing(String),
-    /// A backend factory rejected its construction parameters (e.g. an
-    /// unknown `granularity` or a mistyped `threads` value). Permanently invalid
-    /// configuration — retrying without fixing the params cannot succeed,
-    /// unlike [`QcorError::Execution`].
+    /// A backend factory or [`create_optimizer`] rejected its construction
+    /// parameters (e.g. a mistyped `threads` or `max-iters` value, or an
+    /// unknown optimizer name). Permanently invalid configuration —
+    /// retrying without fixing the params cannot succeed, unlike
+    /// [`QcorError::Execution`].
     InvalidParam(String),
 }
 
@@ -142,7 +143,7 @@ impl std::fmt::Display for QcorError {
                 write!(f, "task was cancelled while queued and never ran")
             }
             QcorError::Routing(msg) => write!(f, "backend routing failed: {msg}"),
-            QcorError::InvalidParam(msg) => write!(f, "invalid backend parameter: {msg}"),
+            QcorError::InvalidParam(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
 }

@@ -18,7 +18,7 @@ pub use lbfgs::LBfgs;
 pub use nelder_mead::NelderMead;
 pub use spsa::Spsa;
 
-use crate::HetMap;
+use crate::{HetMap, QcorError};
 
 /// A real-valued objective over R^n.
 ///
@@ -78,74 +78,59 @@ pub trait Optimizer: Send + Sync {
 }
 
 /// `createOptimizer(name, options)`. Recognized names: `"gradient-descent"`,
-/// `"adam"`, `"l-bfgs"`, `"nelder-mead"`, and the alias `"nlopt"`
+/// `"adam"`, `"l-bfgs"`, `"nelder-mead"`, `"spsa"`, and the alias `"nlopt"`
 /// (→ L-BFGS, matching the paper's `{"nlopt-optimizer", "l-bfgs"}`).
 ///
-/// Common options: `max-iters` (int), `tol` (float), `step`/`lr` (float).
-pub fn create_optimizer(name: &str, options: &HetMap) -> Option<Box<dyn Optimizer>> {
-    let max_iters = options.get_usize("max-iters");
-    let tol = options.get_float("tol");
-    match name.to_ascii_lowercase().as_str() {
+/// Common options: `max-iters` (int), `tol` (float), `step`/`lr` (float);
+/// SPSA also reads `seed` (int). An unknown name, or an option of the wrong
+/// type or sign (e.g. `max-iters = "200"`), is a
+/// [`QcorError::InvalidParam`], never a silent fall-back to the default.
+pub fn create_optimizer(name: &str, options: &HetMap) -> Result<Box<dyn Optimizer>, QcorError> {
+    let max_iters = options.try_usize("max-iters")?;
+    let tol = options.try_float("tol")?;
+    let lr = options.try_float("lr")?.or(options.try_float("step")?);
+    Ok(match name.to_ascii_lowercase().as_str() {
         "gradient-descent" | "gd" => {
             let mut opt = GradientDescent::default();
-            if let Some(lr) = options.get_float("lr").or_else(|| options.get_float("step")) {
-                opt.learning_rate = lr;
-            }
-            if let Some(m) = max_iters {
-                opt.max_iters = m;
-            }
-            if let Some(t) = tol {
-                opt.tol = t;
-            }
-            Some(Box::new(opt))
+            set(&mut opt.learning_rate, lr);
+            set(&mut opt.max_iters, max_iters);
+            set(&mut opt.tol, tol);
+            Box::new(opt)
         }
         "adam" => {
             let mut opt = Adam::default();
-            if let Some(lr) = options.get_float("lr").or_else(|| options.get_float("step")) {
-                opt.learning_rate = lr;
-            }
-            if let Some(m) = max_iters {
-                opt.max_iters = m;
-            }
-            if let Some(t) = tol {
-                opt.tol = t;
-            }
-            Some(Box::new(opt))
+            set(&mut opt.learning_rate, lr);
+            set(&mut opt.max_iters, max_iters);
+            set(&mut opt.tol, tol);
+            Box::new(opt)
         }
         "l-bfgs" | "lbfgs" | "nlopt" => {
             let mut opt = LBfgs::default();
-            if let Some(m) = max_iters {
-                opt.max_iters = m;
-            }
-            if let Some(t) = tol {
-                opt.tol = t;
-            }
-            Some(Box::new(opt))
+            set(&mut opt.max_iters, max_iters);
+            set(&mut opt.tol, tol);
+            Box::new(opt)
         }
         "nelder-mead" | "neldermead" => {
             let mut opt = NelderMead::default();
-            if let Some(m) = max_iters {
-                opt.max_iters = m;
-            }
-            if let Some(t) = tol {
-                opt.tol = t;
-            }
-            Some(Box::new(opt))
+            set(&mut opt.max_iters, max_iters);
+            set(&mut opt.tol, tol);
+            Box::new(opt)
         }
         "spsa" => {
             let mut opt = Spsa::default();
-            if let Some(m) = max_iters {
-                opt.max_iters = m;
-            }
-            if let Some(a) = options.get_float("lr").or_else(|| options.get_float("step")) {
-                opt.a = a;
-            }
-            if let Some(s) = options.get_usize("seed") {
-                opt.seed = s as u64;
-            }
-            Some(Box::new(opt))
+            set(&mut opt.max_iters, max_iters);
+            set(&mut opt.a, lr);
+            set(&mut opt.seed, options.try_usize("seed")?.map(|s| s as u64));
+            Box::new(opt)
         }
-        _ => None,
+        _ => return Err(QcorError::InvalidParam(format!("unknown optimizer `{name}`"))),
+    })
+}
+
+/// Overwrite `field` with an option's value when the option is set.
+fn set<T>(field: &mut T, option: Option<T>) {
+    if let Some(value) = option {
+        *field = value;
     }
 }
 
@@ -170,14 +155,40 @@ pub(crate) mod test_functions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HetValue;
 
     #[test]
     fn factory_resolves_all_names() {
         let opts = HetMap::new();
         for name in ["gradient-descent", "adam", "l-bfgs", "nlopt", "nelder-mead", "spsa"] {
-            assert!(create_optimizer(name, &opts).is_some(), "{name}");
+            assert!(create_optimizer(name, &opts).is_ok(), "{name}");
         }
-        assert!(create_optimizer("simulated-annealing", &opts).is_none());
+        assert!(matches!(
+            create_optimizer("simulated-annealing", &opts),
+            Err(QcorError::InvalidParam(ref msg)) if msg.contains("simulated-annealing")
+        ));
+    }
+
+    #[test]
+    fn factory_rejects_mistyped_options() {
+        // One case per key, each on an optimizer that reads it: a value of
+        // the wrong type or sign must be an Err naming the key, never the
+        // optimizer's default.
+        let cases: [(&str, &str, HetValue); 6] = [
+            ("nelder-mead", "max-iters", "200".into()),
+            ("spsa", "seed", (-3i64).into()),
+            ("l-bfgs", "tol", "1e-6".into()),
+            ("adam", "lr", "0.1".into()),
+            ("gradient-descent", "step", true.into()),
+            ("spsa", "max-iters", 2.5.into()),
+        ];
+        for (name, key, value) in cases {
+            match create_optimizer(name, &HetMap::new().with(key, value.clone())) {
+                Err(QcorError::InvalidParam(msg)) => assert!(msg.contains(key), "{name} {key}: {msg}"),
+                Err(other) => panic!("{name} {key}={value:?}: expected InvalidParam, got {other:?}"),
+                Ok(_) => panic!("{name} {key}={value:?}: expected InvalidParam, got an optimizer"),
+            }
+        }
     }
 
     #[test]

@@ -101,20 +101,12 @@ impl InitOptions {
 
     /// Explicit shots-per-chunk for the backend's batched shot scheduler
     /// (see `qcor_sim::ShotPlan`); part of the determinism tuple
-    /// `(seed, tasks, chunk_shots)`. Default: adaptive granularity.
+    /// `(seed, tasks, chunk_shots)`. Default: chunks sized by cost.
+    /// `chunk_shots` = shots together with `.param("par-threshold", 1usize)`
+    /// is the pre-scheduler behavior (every shot on the executing thread, a
+    /// fork/join per sweep), kept for A/B comparison.
     pub fn chunk_shots(mut self, chunk_shots: usize) -> Self {
         self.params.insert("chunk-shots", chunk_shots.max(1));
-        self
-    }
-
-    /// Disable adaptive shot chunking: a kernel invocation runs all its
-    /// shots sequentially on the executing thread and offers the simulator
-    /// pool to the amplitude loops, which fork under the kernels' cost rule
-    /// (`qcor_sim::FORK_MIN_BYTES_PER_THREAD`). Together with
-    /// `.param("par-threshold", 1usize)` this is the pre-scheduler behavior
-    /// (a fork/join per sweep), kept for A/B comparison.
-    pub fn sequential_shots(mut self) -> Self {
-        self.params.insert("granularity", "sequential");
         self
     }
 
@@ -387,13 +379,13 @@ mod tests {
 
     #[test]
     fn bad_backend_params_error_through_initialize() {
-        // Fallible factory construction: qpp's unknown-granularity and
-        // mistyped-threshold rejections surface as Err through initialize(),
-        // exactly like the routing params — no panic inside the factory.
+        // Fallible factory construction: qpp's mistyped-param rejections
+        // surface as Err through initialize(), exactly like the routing
+        // params — no panic inside the factory.
         std::thread::spawn(|| {
-            let err = initialize(InitOptions::default().threads(1).param("granularity", "Sequential"));
+            let err = initialize(InitOptions::default().threads(1).param("chunk-shots", "x"));
             assert!(
-                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("granularity")),
+                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("chunk-shots")),
                 "{err:?}"
             );
             let err = initialize(InitOptions::default().threads(1).param("par-threshold", "perhaps"));

@@ -54,21 +54,21 @@ pub use qcor_xacc::{registry, XaccError};
 // the way the paper tunes OMP_NUM_THREADS.
 pub use qcor_pool::{available_parallelism, num_threads_from_env, PoolBuilder, Schedule, ThreadPool};
 
-// The simulator's batched shot scheduler: shot loops are partitioned into
-// chunks sized by an adaptive granularity heuristic and executed as work
-// items on a shared pool, with per-chunk derived RNG streams (fixed
-// `(seed, tasks, chunk_shots)` ⇒ byte-identical merged counts). Exposed
-// for programs that drive the simulator directly or tune chunking.
+// The simulator's batched shot scheduler: one execution core,
+// `ShotPlan::execute`, partitions a shot loop into chunks sized by cost
+// (or `RunConfig::chunk_shots`) and runs them on a shared pool, with
+// per-chunk derived RNG streams (fixed `(seed, tasks, chunk_shots)` ⇒
+// byte-identical merged counts). Exposed for programs that drive the
+// simulator directly or tune chunking.
 pub use qcor_sim as sim;
-pub use qcor_sim::{
-    run_shots, run_shots_planned, run_shots_task_parallel, Counts, Granularity, RunConfig, ShotPlan,
-};
+pub use qcor_sim::{run_shots, Counts, RunConfig, ShotPlan};
 
 // Cooperative cancellation: task code polls `cancel_requested()` at its
-// own safe points; the chunked shot scheduler checks between chunk jobs
-// (`run_shots_cancellable` / `ShotRun`), so a cancelled sweep stops at the
-// next chunk boundary with the completed prefix's exact counts.
-pub use qcor_sim::{cancel_requested, run_shots_cancellable, CancelToken, ShotRun};
+// own safe points; the shot scheduler checks between chunk jobs
+// (`ShotPlan::execute` with a `CancelToken`, reporting a `ShotRun`), so a
+// cancelled sweep stops at the next chunk boundary with the completed
+// prefix's exact counts.
+pub use qcor_sim::{cancel_requested, CancelToken, ShotRun};
 
 // Compile-then-execute: a `CompiledCircuit` lowers a circuit once into
 // fused kernel ops (precomputed matrices, merged phase sweeps, two-qubit
@@ -81,13 +81,13 @@ pub use qcor_sim::{CompiledCircuit, KernelOp};
 // the exact density path replays them as superoperator sweeps
 // (`DensityMatrix` implements `ApplyState`, the primitive-kernel surface
 // compiled replay dispatches to) while `run_noisy_shots` samples
-// trajectories on the same batched ShotPlan chunking as the pure-state
+// trajectories through the same `ShotPlan::execute` as the pure-state
 // executor, so seeded noisy counts are byte-identical on any pool size.
 // The `qpp-noisy` backend always samples trajectories; the `qpp-density`
 // backend runs the exact evolution of the same noise params.
 pub use qcor_sim::{
-    apply_readout_error, compile_noisy, run_noisy_shots, run_noisy_shots_planned, ApplyState, DensityMatrix,
-    NoiseModel, NoisyCompiled, NoisyOp,
+    apply_readout_error, compile_noisy, run_noisy_shots, ApplyState, DensityMatrix, NoiseModel,
+    NoisyCompiled, NoisyOp,
 };
 
 // Grouped Pauli measurement: `pauli::grouping::group_qubit_wise`

@@ -11,7 +11,9 @@
 //! with [`CompiledTemplate::rebind`], so results never depend on cache
 //! state.
 //!
-//! Every executor in the crate compiles through [`compile_cached`].
+//! Every executor in the crate compiles through [`compile_cached`], except
+//! the one-gate segments of an active noise model (see
+//! [`crate::noise::compile_noisy`]).
 //! `QCOR_COMPILE_CACHE_CAPACITY` sets the maximum number of cached
 //! templates (default 64, clamped to ≥ 1); least-recently-used entries
 //! evict beyond it.

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long-running sweeps.
 //!
 //! A [`CancelToken`] is a shared flag an executor checks at safe points —
-//! the shot scheduler ([`crate::executor::run_shots_planned`]) checks it at
+//! the shot scheduler ([`crate::ShotPlan::execute`]) checks it at
 //! **chunk boundaries**, so a cancelled sweep stops before starting its
 //! next chunk job and returns the counts of the chunks that already
 //! finished. Because every chunk samples from its own derived RNG stream

@@ -74,6 +74,7 @@
 //! (`cross_crate_props`) assert never happens for seeded runs, with the
 //! interpreter ([`crate::run_once_interpreted`]) as their oracle.
 
+use crate::apply::ApplyState;
 use crate::complex::Complex64;
 use crate::executor::ShotRecord;
 use crate::gates::{
@@ -466,27 +467,11 @@ impl CompiledCircuit {
             } else {
                 for op in ops {
                     match op {
-                        KernelOp::Dense { target, ctrl_mask, m } => {
-                            state.apply_single(*target, *m, *ctrl_mask)
-                        }
-                        KernelOp::Dense2 { t0, t1, ctrl_mask, m } => {
-                            state.apply_pair(*t0, *t1, m, *ctrl_mask)
-                        }
-                        KernelOp::Flip { target, ctrl_mask, m01, m10 } => {
-                            state.apply_antidiag(*target, *m01, *m10, *ctrl_mask)
-                        }
-                        KernelOp::Diag { target, ctrl_mask, d0, d1 } => {
-                            state.apply_diag(*target, *d0, *d1, *ctrl_mask)
-                        }
-                        KernelOp::Phase { set_mask, clear_mask, phase } => {
-                            state.mul_where(*set_mask, *clear_mask, *phase)
-                        }
-                        KernelOp::Scale { factor } => state.scale_all(*factor),
-                        KernelOp::Swap { a, b, ctrl_mask } => state.apply_swap(*a, *b, *ctrl_mask),
                         KernelOp::Measure { qubit, loc } => {
                             record.outcomes.push((*qubit, state.measure(*loc, rng)))
                         }
                         KernelOp::Reset { qubit: _, loc } => state.reset(*loc, rng),
+                        unitary => state.apply_kernel_op(unitary),
                     }
                 }
             }

@@ -12,7 +12,7 @@
 use crate::apply::ApplyState;
 use crate::complex::Complex64;
 use crate::gates::apply_instruction;
-use crate::noise::{compile_noisy, NoisyCompiled, NoisyOp};
+use crate::noise::{compile_noisy, NoisyOp};
 use crate::state::StateVector;
 use qcor_circuit::{Circuit, GateKind, Instruction};
 use qcor_pool::ThreadPool;
@@ -311,9 +311,8 @@ impl DensityMatrix {
     /// qubits (all qubits when the circuit has no measurements), keyed
     /// like the executor's bitstrings.
     ///
-    /// The circuit is lowered once via [`compile_noisy`] (through the
-    /// structural compile cache) and replayed as compiled
-    /// kernels on the superoperator view. Mid-circuit measurements branch
+    /// The circuit is lowered once via [`compile_noisy`] and replayed as
+    /// compiled kernels on the superoperator view. Mid-circuit measurements branch
     /// the density matrix per outcome (project + renormalize, outcomes
     /// re-merged by probability weight; a re-measured qubit's last outcome
     /// wins, matching the sampling executor), resets apply the exact reset
@@ -325,14 +324,6 @@ impl DensityMatrix {
         noise: &NoiseModel,
     ) -> Result<BTreeMap<String, f64>, String> {
         let plan = compile_noisy(circuit, noise);
-        Self::run_noisy_compiled(&plan, pool)
-    }
-
-    /// [`DensityMatrix::run_noisy_circuit`] for an already-lowered plan.
-    pub fn run_noisy_compiled(
-        plan: &NoisyCompiled,
-        pool: Arc<ThreadPool>,
-    ) -> Result<BTreeMap<String, f64>, String> {
         let n = plan.num_qubits();
         if n > 12 {
             return Err(format!("density matrix of {n} qubits will not fit in memory"));

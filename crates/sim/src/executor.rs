@@ -8,53 +8,41 @@
 //!
 //! # The batched shot scheduler
 //!
-//! Repeated sampling is scheduled through a [`ShotPlan`]: the `shots`
-//! repetitions are partitioned into contiguous **chunks**, and each chunk
-//! becomes one work item on the run's shared [`ThreadPool`]
-//! (via [`ThreadPool::submit_batch`]). This replaces the original design —
-//! per-shot pool dispatch inside every amplitude loop, and one OS thread
-//! plus a *private* pool per shot task — whose fork/join overhead dominated
-//! small kernels (a Bell kernel at 512 shots ran ~100× slower on a 2-thread
-//! pool than on 1 thread).
+//! Every repeated-sampling run goes through one core, [`ShotPlan::execute`].
+//! A [`ShotPlan`] partitions the `shots` repetitions into contiguous
+//! **chunks**: of [`RunConfig::chunk_shots`] shots when that is set, else
+//! sized by cost — the estimated cost of one shot (`instruction count ×
+//! 2^qubits` amplitude updates) is compared against a fixed per-dispatch
+//! budget and shots are grouped until a chunk amortizes its dispatch, while
+//! a state large enough for its sweeps to fork stays one chunk.
+//! [`ShotPlan::for_tasks`] caps the chunk at `ceil(shots / tasks)`.
 //!
-//! **Chunk sizing** ([`Granularity::Auto`]) is adaptive: the estimated cost
-//! of one shot (`instruction count × 2^qubits` amplitude updates) is
-//! compared against a fixed per-dispatch cost budget, and shots are grouped
-//! until a chunk is expensive enough to amortize its dispatch. Small
-//! kernels therefore run in a handful of chunks (or one, inline on the
-//! calling thread, paying **zero** dispatch cost); large state vectors fall
-//! back to a single work item whose amplitude loops are work-shared over
-//! the pool (the paper's inner simulator-level parallelism), because at
-//! that size per-gate work-sharing beats shot-level chunking.
+//! **Dispatch rule.** A plan of one chunk runs on the caller's thread, on a
+//! state that holds the run's pool at [`RunConfig::par_threshold`]: the
+//! kernels' fork rule ([`crate::FORK_MIN_BYTES_PER_THREAD`]) decides per
+//! sweep whether it is work-shared (the paper's inner simulator level). A
+//! plan of more than one chunk becomes one [`ThreadPool::submit_batch`] job
+//! per chunk, each on a private sequential state (the shot level).
 //!
-//! **RNG stream derivation**: every chunk seeds its own `StdRng` with
-//! [`derive_stream_seed`]`(base_seed, chunk_index)`. Chunk 0 reuses the
-//! base seed unchanged, so a single-chunk run is byte-identical to the
-//! pre-scheduler sequential executor.
+//! **Determinism contract.** Chunk `i` seeds its own `StdRng` with
+//! [`derive_stream_seed`]`(seed, i)` — chunk 0 reuses the seed unchanged —
+//! and chunk counts merge by addition. Measurement reductions fold a fixed
+//! partition in a fixed order whether or not they fork
+//! ([`qcor_pool::ThreadPool::parallel_reduce_ordered`]). So for a fixed
+//! `(seed, tasks, chunk_shots)` the merged [`Counts`] are byte-identical
+//! across runs, pool sizes and fork floors. Another partition changes which
+//! stream each shot draws from: the counts differ in detail, the sampled
+//! distribution does not. A cancelled run ([`CancelToken`]) stops at a
+//! chunk boundary, and its counts are exactly those of the chunks that
+//! completed.
 //!
-//! **Determinism contract**: for a fixed `(seed, tasks, chunk_shots)` the
-//! chunk partition and every chunk's RNG stream are fully determined, and
-//! counts merge by commutative addition — so on chunked plans the merged
-//! [`Counts`] are byte-identical across runs and across pool sizes,
-//! regardless of which worker executes which chunk (chunk states simulate
-//! on a private sequential pool, so no floating-point reduction order is
-//! in play). Changing the partition (different `chunk_shots`, `tasks`, or
-//! heuristic inputs) changes which stream each shot draws from, so counts
-//! differ in detail while the sampled distribution is identical.
-//!
-//! The single-work-item *inner-parallel* path (large states, or
-//! [`Granularity::Sequential`] with one task) historically fell outside
-//! the byte-identical guarantee because its work-shared measurement
-//! reductions folded partial probability sums in scheduling order. Since
-//! the reductions moved onto the **ordered** reduce
-//! ([`qcor_pool::ThreadPool::parallel_reduce_ordered`]) — a fixed chunk
-//! partition folded in a fixed order, independent of the pool size — the
-//! inner-parallel path's sums are bit-identical on any team, and the
-//! byte-identical contract extends to it as well.
+//! The pre-scheduler executor (every shot on the caller, a fork/join per
+//! sweep) stays reachable for A/B runs as `chunk_shots = shots` with
+//! `par_threshold = 1`.
 //!
 //! # Compile-then-execute
 //!
-//! Each call compiles the circuit **once per plan** into a
+//! Each run compiles the circuit **once per plan** into a
 //! [`CompiledCircuit`] (gate fusion, precomputed matrices and control
 //! masks — see [`crate::compile`]) through the structural compile cache
 //! ([`crate::cache`]) and replays the fused op list per shot; per-shot
@@ -69,7 +57,9 @@
 use crate::cache::compile_cached;
 use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
+use crate::density::NoiseModel;
 use crate::gates::apply_instruction;
+use crate::noise::{compile_noisy, run_trajectory_once, NoisyCompiled};
 use crate::state::{StateVector, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
 use qcor_circuit::{Circuit, GateKind};
 use qcor_pool::ThreadPool;
@@ -152,28 +142,6 @@ pub fn run_once_interpreted(state: &mut StateVector, circuit: &Circuit, rng: &mu
     record
 }
 
-/// Chunk-sizing policy of the batched shot scheduler (see the
-/// [module docs](self) for the full description).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Granularity {
-    /// Adaptive: group shots until one chunk's estimated simulation cost
-    /// (`instructions × 2^qubits` amplitude updates per shot) amortizes a
-    /// pool dispatch; large states use a single inner-parallel work item.
-    #[default]
-    Auto,
-    /// Opt out of adaptive chunking. In a single-task run all shots run
-    /// sequentially on the calling thread and the pool is offered to the
-    /// amplitude loops, which use it under the kernels' fork rule — with
-    /// [`RunConfig::par_threshold`]` = 1` this is the pre-scheduler
-    /// behavior (a fork/join per sweep), kept for A/B benchmarking. When
-    /// task-level parallelism is requested explicitly
-    /// ([`run_shots_task_parallel`] / [`ShotPlan::for_tasks`] with
-    /// `tasks > 1`), the task split still applies: the run becomes exactly
-    /// one chunk per task (the legacy task-parallel shape), each with its
-    /// own derived RNG stream.
-    Sequential,
-}
-
 /// Configuration for repeated sampling.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -181,29 +149,21 @@ pub struct RunConfig {
     pub shots: usize,
     /// RNG seed (`None` = entropy from the OS).
     pub seed: Option<u64>,
-    /// Fork floor of the run's states: minimum bytes of a sweep per team
-    /// thread before the sweep is work-shared over the pool (default
+    /// Fork floor of a one-chunk run's state: minimum bytes of a sweep per
+    /// team thread before the sweep is work-shared over the pool (default
     /// [`FORK_MIN_BYTES_PER_THREAD`]; `1` = Quantum++'s unconditional
     /// forking — see [`StateVector::set_par_threshold`]). Not part of the
     /// determinism tuple: counts do not depend on it.
     pub par_threshold: usize,
-    /// Explicit shots-per-chunk override (`None` = derive the chunk size
-    /// from `granularity`). Part of the determinism tuple: fixed
+    /// Explicit shots-per-chunk override (`None` = size chunks by cost, see
+    /// the [module docs](self)). Part of the determinism tuple: fixed
     /// `(seed, tasks, chunk_shots)` reproduces merged counts exactly.
     pub chunk_shots: Option<usize>,
-    /// Chunk-sizing policy used when `chunk_shots` is `None`.
-    pub granularity: Granularity,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig {
-            shots: 1024,
-            seed: None,
-            par_threshold: FORK_MIN_BYTES_PER_THREAD,
-            chunk_shots: None,
-            granularity: Granularity::Auto,
-        }
+        RunConfig { shots: 1024, seed: None, par_threshold: FORK_MIN_BYTES_PER_THREAD, chunk_shots: None }
     }
 }
 
@@ -228,8 +188,7 @@ fn shot_cost(circuit: &Circuit) -> u64 {
     (circuit.len().max(1) as u64).saturating_mul(1u64 << circuit.num_qubits())
 }
 
-/// A partition of `shots` repetitions into contiguous chunks, plus the
-/// decision whether amplitude loops work-share over the run's pool.
+/// A partition of `shots` repetitions into contiguous chunks.
 ///
 /// The plan is a pure function of `(circuit, config, tasks)` — never of the
 /// pool size — which is what makes seeded counts invariant under the pool
@@ -238,7 +197,6 @@ fn shot_cost(circuit: &Circuit) -> u64 {
 pub struct ShotPlan {
     shots: usize,
     chunk_shots: usize,
-    inner_parallel: bool,
 }
 
 impl ShotPlan {
@@ -256,46 +214,15 @@ impl ShotPlan {
         let shots = config.shots;
         let tasks = tasks.max(1).min(shots.max(1));
         let per_task = shots.div_ceil(tasks).max(1);
-        let amps = 1usize << circuit.num_qubits();
-        let requested = match (config.chunk_shots, config.granularity) {
-            (Some(k), _) => k.max(1),
-            (None, Granularity::Sequential) => shots.max(1),
-            (None, Granularity::Auto) => {
-                if amps >= INNER_PAR_MIN_AMPS {
-                    // One work item per task: from this size a full-width
-                    // sweep passes the kernels' fork rule, so amplitude
-                    // loops carry the parallelism when the whole run stays
-                    // on the caller.
-                    shots.max(1)
-                } else {
-                    (TARGET_CHUNK_AMP_OPS / shot_cost(circuit)).max(1) as usize
-                }
-            }
+        let requested = match config.chunk_shots {
+            Some(k) => k.max(1),
+            // From this size a full-width sweep passes the kernels' fork
+            // rule, so a run left as one chunk on the caller lets the
+            // amplitude loops carry the parallelism.
+            None if 1usize << circuit.num_qubits() >= INNER_PAR_MIN_AMPS => shots.max(1),
+            None => (TARGET_CHUNK_AMP_OPS / shot_cost(circuit)).max(1) as usize,
         };
-        let chunk_shots = requested.min(per_task).max(1);
-        // Work-sharing amplitude loops only pays off when the whole run is
-        // one work item on the calling thread; chunk jobs executing on pool
-        // workers run their loops inline anyway (nested parallelism).
-        let inner_parallel = config.chunk_shots.is_none()
-            && chunk_shots >= shots.max(1)
-            && (config.granularity == Granularity::Sequential || amps >= INNER_PAR_MIN_AMPS);
-        ShotPlan { shots, chunk_shots, inner_parallel }
-    }
-
-    /// A plan with an explicit chunk size and no inner parallelism —
-    /// the partition used by the property tests.
-    pub fn with_chunk_shots(shots: usize, chunk_shots: usize) -> ShotPlan {
-        ShotPlan { shots, chunk_shots: chunk_shots.max(1), inner_parallel: false }
-    }
-
-    /// Total shots covered by the plan.
-    pub fn shots(&self) -> usize {
-        self.shots
-    }
-
-    /// Shots per chunk (the final chunk may be shorter).
-    pub fn chunk_shots(&self) -> usize {
-        self.chunk_shots
+        ShotPlan { shots, chunk_shots: requested.min(per_task).max(1) }
     }
 
     /// Number of chunks in the partition. Zero shots → zero chunks: an
@@ -304,100 +231,106 @@ impl ShotPlan {
         self.shots.div_ceil(self.chunk_shots)
     }
 
-    /// Whether the plan runs as one work item with amplitude loops
-    /// work-shared over the pool (the paper's inner simulator level).
-    pub fn inner_parallel(&self) -> bool {
-        self.inner_parallel
-    }
-
     /// The contiguous shot ranges of the partition, in order. Together the
     /// ranges cover `0..shots` exactly once and none is empty.
     pub fn chunks(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         let (shots, chunk) = (self.shots, self.chunk_shots);
         (0..shots).step_by(chunk).map(move |lo| lo..(lo + chunk).min(shots))
     }
+
+    /// Execute the plan: `config.shots` repetitions of `circuit` on `pool`,
+    /// dispatched by the rule in the [module docs](self), with the merged
+    /// counts of every chunk that ran.
+    ///
+    /// `noise` = `Some((model, readout))` samples noisy trajectories
+    /// instead: channels are lowered once ([`compile_noisy`]) and every shot
+    /// draws its Kraus branches, measurement outcomes and readout flips
+    /// (per-bit flip probability `readout`) from its chunk's stream.
+    /// `token` is checked before each chunk starts; a cancelled run skips
+    /// every chunk that has not started yet.
+    ///
+    /// Re-running the full circuit per shot (rather than sampling a final
+    /// distribution) keeps the workload faithful to the paper's evaluation,
+    /// where per-kernel simulation work × shots is what the simulator
+    /// threads parallelize, and is required anyway once circuits contain
+    /// mid-circuit measurement or reset.
+    pub fn execute(
+        &self,
+        circuit: &Circuit,
+        pool: Arc<ThreadPool>,
+        config: &RunConfig,
+        noise: Option<(&NoiseModel, f64)>,
+        token: Option<&CancelToken>,
+    ) -> ShotRun {
+        let total_chunks = self.num_chunks();
+        let mut counts = Counts::new();
+        if total_chunks == 0 {
+            return ShotRun { counts, completed_chunks: 0, total_chunks, cancelled: false };
+        }
+        crate::stats::record_shot_plan();
+        let base_seed = config.seed.unwrap_or_else(|| StdRng::from_entropy().gen());
+        // Compile once per plan; every chunk replays the same op list.
+        let exec = match noise {
+            Some((model, readout)) => ShotExec::Trajectory { plan: compile_noisy(circuit, model), readout },
+            None => ShotExec::Compiled(compile_cached(circuit)),
+        };
+        let run_chunk = |index: usize, shots: usize, mut state: StateVector| {
+            if token.is_some_and(CancelToken::is_cancelled) {
+                return None;
+            }
+            let mut rng = StdRng::seed_from_u64(derive_stream_seed(base_seed, index));
+            let mut counts = Counts::new();
+            for shot in 0..shots {
+                if shot > 0 {
+                    state.reset_to_zero();
+                }
+                *counts.entry(exec.run_once(&mut state, &mut rng).bitstring()).or_insert(0) += 1;
+            }
+            Some(counts)
+        };
+        let partials = if total_chunks == 1 {
+            let mut state = StateVector::with_pool(circuit.num_qubits(), pool);
+            state.set_par_threshold(config.par_threshold);
+            vec![run_chunk(0, self.shots, state)]
+        } else {
+            let run_chunk = &run_chunk;
+            let jobs: Vec<_> = self
+                .chunks()
+                .enumerate()
+                .map(|(index, span)| {
+                    move || run_chunk(index, span.len(), StateVector::new(circuit.num_qubits()))
+                })
+                .collect();
+            pool.submit_batch(jobs)
+        };
+        let mut completed_chunks = 0;
+        for partial in partials.into_iter().flatten() {
+            completed_chunks += 1;
+            for (bits, count) in partial {
+                *counts.entry(bits).or_insert(0) += count;
+            }
+        }
+        ShotRun { counts, completed_chunks, total_chunks, cancelled: completed_chunks < total_chunks }
+    }
 }
 
 /// The executor a shot plan replays per shot: the circuit compiled once
-/// into fused kernel ops, or the noisy trajectory sampler (noise channels
-/// lowered once via [`crate::noise::compile_noisy`], Kraus branches drawn
-/// per shot).
+/// into fused kernel ops, or the noisy trajectory sampler.
 enum ShotExec {
     Compiled(CompiledCircuit),
-    Trajectory { plan: crate::noise::NoisyCompiled, readout: f64 },
+    Trajectory { plan: NoisyCompiled, readout: f64 },
 }
 
 impl ShotExec {
     fn run_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
         match self {
             ShotExec::Compiled(compiled) => compiled.run_once(state, rng),
-            ShotExec::Trajectory { plan, readout } => {
-                crate::noise::run_trajectory_once(plan, *readout, state, rng)
-            }
+            ShotExec::Trajectory { plan, readout } => run_trajectory_once(plan, *readout, state, rng),
         }
     }
 }
 
-/// Run `shots` repetitions of `exec` against `state`, drawing from `rng`,
-/// accumulating bitstring counts into `counts`.
-fn sample_into(
-    state: &mut StateVector,
-    exec: &ShotExec,
-    rng: &mut StdRng,
-    shots: usize,
-    counts: &mut Counts,
-) {
-    for shot in 0..shots {
-        if shot > 0 {
-            state.reset_to_zero();
-        }
-        let record = exec.run_once(state, rng);
-        *counts.entry(record.bitstring()).or_insert(0) += 1;
-    }
-}
-
-/// Execute `circuit` for `config.shots` repetitions through the batched
-/// shot scheduler (see the [module docs](self)) and accumulate the counts
-/// of the measured bitstrings.
-///
-/// The [`ShotPlan`] partitions the shots into chunks, each chunk runs as
-/// one work item on `pool` with its own derived RNG stream and a private
-/// sequential state vector, and the per-chunk counts are merged. Plans
-/// that resolve to a single chunk (small kernels) run inline on the
-/// calling thread with zero dispatch cost; large states run as a single
-/// work item whose amplitude loops are work-shared over `pool`.
-///
-/// Re-running the full circuit per shot (rather than sampling a final
-/// distribution) keeps the workload faithful to the paper's evaluation,
-/// where per-kernel simulation work × shots is what the simulator threads
-/// parallelize, and is required anyway once circuits contain mid-circuit
-/// measurement or reset.
-pub fn run_shots(circuit: &Circuit, pool: Arc<ThreadPool>, config: &RunConfig) -> Counts {
-    let plan = ShotPlan::for_circuit(circuit, config);
-    run_shots_planned(circuit, pool, config, &plan)
-}
-
-/// Execute an explicit [`ShotPlan`] (the scheduler core behind
-/// [`run_shots`] and [`run_shots_task_parallel`]).
-///
-/// Honors the calling thread's cooperative [`CancelToken`]
-/// ([`crate::cancel::thread_cancel_token`], installed by execution layers
-/// such as the `qcor-core` execution service around task bodies): chunk
-/// jobs check the token at their start, so a cancelled sweep stops at the
-/// next chunk boundary and returns only the completed chunks' merged
-/// counts. Use [`run_shots_cancellable`] to pass a token explicitly and
-/// observe how far the sweep got.
-pub fn run_shots_planned(
-    circuit: &Circuit,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
-) -> Counts {
-    let token = crate::cancel::thread_cancel_token();
-    run_shots_core(circuit, pool, config, plan, token.as_ref(), None).counts
-}
-
-/// The outcome of a cancellable sweep: the merged counts of every chunk
+/// The outcome of a [`ShotPlan::execute`]: the merged counts of every chunk
 /// that ran, plus how far the plan got. Chunks sample independent derived
 /// RNG streams ([`derive_stream_seed`]), so `counts` is bit-identical to
 /// the first `completed_chunks` chunks of an uncancelled run with the same
@@ -415,148 +348,30 @@ pub struct ShotRun {
     pub cancelled: bool,
 }
 
-/// [`run_shots_planned`] with an explicit [`CancelToken`]: the sweep stops
-/// at the first chunk boundary after `token.cancel()` and reports the
-/// completed prefix.
-pub fn run_shots_cancellable(
-    circuit: &Circuit,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
-    token: &CancelToken,
-) -> ShotRun {
-    run_shots_core(circuit, pool, config, plan, Some(token), None)
+/// Sample `circuit` for `config.shots` repetitions on `pool` and return the
+/// counts of the measured bitstrings: [`ShotPlan::for_circuit`]'s plan,
+/// [`ShotPlan::execute`]d under the calling thread's cooperative
+/// [`CancelToken`] ([`crate::cancel::thread_cancel_token`], installed by
+/// execution layers such as the `qcor-core` execution service around task
+/// bodies).
+pub fn run_shots(circuit: &Circuit, pool: Arc<ThreadPool>, config: &RunConfig) -> Counts {
+    let token = crate::cancel::thread_cancel_token();
+    ShotPlan::for_circuit(circuit, config).execute(circuit, pool, config, None, token.as_ref()).counts
 }
 
-/// Execute `circuit` under `noise` as trajectory sampling on the batched
-/// shot scheduler: channels are lowered once ([`crate::noise::compile_noisy`],
-/// through the compile cache) and every shot replays the
-/// compiled plan, drawing its Kraus branches, measurement outcomes, and
-/// readout flips (per-bit flip probability `readout`) from its chunk's
-/// derived RNG stream. Inherits the scheduler's determinism contract: for
-/// a fixed `(seed, tasks, chunk_shots)` the merged counts are
-/// byte-identical on any pool size.
+/// [`run_shots`] under `noise`, with per-bit readout flip probability
+/// `readout`: trajectory sampling on the same scheduler, under the same
+/// determinism contract.
 pub fn run_noisy_shots(
     circuit: &Circuit,
-    noise: &crate::density::NoiseModel,
+    noise: &NoiseModel,
     readout: f64,
     pool: Arc<ThreadPool>,
     config: &RunConfig,
-) -> Counts {
-    let plan = ShotPlan::for_circuit(circuit, config);
-    run_noisy_shots_planned(circuit, noise, readout, pool, config, &plan)
-}
-
-/// [`run_noisy_shots`] with an explicit [`ShotPlan`]. Honors the calling
-/// thread's cooperative [`CancelToken`] like [`run_shots_planned`].
-pub fn run_noisy_shots_planned(
-    circuit: &Circuit,
-    noise: &crate::density::NoiseModel,
-    readout: f64,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
 ) -> Counts {
     let token = crate::cancel::thread_cancel_token();
-    run_shots_core(circuit, pool, config, plan, token.as_ref(), Some((noise, readout))).counts
-}
-
-fn run_shots_core(
-    circuit: &Circuit,
-    pool: Arc<ThreadPool>,
-    config: &RunConfig,
-    plan: &ShotPlan,
-    token: Option<&CancelToken>,
-    noisy: Option<(&crate::density::NoiseModel, f64)>,
-) -> ShotRun {
-    let mut merged = Counts::new();
-    if plan.shots() == 0 {
-        return ShotRun { counts: merged, completed_chunks: 0, total_chunks: 0, cancelled: false };
-    }
-    crate::stats::record_shot_plan();
-    let base_seed = match config.seed {
-        Some(s) => s,
-        None => StdRng::from_entropy().gen(),
-    };
-    // Compile once per plan; every chunk replays the same fused op list.
-    let exec = match noisy {
-        Some((noise, readout)) => {
-            ShotExec::Trajectory { plan: crate::noise::compile_noisy(circuit, noise), readout }
-        }
-        None => ShotExec::Compiled(compile_cached(circuit)),
-    };
-    if plan.inner_parallel() {
-        // Single work item: the only checkpoint is before it starts.
-        if token.is_some_and(CancelToken::is_cancelled) {
-            return ShotRun { counts: merged, completed_chunks: 0, total_chunks: 1, cancelled: true };
-        }
-        let mut state = StateVector::with_pool(circuit.num_qubits(), pool);
-        state.set_par_threshold(config.par_threshold);
-        let mut rng = StdRng::seed_from_u64(base_seed);
-        sample_into(&mut state, &exec, &mut rng, plan.shots(), &mut merged);
-        return ShotRun { counts: merged, completed_chunks: 1, total_chunks: 1, cancelled: false };
-    }
-    let exec = &exec;
-    let jobs: Vec<_> = plan
-        .chunks()
-        .enumerate()
-        .map(|(index, span)| {
-            let seed = derive_stream_seed(base_seed, index);
-            let token = token.cloned();
-            move || {
-                // Cooperative cancellation checkpoint: a cancelled sweep
-                // skips every chunk that has not started yet.
-                if token.is_some_and(|t| t.is_cancelled()) {
-                    return None;
-                }
-                let mut state = StateVector::new(circuit.num_qubits());
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut counts = Counts::new();
-                sample_into(&mut state, exec, &mut rng, span.len(), &mut counts);
-                Some(counts)
-            }
-        })
-        .collect();
-    let total_chunks = jobs.len();
-    let mut completed_chunks = 0usize;
-    for partial in pool.submit_batch(jobs).into_iter().flatten() {
-        completed_chunks += 1;
-        for (bits, count) in partial {
-            *merged.entry(bits).or_insert(0) += count;
-        }
-    }
-    ShotRun { counts: merged, completed_chunks, total_chunks, cancelled: completed_chunks < total_chunks }
-}
-
-/// Shot-level parallelism (paper §II): expose at least `tasks`-way
-/// parallelism over `config.shots` repetitions on **one shared pool** of
-/// `tasks × threads_per_task` threads, and merge the counts.
-///
-/// Unlike the original design (one OS thread plus a private pool per
-/// task), tasks are chunks of a [`ShotPlan`] executed as work items on the
-/// shared pool — over-subscribed requests (`tasks > shots`) are clamped so
-/// no empty task ever allocates a state vector, and each chunk derives its
-/// RNG stream from `config.seed` and its chunk index, so merged counts are
-/// byte-identical across runs for a fixed `(seed, tasks, chunk_shots)`.
-/// For a fixed seed the merged counts differ from the single-task sequence
-/// (shots are partitioned differently), while the underlying distribution
-/// is identical.
-///
-/// `threads_per_task` sizes the shared pool; extra threads let more chunks
-/// run concurrently (a chunk's own amplitude loops run inline on its
-/// worker).
-pub fn run_shots_task_parallel(
-    circuit: &Circuit,
-    tasks: usize,
-    threads_per_task: usize,
-    config: &RunConfig,
-) -> Counts {
-    assert!(tasks >= 1);
-    let effective_tasks = tasks.min(config.shots).max(1);
-    let team = effective_tasks.saturating_mul(threads_per_task.max(1));
-    let pool = Arc::new(ThreadPool::new(team));
-    let plan = ShotPlan::for_tasks(circuit, config, tasks);
-    run_shots_planned(circuit, pool, config, &plan)
+    let plan = ShotPlan::for_circuit(circuit, config);
+    plan.execute(circuit, pool, config, Some((noise, readout)), token.as_ref()).counts
 }
 
 /// Exact output distribution of a measurement-free prefix: strips terminal
@@ -592,6 +407,12 @@ mod tests {
 
     fn seq_pool() -> Arc<ThreadPool> {
         Arc::new(ThreadPool::new(1))
+    }
+
+    /// `tasks`-way shot-level parallelism on a pool of `threads`.
+    fn task_parallel(circuit: &Circuit, tasks: usize, threads: usize, config: &RunConfig) -> Counts {
+        let pool = Arc::new(ThreadPool::new(threads));
+        ShotPlan::for_tasks(circuit, config, tasks).execute(circuit, pool, config, None, None).counts
     }
 
     #[test]
@@ -677,7 +498,7 @@ mod tests {
         let circuit = library::bell_kernel();
         let config = RunConfig { shots: 1000, seed: Some(5), ..Default::default() };
         for tasks in [1, 2, 3, 7] {
-            let counts = run_shots_task_parallel(&circuit, tasks, 1, &config);
+            let counts = task_parallel(&circuit, tasks, tasks, &config);
             assert_eq!(counts.values().sum::<usize>(), 1000, "tasks={tasks}");
             assert!(counts.keys().all(|k| k == "00" || k == "11"), "tasks={tasks}: {counts:?}");
             let p00 = counts.get("00").copied().unwrap_or(0) as f64 / 1000.0;
@@ -689,7 +510,7 @@ mod tests {
     fn shot_parallel_uneven_split() {
         let circuit = library::bell_kernel();
         let config = RunConfig { shots: 10, seed: Some(6), ..Default::default() };
-        let counts = run_shots_task_parallel(&circuit, 3, 1, &config);
+        let counts = task_parallel(&circuit, 3, 3, &config);
         assert_eq!(counts.values().sum::<usize>(), 10);
     }
 
@@ -703,48 +524,23 @@ mod tests {
     fn auto_plan_runs_small_kernel_in_one_inline_chunk() {
         // Bell at 512 shots costs ~16 amplitude updates per shot — far below
         // the dispatch budget, so the plan must collapse to a single chunk
-        // with no amplitude-loop work-sharing (the 100×-overhead fix).
+        // on the caller (the 100×-overhead fix).
         let circuit = library::bell_kernel();
         let config = RunConfig { shots: 512, seed: Some(1), ..Default::default() };
         let plan = ShotPlan::for_circuit(&circuit, &config);
         assert_eq!(plan.num_chunks(), 1);
-        assert!(!plan.inner_parallel());
     }
 
     #[test]
-    fn auto_plan_uses_inner_parallelism_for_large_states() {
+    fn auto_plan_keeps_large_states_in_one_chunk() {
         let mut circuit = Circuit::new(15);
         for q in 0..15 {
             circuit.h(q);
         }
         let config = RunConfig { shots: 16, seed: Some(1), ..Default::default() };
-        let plan = ShotPlan::for_circuit(&circuit, &config);
-        assert!(plan.inner_parallel());
-        assert_eq!(plan.num_chunks(), 1);
-        // Asking for task-level parallelism overrides the single work item.
-        let plan2 = ShotPlan::for_tasks(&circuit, &config, 4);
-        assert!(!plan2.inner_parallel());
-        assert_eq!(plan2.num_chunks(), 4);
-    }
-
-    #[test]
-    fn sequential_granularity_preserves_legacy_path() {
-        let circuit = library::bell_kernel();
-        let config = RunConfig {
-            shots: 64,
-            seed: Some(9),
-            granularity: Granularity::Sequential,
-            ..Default::default()
-        };
-        let plan = ShotPlan::for_circuit(&circuit, &config);
-        assert!(plan.inner_parallel());
-        assert_eq!(plan.num_chunks(), 1);
-        // Single-chunk runs reuse the base seed, so the scheduler output is
-        // byte-identical to the legacy sequential executor.
-        let auto =
-            run_shots(&circuit, seq_pool(), &RunConfig { granularity: Granularity::Auto, ..config.clone() });
-        let seq = run_shots(&circuit, seq_pool(), &config);
-        assert_eq!(auto, seq);
+        assert_eq!(ShotPlan::for_circuit(&circuit, &config).num_chunks(), 1);
+        // Asking for task-level parallelism splits the single chunk.
+        assert_eq!(ShotPlan::for_tasks(&circuit, &config, 4).num_chunks(), 4);
     }
 
     #[test]
@@ -752,7 +548,6 @@ mod tests {
         let circuit = library::bell_kernel();
         let config = RunConfig { shots: 100, seed: Some(3), chunk_shots: Some(7), ..Default::default() };
         let plan = ShotPlan::for_circuit(&circuit, &config);
-        assert_eq!(plan.chunk_shots(), 7);
         assert_eq!(plan.num_chunks(), 15);
         let spans: Vec<_> = plan.chunks().collect();
         assert_eq!(spans.first().unwrap().clone(), 0..7);
@@ -770,7 +565,7 @@ mod tests {
         let plan = ShotPlan::for_tasks(&circuit, &config, 64);
         assert!(plan.num_chunks() <= 3, "at most one chunk per shot, got {}", plan.num_chunks());
         assert!(plan.chunks().all(|s| !s.is_empty()));
-        let counts = run_shots_task_parallel(&circuit, 64, 1, &config);
+        let counts = task_parallel(&circuit, 64, 2, &config);
         assert_eq!(counts.values().sum::<usize>(), 3);
     }
 
@@ -781,7 +576,7 @@ mod tests {
         let plan = ShotPlan::for_tasks(&circuit, &config, 8);
         assert_eq!(plan.num_chunks(), 0);
         assert_eq!(plan.chunks().count(), 0);
-        assert!(run_shots_task_parallel(&circuit, 8, 1, &config).is_empty());
+        assert!(task_parallel(&circuit, 8, 2, &config).is_empty());
     }
 
     #[test]
@@ -789,9 +584,9 @@ mod tests {
         let circuit = library::bell_kernel();
         for (shots, tasks, chunk) in [(1000, 3, Some(16)), (10, 3, None), (5, 7, Some(2))] {
             let config = RunConfig { shots, seed: Some(11), chunk_shots: chunk, ..Default::default() };
-            let a = run_shots_task_parallel(&circuit, tasks, 1, &config);
-            let b = run_shots_task_parallel(&circuit, tasks, 2, &config);
-            let c = run_shots_task_parallel(&circuit, tasks, 1, &config);
+            let a = task_parallel(&circuit, tasks, 1, &config);
+            let b = task_parallel(&circuit, tasks, 2, &config);
+            let c = task_parallel(&circuit, tasks, 1, &config);
             assert_eq!(a, b, "thread count must not change the schedule's counts");
             assert_eq!(a, c, "re-running a fixed (seed, tasks, chunk_shots) must be identical");
         }
@@ -832,11 +627,16 @@ mod tests {
     #[test]
     fn precancelled_token_skips_every_chunk() {
         let circuit = library::bell_kernel();
-        let config = RunConfig { shots: 64, seed: Some(5), ..Default::default() };
-        let plan = ShotPlan::with_chunk_shots(64, 8);
+        let config = RunConfig { shots: 64, seed: Some(5), chunk_shots: Some(8), ..Default::default() };
         let token = CancelToken::new();
         token.cancel();
-        let run = run_shots_cancellable(&circuit, seq_pool(), &config, &plan, &token);
+        let run = ShotPlan::for_circuit(&circuit, &config).execute(
+            &circuit,
+            seq_pool(),
+            &config,
+            None,
+            Some(&token),
+        );
         assert_eq!((run.completed_chunks, run.total_chunks), (0, 8));
         assert!(run.cancelled);
         assert!(run.counts.is_empty());
@@ -852,15 +652,15 @@ mod tests {
         // corrupts.
         let circuit = library::ghz_kernel(10);
         let base = 11u64;
-        let config = RunConfig { shots: 256, seed: Some(base), ..Default::default() };
-        let plan = ShotPlan::with_chunk_shots(256, 8);
+        let config = RunConfig { shots: 256, seed: Some(base), chunk_shots: Some(8), ..Default::default() };
+        let plan = ShotPlan::for_circuit(&circuit, &config);
         let token = CancelToken::new();
         let remote = token.clone();
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(2));
             remote.cancel();
         });
-        let run = run_shots_cancellable(&circuit, seq_pool(), &config, &plan, &token);
+        let run = plan.execute(&circuit, seq_pool(), &config, None, Some(&token));
         canceller.join().unwrap();
         assert_eq!(run.total_chunks, 32);
         assert_eq!(run.cancelled, run.completed_chunks < run.total_chunks);
@@ -869,10 +669,10 @@ mod tests {
             let chunk_cfg = RunConfig {
                 shots: span.len(),
                 seed: Some(derive_stream_seed(base, index)),
+                chunk_shots: Some(span.len()),
                 ..Default::default()
             };
-            let chunk_plan = ShotPlan::with_chunk_shots(span.len(), span.len());
-            for (bits, n) in run_shots_planned(&circuit, seq_pool(), &chunk_cfg, &chunk_plan) {
+            for (bits, n) in run_shots(&circuit, seq_pool(), &chunk_cfg) {
                 *expected.entry(bits).or_insert(0) += n;
             }
         }
@@ -881,17 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn run_shots_planned_honors_the_thread_token() {
+    fn run_shots_honors_the_thread_token() {
         // The implicit path: a token installed on the calling thread (as
         // the execution service does around task bodies) is picked up by
-        // `run_shots_planned` without any signature change.
+        // `run_shots` without any signature change.
         let circuit = library::bell_kernel();
-        let config = RunConfig { shots: 64, seed: Some(9), ..Default::default() };
-        let plan = ShotPlan::with_chunk_shots(64, 8);
+        let config = RunConfig { shots: 64, seed: Some(9), chunk_shots: Some(8), ..Default::default() };
         let token = CancelToken::new();
         token.cancel();
         let previous = crate::cancel::set_thread_cancel_token(Some(token));
-        let counts = run_shots_planned(&circuit, seq_pool(), &config, &plan);
+        let counts = run_shots(&circuit, seq_pool(), &config);
         crate::cancel::set_thread_cancel_token(previous);
         assert!(counts.is_empty(), "a cancelled thread token must stop the sweep at chunk 0");
     }

@@ -21,15 +21,15 @@
 //!   sweep only re-binds parameters,
 //! * [`cache`] — the process-wide compile cache keyed by structural
 //!   circuit hash (capacity `QCOR_COMPILE_CACHE_CAPACITY`),
-//! * [`executor`] — the batched shot scheduler ([`ShotPlan`]), counts,
-//!   and exact distributions,
+//! * [`executor`] — the batched shot scheduler: one execution core,
+//!   [`ShotPlan::execute`], behind [`run_shots`] and [`run_noisy_shots`];
+//!   counts and exact distributions,
 //! * [`apply`] — the [`ApplyState`] trait: the primitive-kernel surface
 //!   compiled replay dispatches to, implemented by pure states directly
 //!   and by [`DensityMatrix`] as superoperator (ket + conjugated bra)
 //!   sweeps,
 //! * [`noise`] — noise-channel lowering ([`compile_noisy`]) shared by the
-//!   exact density replay and the trajectory sampler, plus the batched
-//!   noisy shot entry [`run_noisy_shots`],
+//!   exact density replay and the trajectory sampler,
 //! * [`stats`] — per-thread kernel iteration and forked-sweep counters
 //!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
 //!   rule's tests) and the process-global compile-cache hit/miss counters.
@@ -53,9 +53,8 @@ pub use compile::{CompiledCircuit, CompiledTemplate, KernelOp};
 pub use complex::{c64, Complex64};
 pub use density::{DensityMatrix, NoiseModel};
 pub use executor::{
-    derive_stream_seed, exact_distribution, run_noisy_shots, run_noisy_shots_planned, run_once,
-    run_once_interpreted, run_shots, run_shots_cancellable, run_shots_planned, run_shots_task_parallel,
-    Counts, Granularity, RunConfig, ShotPlan, ShotRecord, ShotRun,
+    derive_stream_seed, exact_distribution, run_noisy_shots, run_once, run_once_interpreted, run_shots,
+    Counts, RunConfig, ShotPlan, ShotRecord, ShotRun,
 };
 pub use noise::{apply_readout_error, compile_noisy, NoisyCompiled, NoisyOp};
 pub use state::{StateVector, FORK_MIN_BYTES_PER_THREAD};

@@ -17,8 +17,8 @@
 //!
 //! * **Density replay** ([`crate::DensityMatrix::run_noisy_circuit`]):
 //!   channel ops become exact Kraus sums, measurements project.
-//! * **Trajectory replay** ([`run_trajectory_once`], driven per shot by
-//!   [`crate::executor::run_noisy_shots`]): channel ops draw their Kraus
+//! * **Trajectory replay** (`run_trajectory_once`, driven per shot by
+//!   [`crate::ShotPlan::execute`]): channel ops draw their Kraus
 //!   branch from the chunk's RNG stream. The draw protocol is fixed —
 //!   depolarizing: one `f64` draw, plus one `gen_range(0..3)` draw iff it
 //!   fires; dephasing: one draw; amplitude damping: one draw (the jump
@@ -37,7 +37,7 @@
 //! the unfused replay.
 
 use crate::cache::compile_cached;
-use crate::compile::{CompiledCircuit, KernelOp};
+use crate::compile::{CompiledCircuit, CompiledTemplate, KernelOp};
 use crate::complex::Complex64;
 use crate::density::NoiseModel;
 use crate::executor::ShotRecord;
@@ -113,11 +113,15 @@ impl NoisyCompiled {
 
 /// Lower `circuit` + `noise` into a [`NoisyCompiled`] op stream.
 ///
-/// Unitary runs compile through the structural compile cache
-/// ([`crate::cache::compile_cached`]), so an angle sweep over a noisy
-/// ansatz re-binds templates instead of re-lowering. A noiseless model
-/// fuses across the whole unitary prefix; an active model flushes after
-/// every gate (its channels are fusion barriers by construction).
+/// A noiseless model fuses across the whole unitary prefix and compiles
+/// it through the structural compile cache
+/// ([`crate::cache::compile_cached`]), so an angle sweep re-binds
+/// templates instead of re-lowering. An active model flushes after every
+/// gate (its channels are fusion barriers by construction) and lowers each
+/// one-gate segment directly, by the cache's own miss path: a circuit has
+/// more distinct one-gate structures than the cache holds, so looking them
+/// up would only evict them in turn. The whole circuit's fused plan still
+/// goes through the cache.
 pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> NoisyCompiled {
     let n = circuit.num_qubits();
     let active = !noise.is_noiseless();
@@ -127,7 +131,12 @@ pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> NoisyCompiled {
         if pending.is_empty() {
             return;
         }
-        ops.extend(compile_cached(pending).ops().iter().cloned().map(NoisyOp::Unitary));
+        let lowered = if active {
+            CompiledTemplate::compile(pending).rebind(&pending.flat_params())
+        } else {
+            compile_cached(pending)
+        };
+        ops.extend(lowered.ops().iter().cloned().map(NoisyOp::Unitary));
         *pending = Circuit::new(n);
     };
     for inst in circuit.instructions() {
@@ -180,7 +189,7 @@ pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> NoisyCompiled {
 /// every Kraus branch, measurement and readout flip from `rng` in the
 /// fixed protocol documented in the [module docs](self). Returns the
 /// shot's measurement record (readout flips already applied).
-pub fn run_trajectory_once(
+pub(crate) fn run_trajectory_once(
     plan: &NoisyCompiled,
     readout: f64,
     state: &mut StateVector,

@@ -213,8 +213,7 @@ pub const FORK_MIN_BYTES_PER_THREAD: usize = 1 << 18;
 /// default floor: an uncontrolled sweep on the smallest team that can fork
 /// (two threads). 2^15 amplitudes = 512 KiB. [`crate::ShotPlan`] stops
 /// shot-chunking exactly here — below it no kernel would use the pool that
-/// a single inner-parallel work item holds, so shots must carry the
-/// parallelism. (The plan is pool-size-independent by contract, so it is
+/// a one-chunk run's state holds, so shots must carry the parallelism. (The plan is pool-size-independent by contract, so it is
 /// stated for two threads; a wider team needs a proportionally larger
 /// state before its full-width sweeps fork.)
 pub(crate) const INNER_PAR_MIN_AMPS: usize = 2 * FORK_MIN_BYTES_PER_THREAD / AMP_BYTES;

@@ -9,7 +9,7 @@ use qcor_circuit::arith::ShorLayout;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::forked_sweeps;
-use qcor_sim::{run_shots, CompiledCircuit, Granularity, RunConfig, StateVector, FORK_MIN_BYTES_PER_THREAD};
+use qcor_sim::{run_shots, CompiledCircuit, RunConfig, StateVector, FORK_MIN_BYTES_PER_THREAD};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -116,10 +116,9 @@ fn forking_starts_at_the_floor_and_moves_no_bit() {
 fn seeded_counts_do_not_depend_on_the_floor() {
     for n in [FLOOR_QUBITS - 1, FLOOR_QUBITS, FLOOR_QUBITS + 1] {
         let circuit = layered(n);
-        // Sequential granularity keeps every size on the single work item
-        // whose sweeps are offered the pool.
-        let config =
-            RunConfig { shots: 3, seed: Some(5), granularity: Granularity::Sequential, ..Default::default() };
+        // One chunk of every shot keeps every size on the caller's thread,
+        // whose state holds the pool.
+        let config = RunConfig { shots: 3, seed: Some(5), chunk_shots: Some(3), ..Default::default() };
         let reference = run_shots(&circuit, ThreadPool::sequential(), &config);
         assert_eq!(reference.values().sum::<usize>(), 3);
         for par_threshold in [config.par_threshold, 1] {

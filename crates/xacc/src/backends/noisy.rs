@@ -32,7 +32,7 @@ pub struct NoisyQppAccelerator {
     /// Probability a measured bit is reported flipped.
     p_readout: f64,
     /// Explicit shots-per-chunk for the batched shot scheduler
-    /// (`None` = adaptive granularity).
+    /// (`None` = chunks sized by cost).
     chunk_shots: Option<usize>,
 }
 

@@ -11,7 +11,7 @@ use crate::hetmap::HetMap;
 use crate::XaccError;
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots, Granularity, RunConfig, FORK_MIN_BYTES_PER_THREAD};
+use qcor_sim::{run_shots, RunConfig, FORK_MIN_BYTES_PER_THREAD};
 use std::sync::Arc;
 
 /// State-vector simulator backend.
@@ -20,10 +20,8 @@ pub struct QppAccelerator {
     pool: Arc<ThreadPool>,
     par_threshold: usize,
     /// Explicit shots-per-chunk for the batched shot scheduler
-    /// (`None` = adaptive granularity).
+    /// (`None` = chunks sized by cost).
     chunk_shots: Option<usize>,
-    /// Chunk-sizing policy when `chunk_shots` is unset.
-    granularity: Granularity,
 }
 
 impl QppAccelerator {
@@ -34,12 +32,7 @@ impl QppAccelerator {
 
     /// A backend sharing an existing pool.
     pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
-        QppAccelerator {
-            pool,
-            par_threshold: FORK_MIN_BYTES_PER_THREAD,
-            chunk_shots: None,
-            granularity: Granularity::Auto,
-        }
+        QppAccelerator { pool, par_threshold: FORK_MIN_BYTES_PER_THREAD, chunk_shots: None }
     }
 
     /// Construct from registry params: `threads` (default: all cores or
@@ -47,12 +40,12 @@ impl QppAccelerator {
     /// of a sweep per pool thread, default
     /// [`qcor_sim::FORK_MIN_BYTES_PER_THREAD`]; `1` forks every sweep as
     /// Quantum++ does — see
-    /// [`qcor_sim::StateVector::set_par_threshold`]), `chunk-shots`
-    /// (explicit scheduler chunk size) and `granularity`
-    /// (`"auto"` | `"sequential"`).
+    /// [`qcor_sim::StateVector::set_par_threshold`]) and `chunk-shots`
+    /// (explicit scheduler chunk size; `chunk-shots` = shots with
+    /// `par-threshold` = 1 is the pre-scheduler fork-per-sweep path).
     ///
-    /// Bad parameter values — an unknown token or a value of the wrong type
-    /// or sign — are rejected with [`XaccError::InvalidParam`], surfaced as
+    /// Bad parameter values — a value of the wrong type or sign — are
+    /// rejected with [`XaccError::InvalidParam`], surfaced as
     /// an `Err` through `get_accelerator`/`initialize` like the routing
     /// params.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
@@ -62,17 +55,6 @@ impl QppAccelerator {
             acc.par_threshold = t.max(1);
         }
         acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
-        if let Some(g) = params.try_str("granularity")? {
-            acc.granularity = match g {
-                "sequential" => Granularity::Sequential,
-                "auto" => Granularity::Auto,
-                other => {
-                    return Err(XaccError::InvalidParam(format!(
-                        "unknown granularity {other:?}: expected \"auto\" or \"sequential\""
-                    )))
-                }
-            };
-        }
         Ok(acc)
     }
 
@@ -105,7 +87,6 @@ impl Accelerator for QppAccelerator {
             seed: opts.seed,
             par_threshold: self.par_threshold,
             chunk_shots: self.chunk_shots,
-            granularity: self.granularity,
         };
         let counts = run_shots(circuit, Arc::clone(&self.pool), &config);
         buffer.merge_counts(&counts);
@@ -133,29 +114,15 @@ mod tests {
 
     #[test]
     fn from_params_parses_scheduler_knobs() {
-        let acc = QppAccelerator::from_params(
-            &HetMap::new()
-                .with("threads", 1usize)
-                .with("chunk-shots", 8usize)
-                .with("granularity", "sequential"),
-        )
-        .unwrap();
+        let acc =
+            QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("chunk-shots", 8usize))
+                .unwrap();
         assert_eq!(acc.chunk_shots, Some(8));
-        assert_eq!(acc.granularity, Granularity::Sequential);
         assert_eq!(acc.par_threshold, FORK_MIN_BYTES_PER_THREAD, "unset = the kernels' fork floor");
         let forking =
             QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("par-threshold", 1usize))
                 .unwrap();
         assert_eq!(forking.par_threshold, 1);
-    }
-
-    #[test]
-    fn from_params_rejects_unknown_granularity_as_err() {
-        let err = QppAccelerator::from_params(
-            &HetMap::new().with("threads", 1usize).with("granularity", "Sequential"),
-        )
-        .unwrap_err();
-        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("granularity")), "{err}");
     }
 
     #[test]

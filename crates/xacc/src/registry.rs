@@ -283,25 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn factory_param_rejection_surfaces_as_err() {
-        // Fallible construction: qpp's unknown-granularity rejection must
-        // come back as an Err from the lookup, not a panic in the factory.
-        let params = HetMap::new().with("threads", 1usize).with("granularity", "bogus");
-        match get_accelerator("qpp", &params) {
-            Err(XaccError::InvalidParam(msg)) => assert!(msg.contains("granularity"), "{msg}"),
-            Err(other) => panic!("expected InvalidParam, got {other:?}"),
-            Ok(_) => panic!("expected InvalidParam, got an instance"),
-        }
-    }
-
-    #[test]
     fn simulator_backends_reject_mistyped_params() {
         // A value of the wrong type or sign must be an Err naming the key,
         // never a silent fall-back to the default.
         let cases: [(&str, &str, crate::HetValue); 9] = [
             ("qpp", "threads", "3".into()),
             ("qpp", "threads", (-2i64).into()),
-            ("qpp", "granularity", true.into()),
+            ("qpp", "par-threshold", true.into()),
             ("qpp", "chunk-shots", 2.5.into()),
             ("qpp-noisy", "depolarizing", "0.2".into()),
             ("qpp-noisy", "chunk-shots", (-1i64).into()),

@@ -3,8 +3,8 @@
 //!
 //! * **task level** — three SHOR(N=15, aₚ) tasks run as `qcor::async_task`s
 //!   (queued on the global execution service, not thread-per-task),
-//! * **shot level**  — each task splits its shots across 2 sub-tasks
-//!   (`run_shots_task_parallel`),
+//! * **shot level**  — a shot loop split into chunks on one shared pool
+//!   (`ShotPlan::for_tasks(..).execute(..)`),
 //! * **inner simulator level** — every state vector work-shares its
 //!   amplitude loops over its own `qcor-pool`.
 //!
@@ -15,7 +15,7 @@
 use qcor_algos::shor::{estimate_order, factors_from_order};
 use qcor_circuit::arith::bit_width;
 use qcor_pool::ThreadPool;
-use qcor_sim::{run_shots_task_parallel, RunConfig};
+use qcor_sim::{RunConfig, ShotPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -32,8 +32,8 @@ fn main() {
         .iter()
         .map(|&a| {
             qcor::async_task(move || {
-                // Shot level: each attempt's shots split over 2 sub-tasks,
-                // inner level: each sub-task's state vector gets its own pool.
+                // Inner level: each phase sample's state vector gets its
+                // own pool.
                 let mut rng = StdRng::seed_from_u64(a);
                 let t_bits = 2 * bit_width(n) as u32;
                 let samples: Vec<u64> = (0..shots_per_task)
@@ -76,7 +76,9 @@ fn main() {
     let config = RunConfig { shots: 1024, seed: Some(1), ..RunConfig::default() };
     for tasks in [1usize, 2] {
         let t = Instant::now();
-        let counts = run_shots_task_parallel(&bell, tasks, 1, &config);
+        let pool = Arc::new(ThreadPool::new(tasks));
+        let counts =
+            ShotPlan::for_tasks(&bell, &config, tasks).execute(&bell, pool, &config, None, None).counts;
         println!(
             "bell 1024 shots across {tasks} task(s): p(00) = {:.3} in {:?}",
             counts.get("00").copied().unwrap_or(0) as f64 / 1024.0,

@@ -1,14 +1,16 @@
 //! Cross-crate property tests: kernels written as XASM text, compiled,
 //! executed through the accelerator stack, must behave identically to the
 //! same circuits driven directly through the simulator — at any pool size
-//! and with either cloneable backend instance.
+//! and with either cloneable backend instance. Plus the conformance matrix
+//! of the one shot-execution core, `ShotPlan::execute`.
 
 use proptest::prelude::*;
 use qcor_circuit::{library, xasm, Circuit};
 use qcor_pool::ThreadPool;
+use qcor_sim::stats::forked_sweeps;
 use qcor_sim::{
-    derive_stream_seed, run_once_interpreted, run_shots, run_shots_task_parallel, CompiledCircuit, Counts,
-    Granularity, RunConfig, ShotPlan, StateVector,
+    derive_stream_seed, run_once_interpreted, run_shots, CancelToken, CompiledCircuit, Counts, NoiseModel,
+    RunConfig, ShotPlan, StateVector, FORK_MIN_BYTES_PER_THREAD,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
@@ -122,13 +124,21 @@ fn counts_via_accelerator(circuit: &Circuit, threads: usize, seed: u64) -> qcor_
     buf.measurements().clone()
 }
 
-/// Seeded counts of the interpreter over the scheduler's own partition:
-/// the same `ShotPlan::chunks()` and `derive_stream_seed` streams that
-/// `run_shots` replays compiled, so the two must merge identical counts.
-fn interpreted_counts(circuit: &Circuit, config: &RunConfig) -> Counts {
+/// `tasks`-way shot-level parallelism on one pool of
+/// `tasks × threads_per_task` threads (`tasks` clamped to the shots).
+fn task_parallel(circuit: &Circuit, tasks: usize, threads_per_task: usize, config: &RunConfig) -> Counts {
+    let pool = Arc::new(ThreadPool::new(tasks.min(config.shots).max(1) * threads_per_task));
+    ShotPlan::for_tasks(circuit, config, tasks).execute(circuit, pool, config, None, None).counts
+}
+
+/// Seeded counts of the interpreter over the scheduler's own partition
+/// for `tasks`: the same `ShotPlan::chunks()` and `derive_stream_seed`
+/// streams that `ShotPlan::execute` replays compiled, so the two must
+/// merge identical counts.
+fn interpreted_counts(circuit: &Circuit, config: &RunConfig, tasks: usize) -> Counts {
     let base = config.seed.expect("the oracle needs a seeded config");
     let mut counts = Counts::new();
-    for (index, span) in ShotPlan::for_circuit(circuit, config).chunks().enumerate() {
+    for (index, span) in ShotPlan::for_tasks(circuit, config, tasks).chunks().enumerate() {
         let mut state = StateVector::new(circuit.num_qubits());
         let mut rng = StdRng::seed_from_u64(derive_stream_seed(base, index));
         for shot in 0..span.len() {
@@ -163,10 +173,10 @@ proptest! {
         let seq = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &config);
         let par = run_shots(&circuit, Arc::new(ThreadPool::new(3)), &config);
         prop_assert_eq!(seq, par, "thread count must never affect results");
-        // The inner-parallel path with every sweep forked (`par_threshold`
+        // One chunk on the caller with every sweep forked (`par_threshold`
         // 1 — the default floor runs a 3-qubit state inline, which would
         // compare the sequential path with itself).
-        let forking = RunConfig { granularity: Granularity::Sequential, par_threshold: 1, ..config };
+        let forking = RunConfig { chunk_shots: Some(config.shots), par_threshold: 1, ..config };
         let inline = run_shots(&circuit, Arc::new(ThreadPool::new(1)), &forking);
         let forked = run_shots(&circuit, Arc::new(ThreadPool::new(3)), &forking);
         prop_assert_eq!(inline, forked, "forked sweeps must never affect results");
@@ -207,7 +217,7 @@ proptest! {
         // chunk 0 encodes "no explicit override" (adaptive granularity).
         let chunk_shots = (chunk > 0).then_some(chunk);
         let config = RunConfig { shots, seed: Some(seed), chunk_shots, ..RunConfig::default() };
-        let merged = run_shots_task_parallel(&circuit, tasks, 1, &config);
+        let merged = task_parallel(&circuit, tasks, 1, &config);
         prop_assert_eq!(merged.values().sum::<usize>(), shots);
         let direct = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
         prop_assert_eq!(direct.values().sum::<usize>(), shots);
@@ -222,8 +232,8 @@ proptest! {
         tasks in 1usize..9,
         chunk in 1usize..700,
     ) {
-        let explicit = ShotPlan::with_chunk_shots(shots, chunk);
         let config = RunConfig { shots, chunk_shots: Some(chunk), ..RunConfig::default() };
+        let explicit = ShotPlan::for_circuit(&library::bell_kernel(), &config);
         let planned = ShotPlan::for_tasks(&library::bell_kernel(), &config, tasks);
         for plan in [explicit, planned] {
             let mut next = 0usize;
@@ -251,8 +261,8 @@ proptest! {
         let circuit = library::ghz_kernel(3);
         let chunk_shots = (chunk > 0).then_some(chunk);
         let config = RunConfig { shots, seed: Some(seed), chunk_shots, ..RunConfig::default() };
-        let a = run_shots_task_parallel(&circuit, tasks, 1, &config);
-        let b = run_shots_task_parallel(&circuit, tasks, 2, &config);
+        let a = task_parallel(&circuit, tasks, 1, &config);
+        let b = task_parallel(&circuit, tasks, 2, &config);
         prop_assert_eq!(a, b);
     }
 
@@ -299,7 +309,7 @@ proptest! {
         let chunk_shots = (chunk > 0).then_some(chunk);
         let config = RunConfig { shots: 48, seed: Some(seed), chunk_shots, ..RunConfig::default() };
         let fused = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
-        prop_assert_eq!(fused, interpreted_counts(&circuit, &config), "fusion must not change seeded counts");
+        prop_assert_eq!(fused, interpreted_counts(&circuit, &config, 1), "fusion must not change seeded counts");
     }
 
     // ---- two-qubit block fusion + swap relabeling -----------------------
@@ -339,7 +349,7 @@ proptest! {
         let chunk_shots = (chunk > 0).then_some(chunk);
         let config = RunConfig { shots: 32, seed: Some(seed), chunk_shots, ..RunConfig::default() };
         let fused = run_shots(&circuit, Arc::new(ThreadPool::new(2)), &config);
-        prop_assert_eq!(fused, interpreted_counts(&circuit, &config), "fusion must not change seeded counts");
+        prop_assert_eq!(fused, interpreted_counts(&circuit, &config, 1), "fusion must not change seeded counts");
     }
 
     /// Relabeled measurement reports logical qubits: a shot record from
@@ -370,4 +380,86 @@ proptest! {
             .run_once(&mut fused, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(rec_i.bitstring(), rec_f.bitstring());
     }
+}
+
+// ---- execution-core conformance matrix ----------------------------------
+
+/// Every option combination of `ShotPlan::execute` a workload or backend
+/// can reach — noise (none, depolarizing with readout error, amplitude
+/// damping) × partition (one chunk, `chunk_shots = 7`, `for_tasks(3)`) ×
+/// fork floor (default, 1) × pool (1 and 2 threads) × cancel token (none,
+/// already cancelled) — on a circuit with every instruction class the
+/// compiler lowers, a mid-circuit measurement and a reset. Each run is
+/// byte-identical on both pools, completes every chunk and shot (or none
+/// under the cancelled token), forks only when the plan is one chunk on a
+/// forking pool, and, noiseless, merges exactly the interpreter's counts.
+#[test]
+fn execute_conforms_on_every_reachable_combination() {
+    const SHOTS: usize = 40;
+    let mut circuit = Circuit::new(4);
+    circuit.h(0).ry(1, 0.7).cx(0, 2).t(2).swap(1, 3).measure(1).rz(3, -0.4);
+    circuit.ccx(0, 1, 3).reset(2).h(2).cphase(2, 3, 1.1).measure_all();
+    let noises = [
+        ("ideal", None),
+        ("depolarizing+readout", Some((NoiseModel { depolarizing: 0.05, ..NoiseModel::default() }, 0.02))),
+        ("amplitude-damping", Some((NoiseModel { amplitude_damping: 0.1, ..NoiseModel::default() }, 0.0))),
+    ];
+    // (name, chunk_shots, tasks, chunks the plan must resolve to)
+    let partitions = [("one-chunk", None, 1, 1), ("chunk7", Some(7), 1, 6), ("tasks3", None, 3, 3)];
+    let mut combinations = 0;
+    for (noise_name, noise) in &noises {
+        let noise = noise.as_ref().map(|(model, readout)| (model, *readout));
+        for (partition, chunk_shots, tasks, chunks) in partitions {
+            for par_threshold in [FORK_MIN_BYTES_PER_THREAD, 1] {
+                let config = RunConfig { shots: SHOTS, seed: Some(2024), par_threshold, chunk_shots };
+                let plan = ShotPlan::for_tasks(&circuit, &config, tasks);
+                assert_eq!(plan.num_chunks(), chunks, "{partition}");
+                for cancelled in [false, true] {
+                    let label =
+                        format!("{noise_name}/{partition}/floor{par_threshold}/cancelled={cancelled}");
+                    let token = CancelToken::new();
+                    if cancelled {
+                        token.cancel();
+                    }
+                    let runs: Vec<_> = [1, 2]
+                        .into_iter()
+                        .map(|threads| {
+                            let before = forked_sweeps();
+                            let pool = Arc::new(ThreadPool::new(threads));
+                            let run =
+                                plan.execute(&circuit, pool, &config, noise, cancelled.then_some(&token));
+                            let may_fork = chunks == 1 && threads == 2 && par_threshold == 1 && !cancelled;
+                            assert_eq!(
+                                forked_sweeps() > before,
+                                may_fork,
+                                "{label}/pool{threads}: dispatch rule"
+                            );
+                            combinations += 1;
+                            run
+                        })
+                        .collect();
+                    let run = &runs[0];
+                    assert_eq!(run, &runs[1], "{label}: pool size changed the run");
+                    assert_eq!((run.total_chunks, run.cancelled), (chunks, cancelled), "{label}");
+                    if cancelled {
+                        assert_eq!(run.completed_chunks, 0, "{label}");
+                        assert!(run.counts.is_empty(), "{label}");
+                        continue;
+                    }
+                    assert_eq!(run.completed_chunks, chunks, "{label}");
+                    assert_eq!(run.counts.values().sum::<usize>(), SHOTS, "{label}");
+                    assert!(run.counts.keys().all(|bits| bits.len() == 4), "{label}: {:?}", run.counts);
+                    if noise.is_none() {
+                        assert_eq!(
+                            run.counts,
+                            interpreted_counts(&circuit, &config, tasks),
+                            "{label}: oracle"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    println!("execute conformance: {combinations} combinations");
+    assert_eq!(combinations, 3 * 3 * 2 * 2 * 2);
 }

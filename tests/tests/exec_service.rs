@@ -791,8 +791,8 @@ fn eager_eviction_spares_dispatched_tasks_and_evicts_queued_ones() {
 /// chunks on their derived RNG streams.
 #[test]
 fn cancelling_a_dispatched_sweep_keeps_the_completed_prefix_deterministic() {
-    use qcor::sim::{derive_stream_seed, run_shots_cancellable, run_shots_planned, ShotPlan};
-    use qcor::{PoolBuilder, RunConfig};
+    use qcor::sim::derive_stream_seed;
+    use qcor::{run_shots, PoolBuilder, RunConfig, ShotPlan};
 
     const BASE_SEED: u64 = 77;
     const CHUNK: usize = 4;
@@ -806,10 +806,15 @@ fn cancelling_a_dispatched_sweep_keeps_the_completed_prefix_deterministic() {
             // A serial inner pool keeps chunk starts in plan order, so the
             // completed set is always a prefix of the plan.
             let pool = Arc::new(PoolBuilder::new().num_threads(1).build());
-            let config = RunConfig { shots: SHOTS, seed: Some(BASE_SEED), ..RunConfig::default() };
-            let plan = ShotPlan::with_chunk_shots(SHOTS, CHUNK);
+            let config = RunConfig {
+                shots: SHOTS,
+                seed: Some(BASE_SEED),
+                chunk_shots: Some(CHUNK),
+                ..RunConfig::default()
+            };
+            let plan = ShotPlan::for_circuit(&circuit2, &config);
             let token = qcor::sim::thread_cancel_token().expect("service installs the task token");
-            run_shots_cancellable(&circuit2, pool, &config, &plan, &token)
+            plan.execute(&circuit2, pool, &config, None, Some(&token))
         })
         .unwrap();
     while svc.stats().running == 0 {
@@ -827,10 +832,10 @@ fn cancelling_a_dispatched_sweep_keeps_the_completed_prefix_deterministic() {
         let config = RunConfig {
             shots: CHUNK,
             seed: Some(derive_stream_seed(BASE_SEED, index)),
+            chunk_shots: Some(CHUNK),
             ..RunConfig::default()
         };
-        let plan = ShotPlan::with_chunk_shots(CHUNK, CHUNK);
-        for (bits, n) in run_shots_planned(&circuit, Arc::clone(&pool), &config, &plan) {
+        for (bits, n) in run_shots(&circuit, Arc::clone(&pool), &config) {
             *expected.entry(bits).or_insert(0) += n;
         }
     }

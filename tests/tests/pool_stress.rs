@@ -9,7 +9,7 @@
 //! into a repeatable hammer:
 //!
 //! * thousands of team-2 fork/join cycles through the *full* stack the
-//!   hanging test exercised (`run_shots_task_parallel` → `ShotPlan` →
+//!   hanging test exercised (`ShotPlan::for_tasks(..).execute(..)` →
 //!   `submit_batch` → `scope`/`WaitGroup` → `parallel_for`/`CountLatch`),
 //! * plus tight loops on each fork/join primitive in isolation, so a hang
 //!   localizes the layer,
@@ -29,7 +29,7 @@
 
 use qcor_circuit::library;
 use qcor_pool::{CountLatch, ThreadPool, WaitGroup};
-use qcor_sim::{run_shots_task_parallel, RunConfig};
+use qcor_sim::{RunConfig, ShotPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -55,7 +55,9 @@ fn team2_fork_join_shot_sampling_stress() {
     for iter in 0..4000 {
         let config =
             RunConfig { shots: 16, seed: Some(iter as u64), chunk_shots: Some(1), ..RunConfig::default() };
-        let counts = run_shots_task_parallel(&circuit, 2, 1, &config);
+        let pool = Arc::new(ThreadPool::new(2));
+        let counts =
+            ShotPlan::for_tasks(&circuit, &config, 2).execute(&circuit, pool, &config, None, None).counts;
         assert_eq!(counts.values().sum::<usize>(), 16, "iteration {iter}");
     }
 }

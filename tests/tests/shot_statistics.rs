@@ -22,8 +22,15 @@
 
 use qcor_circuit::{library, Circuit};
 use qcor_pool::ThreadPool;
-use qcor_sim::{exact_distribution, run_shots, run_shots_task_parallel, Counts, Granularity, RunConfig};
+use qcor_sim::{exact_distribution, run_shots, Counts, RunConfig, ShotPlan};
 use std::sync::Arc;
+
+/// `tasks`-way shot-level parallelism on one pool of
+/// `tasks × threads_per_task` threads (`tasks` clamped to the shots).
+fn task_parallel(circuit: &Circuit, tasks: usize, threads_per_task: usize, config: &RunConfig) -> Counts {
+    let pool = Arc::new(ThreadPool::new(tasks.min(config.shots).max(1) * threads_per_task));
+    ShotPlan::for_tasks(circuit, config, tasks).execute(circuit, pool, config, None, None).counts
+}
 
 /// Critical values of the chi-squared distribution at α = 0.001.
 /// Index = degrees of freedom (0 unused).
@@ -107,9 +114,9 @@ fn scheduler_counts_fit_exact_distribution_across_configs() {
     for (name, circuit) in &circuits {
         // Every scheduling shape must draw from the same distribution:
         // adaptive single-chunk, pathological per-shot chunks, odd chunk
-        // sizes, and the legacy sequential (inner-parallel) path with every
-        // sweep forked (`par_threshold` 1; the default floor would run
-        // these few-qubit states inline).
+        // sizes, and the legacy sequential path (one chunk of every shot)
+        // with every sweep forked (`par_threshold` 1; the default floor
+        // would run these few-qubit states inline).
         let configs: [(&str, RunConfig, usize); 5] = [
             ("auto/pool1", RunConfig { shots: SHOTS, seed: Some(101), ..RunConfig::default() }, 1),
             ("auto/pool3", RunConfig { shots: SHOTS, seed: Some(202), ..RunConfig::default() }, 3),
@@ -125,13 +132,7 @@ fn scheduler_counts_fit_exact_distribution_across_configs() {
             ),
             (
                 "sequential/pool2",
-                RunConfig {
-                    shots: SHOTS,
-                    seed: Some(505),
-                    granularity: Granularity::Sequential,
-                    par_threshold: 1,
-                    ..RunConfig::default()
-                },
+                RunConfig { shots: SHOTS, seed: Some(505), chunk_shots: Some(SHOTS), par_threshold: 1 },
                 2,
             ),
         ];
@@ -147,7 +148,7 @@ fn task_parallel_counts_fit_exact_distribution() {
     let circuit = library::bell_kernel();
     for (tasks, chunk_shots) in [(3usize, None), (5, Some(13)), (2, Some(256))] {
         let config = RunConfig { shots: SHOTS, seed: Some(606), chunk_shots, ..RunConfig::default() };
-        let counts = run_shots_task_parallel(&circuit, tasks, 1, &config);
+        let counts = task_parallel(&circuit, tasks, 1, &config);
         let label = format!("bell/tasks{tasks}/chunk{chunk_shots:?}");
         assert_well_distributed(&label, &circuit, counts, SHOTS);
     }
@@ -160,7 +161,7 @@ fn merged_streams_fit_distribution_with_biased_outcomes() {
     // would show up as a chi-squared blow-up.
     let circuit = biased_circuit();
     let config = RunConfig { shots: SHOTS, seed: Some(707), chunk_shots: Some(8), ..RunConfig::default() };
-    let counts = run_shots_task_parallel(&circuit, 4, 2, &config);
+    let counts = task_parallel(&circuit, 4, 2, &config);
     assert_well_distributed("biased_ry/tasks4x2/chunk8", &circuit, counts, SHOTS);
 }
 
@@ -183,8 +184,8 @@ fn fixed_tuple_reproduces_byte_identical_counts() {
         (1024, 1, Some(1024)), // single chunk
     ] {
         let config = RunConfig { shots, seed: Some(99), chunk_shots, ..RunConfig::default() };
-        let first = run_shots_task_parallel(&circuit, tasks, 1, &config);
-        let second = run_shots_task_parallel(&circuit, tasks, 1, &config);
+        let first = task_parallel(&circuit, tasks, 1, &config);
+        let second = task_parallel(&circuit, tasks, 1, &config);
         assert_eq!(
             canonical(&first),
             canonical(&second),
@@ -192,7 +193,7 @@ fn fixed_tuple_reproduces_byte_identical_counts() {
         );
         // Pool size is not part of the determinism tuple: more threads per
         // task must not change the merged counts either.
-        let wider = run_shots_task_parallel(&circuit, tasks, 3, &config);
+        let wider = task_parallel(&circuit, tasks, 3, &config);
         assert_eq!(canonical(&first), canonical(&wider));
         assert_eq!(first.values().sum::<usize>(), shots);
     }

@@ -198,9 +198,9 @@ pub fn factorize_parallel(n: u64, config: &ShorConfig, tasks: usize) -> Option<F
         for f in futures {
             // Joining everything keeps this deterministic; a production
             // driver could cancel the stragglers instead. The error-aware
-            // join treats a task shed by queue backpressure as "no factors
-            // from this base" rather than a panic — the remaining attempts
-            // still count.
+            // join treats a task cancelled while queued as "no factors from
+            // this base" rather than a panic — the remaining attempts still
+            // count.
             if let Ok(Some(found)) = f.wait() {
                 result.get_or_insert(found);
             }

@@ -155,11 +155,10 @@ pub fn deuteron_vqe_multistart(starts: &[f64], optimizer_name: &'static str) -> 
 }
 
 /// Multi-start VQE submitted to an explicit [`ExecutionService`]: heavy
-/// sweeps inherit the service's bounded queue and backpressure policy
-/// instead of the global defaults. The driver runs as a task of the
-/// service and joins its per-start siblings in-task (work-conserving
-/// join). A start that the service sheds (`ShedOldest`) surfaces as
-/// [`QcorError::TaskShed`] rather than being lost silently.
+/// sweeps inherit the service's bounded queue and thread budget instead
+/// of the global defaults. The driver runs as a task of the service and
+/// joins its per-start siblings in-task (work-conserving join); a start
+/// cancelled while queued surfaces as [`QcorError::TaskCancelled`].
 pub fn deuteron_vqe_multistart_on(
     service: &Arc<ExecutionService>,
     starts: &[f64],
@@ -185,8 +184,8 @@ pub fn deuteron_vqe_multistart_on(
 fn join_best(futures: Vec<qcor::TaskFuture<Result<VqeResult, QcorError>>>) -> Result<VqeResult, QcorError> {
     let mut best: Option<VqeResult> = None;
     for f in futures {
-        // The error-aware join: queue-level outcomes (shed tasks) surface
-        // as errors instead of panics.
+        // The error-aware join: queue-level outcomes (cancelled tasks)
+        // surface as errors instead of panics.
         let result = f.wait()??;
         let better = match &best {
             Some(b) => result.energy < b.energy,
@@ -232,16 +231,15 @@ mod tests {
 
     #[test]
     fn multistart_on_bounded_service_matches_global_path() {
-        use qcor::{BackpressurePolicy, ExecServiceConfig};
+        use qcor::ExecServiceConfig;
         // A 2-thread service with a tiny blocking queue: all four starts
         // flow through without loss (the in-task driver helps drain its
         // own siblings), and the best energy still lands.
-        let svc = Arc::new(ExecutionService::new(
-            ExecServiceConfig::default().threads(2).capacity(2).policy(BackpressurePolicy::Block),
-        ));
+        let svc = Arc::new(ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(2)));
         let multi = deuteron_vqe_multistart_on(&svc, &[-2.0, 0.0, 1.0, 3.0], "l-bfgs").unwrap();
         assert!((multi.energy - DEUTERON_GROUND_STATE).abs() < 1e-3, "{multi:?}");
-        assert_eq!(svc.stats().shed, 0);
+        svc.drain();
+        assert_eq!(svc.stats().completed, 5);
     }
 
     #[test]

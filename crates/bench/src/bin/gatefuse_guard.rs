@@ -28,7 +28,7 @@
 //!    full-state sweeps that anything slower means the pair-fusion or
 //!    blocking machinery regressed.
 //!
-//! Results land in `BENCH_gatefuse.json` (uploaded as a CI artifact; run
+//! Results land in `target/bench/BENCH_gatefuse.json` (uploaded as a CI artifact; run
 //! under both `QCOR_NUM_THREADS=1` and `4` in the workflow).
 //!
 //! ```text
@@ -327,16 +327,11 @@ fn main() {
         compiled.source_len(),
         compiled.len(),
     );
-    std::fs::write("BENCH_gatefuse.json", &json).expect("failed to write BENCH_gatefuse.json");
+    let recorded = qcor_bench::write_guard_record("BENCH_gatefuse.json", &json);
 
     for (name, time) in &rows {
         println!("{name:<38} {:>10.1} us", time.as_secs_f64() * 1e6);
     }
-    qcor_bench::enforce_guard_ratio("compiled / interpreted", ratio, MAX_RATIO, "BENCH_gatefuse.json");
-    qcor_bench::enforce_guard_ratio(
-        "deep compiled / interpreted",
-        deep_ratio,
-        MAX_DEEP_RATIO,
-        "BENCH_gatefuse.json",
-    );
+    qcor_bench::enforce_guard_ratio("compiled / interpreted", ratio, MAX_RATIO, &recorded);
+    qcor_bench::enforce_guard_ratio("deep compiled / interpreted", deep_ratio, MAX_DEEP_RATIO, &recorded);
 }

@@ -1,21 +1,21 @@
 //! Perf-regression guard for the async kernel queue.
 //!
 //! Three scenarios, each guarded at [`MAX_RATIO`]× its baseline and
-//! recorded to `BENCH_queue.json` (mirroring `shotsched_guard`); the
-//! guard **exits non-zero** on any regression:
+//! recorded to `target/bench/BENCH_queue.json` (mirroring
+//! `shotsched_guard`); the guard **exits non-zero** on any regression:
 //!
-//! 1. **Saturation** — many more submissions than queue capacity under
-//!    Block backpressure: per-task queue overhead. Also sanity-checks the
+//! 1. **Saturation** — many more submissions than queue capacity, so
+//!    submitters block: per-task queue overhead. Also sanity-checks the
 //!    backpressure contract (peak queue occupancy never exceeds capacity;
-//!    nothing is shed or rejected under Block).
+//!    every submission runs).
 //! 2. **Join-heavy** — driver tasks that spawn sibling tasks on the same
 //!    service and `wait()` on them **in-task**: the work-conserving join
 //!    path. Before it existed this shape deadlocked outright; the guard
 //!    keeps its overhead (helping drain vs. plain inline execution)
 //!    within the same budget.
 //! 3. **Adversarial tenant** — 1 flooder pre-loads a deep backlog while 4
-//!    polite tenants run sequential submit→join loops. Deficit-weighted
-//!    fair queuing must keep the polite p99 join latency within
+//!    polite tenants run sequential submit→join loops. Per-tenant round
+//!    robin must keep the polite p99 join latency within
 //!    [`MAX_RATIO`]× the no-flooder baseline (FIFO would multiply it by
 //!    the flooder's whole backlog). The scenario also checks the live
 //!    introspection endpoint: per-tenant gauges must sum to the
@@ -26,9 +26,7 @@
 //! cargo run -p qcor-bench --release --bin queue_guard
 //! ```
 
-use qcor::{
-    BackpressurePolicy, DebugServer, ExecServiceConfig, ExecutionService, InitOptions, Kernel, TaskSpec,
-};
+use qcor::{DebugServer, ExecServiceConfig, ExecutionService, InitOptions, Kernel};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,9 +46,9 @@ const JOIN_SHOTS: usize = 64;
 
 // Adversarial-tenant scenario: POLITE_TENANTS polite sessions doing
 // POLITE_OPS sequential submit→join cycles each, against one flooder that
-// pre-loads FLOOD_TASKS identical tasks. All weights are 1, so DRR owes
-// the flooder exactly a 1-in-5 share: a polite join waits one round of
-// tenants, never the flooder's backlog.
+// pre-loads FLOOD_TASKS identical tasks. Round robin owes the flooder
+// exactly a 1-in-5 share: a polite join waits one round of tenants, never
+// the flooder's backlog.
 const POLITE_TENANTS: usize = 4;
 const POLITE_OPS: usize = 24;
 const POLITE_SHOTS: usize = 64;
@@ -87,12 +85,12 @@ fn run_join_scenario(svc: &Arc<ExecutionService>) -> usize {
                     .map(|s| {
                         inner
                             .submit(move || bell_task_with(JOIN_SHOTS, (d * SIBLINGS + s) as u64))
-                            .expect("Block submission cannot fail")
+                            .expect("the service is running")
                     })
                     .collect();
-                siblings.into_iter().map(|f| f.wait().expect("Block futures are infallible")).sum::<usize>()
+                siblings.into_iter().map(|f| f.get()).sum::<usize>()
             })
-            .expect("Block submission cannot fail")
+            .expect("the service is running")
         })
         .collect();
     drivers.into_iter().map(|f| f.get()).sum()
@@ -100,24 +98,20 @@ fn run_join_scenario(svc: &Arc<ExecutionService>) -> usize {
 
 fn fair_service() -> Arc<ExecutionService> {
     Arc::new(ExecutionService::new(
-        ExecServiceConfig::default()
-            .threads(SERVICE_THREADS)
-            .capacity(FAIR_CAPACITY)
-            .policy(BackpressurePolicy::Block),
+        ExecServiceConfig::default().threads(SERVICE_THREADS).capacity(FAIR_CAPACITY),
     ))
 }
 
 /// One polite tenant's session: `POLITE_OPS` sequential submit→join
-/// cycles, returning each cycle's wall latency.
+/// cycles from this thread under its own tenant, returning each cycle's
+/// wall latency.
 fn polite_session(svc: Arc<ExecutionService>, tenant: usize) -> Vec<Duration> {
-    let name = format!("polite-{tenant}");
+    qcor::set_thread_tenant(Some(&format!("polite-{tenant}")));
     (0..POLITE_OPS)
         .map(|op| {
             let seed = (tenant * POLITE_OPS + op) as u64;
             let start = Instant::now();
-            let f = svc
-                .submit_spec(TaskSpec::new().tenant(&name), move || bell_task_with(POLITE_SHOTS, seed))
-                .expect("Block submission cannot fail");
+            let f = svc.submit(move || bell_task_with(POLITE_SHOTS, seed)).expect("the service is running");
             assert_eq!(f.get(), POLITE_SHOTS);
             start.elapsed()
         })
@@ -128,13 +122,15 @@ fn polite_session(svc: Arc<ExecutionService>, tenant: usize) -> Vec<Duration> {
 /// flooder backlog) and return the per-tenant latency series.
 fn run_fairness_phase(svc: &Arc<ExecutionService>, with_flooder: bool) -> Vec<Vec<Duration>> {
     let flood: Vec<_> = if with_flooder {
-        (0..FLOOD_TASKS)
+        qcor::set_thread_tenant(Some("flooder"));
+        let flood = (0..FLOOD_TASKS)
             .map(|i| {
                 let seed = 50_000 + i as u64;
-                svc.submit_spec(TaskSpec::new().tenant("flooder"), move || bell_task_with(POLITE_SHOTS, seed))
-                    .expect("Block submission cannot fail")
+                svc.submit(move || bell_task_with(POLITE_SHOTS, seed)).expect("the service is running")
             })
-            .collect()
+            .collect();
+        qcor::set_thread_tenant(None);
+        flood
     } else {
         Vec::new()
     };
@@ -161,23 +157,23 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 /// Assert the introspection identity: per-tenant gauges sum to the
 /// `ServiceStats` totals and every tenant satisfies
-/// `submitted == completed + running + queued + shed + cancelled + expired`.
+/// `submitted == completed + running + queued + cancelled`.
 fn assert_introspection_identity(svc: &ExecutionService) {
     let snap = svc.introspect();
     let s = &snap.stats;
     assert_eq!(
         s.submitted,
-        s.completed + s.running + s.queue_len + s.shed + s.cancelled + s.expired,
+        s.completed + s.running + s.queue_len + s.cancelled,
         "ServiceStats identity broken: {s:?}"
     );
     let sum = |f: fn(&qcor::TenantStats) -> usize| snap.tenants.iter().map(f).sum::<usize>();
     assert_eq!(sum(|t| t.submitted), s.submitted, "tenant `submitted` gauges do not sum");
     assert_eq!(sum(|t| t.completed), s.completed, "tenant `completed` gauges do not sum");
-    assert_eq!(sum(|t| t.shed), s.shed, "tenant `shed` gauges do not sum");
+    assert_eq!(sum(|t| t.cancelled), s.cancelled, "tenant `cancelled` gauges do not sum");
     for t in &snap.tenants {
         assert_eq!(
             t.submitted,
-            t.completed + t.running + t.queued() + t.shed + t.cancelled + t.expired,
+            t.completed + t.running + t.queued + t.cancelled,
             "identity broken for tenant {}",
             t.tenant
         );
@@ -214,19 +210,14 @@ fn main() {
     let inline_time = inline_start.elapsed();
 
     // Queued: saturate a small bounded queue (capacity far below the task
-    // count) so Block backpressure is actually exercised.
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default()
-            .threads(SERVICE_THREADS)
-            .capacity(CAPACITY)
-            .policy(BackpressurePolicy::Block),
-    );
+    // count) so backpressure is actually exercised.
+    let svc = ExecutionService::new(ExecServiceConfig::default().threads(SERVICE_THREADS).capacity(CAPACITY));
     let queued_start = Instant::now();
     let mut submit_latencies: Vec<Duration> = Vec::with_capacity(TASKS);
     let futures: Vec<_> = (0..TASKS)
         .map(|i| {
             let t = Instant::now();
-            let f = svc.submit(move || bell_task(i as u64)).expect("Block submission cannot fail");
+            let f = svc.submit(move || bell_task(i as u64)).expect("the service is running");
             submit_latencies.push(t.elapsed());
             f
         })
@@ -238,7 +229,6 @@ fn main() {
     let stats = svc.stats();
     assert_eq!(stats.submitted, TASKS);
     assert_eq!(stats.completed, TASKS);
-    assert_eq!((stats.rejected, stats.shed), (0, 0), "Block policy must not lose work");
     assert!(
         stats.peak_queue_len <= CAPACITY,
         "backpressure violated: peak queue {} > capacity {CAPACITY}",
@@ -264,10 +254,7 @@ fn main() {
     let join_inline_time = join_inline_start.elapsed();
 
     let join_svc = Arc::new(ExecutionService::new(
-        ExecServiceConfig::default()
-            .threads(SERVICE_THREADS)
-            .capacity(CAPACITY)
-            .policy(BackpressurePolicy::Block),
+        ExecServiceConfig::default().threads(SERVICE_THREADS).capacity(CAPACITY),
     ));
     assert!(
         DRIVERS > join_svc.permit_budget(),
@@ -278,7 +265,6 @@ fn main() {
     assert_eq!(join_total, DRIVERS * SIBLINGS * JOIN_SHOTS);
     let join_time = join_start.elapsed();
     let join_stats = join_svc.stats();
-    assert_eq!((join_stats.rejected, join_stats.shed), (0, 0), "Block policy must not lose work");
     assert_eq!(join_stats.completed, DRIVERS * (SIBLINGS + 1), "every driver and sibling must run");
     let join_ratio = join_time.as_secs_f64() / join_inline_time.as_secs_f64();
 
@@ -296,7 +282,6 @@ fn main() {
     assert_debug_endpoint_serves(&flooded_svc);
     let fair_stats = flooded_svc.stats();
     assert_eq!(fair_stats.completed, FLOOD_TASKS + POLITE_TENANTS * POLITE_OPS);
-    assert_eq!((fair_stats.rejected, fair_stats.shed), (0, 0), "Block policy must not lose work");
 
     let mut baseline_all: Vec<Duration> = baseline_latencies.iter().flatten().copied().collect();
     let mut flooded_all: Vec<Duration> = flooded_latencies.iter().flatten().copied().collect();
@@ -328,9 +313,9 @@ fn main() {
     let json = format!(
         "{{\n  \"meta\": {{\n    \"command\": \"cargo run -p qcor-bench --release --bin queue_guard\",\n    \
          \"logical_cpus\": {},\n    \
-         \"workload\": \"{TASKS} bell tasks x {SHOTS} shots, service threads={SERVICE_THREADS}, capacity={CAPACITY}, policy=block\",\n    \
+         \"workload\": \"{TASKS} bell tasks x {SHOTS} shots, service threads={SERVICE_THREADS}, capacity={CAPACITY}\",\n    \
          \"join_workload\": \"{DRIVERS} driver tasks x {SIBLINGS} in-task sibling joins x {JOIN_SHOTS} shots (work-conserving join; deadlocked pre-fix)\",\n    \
-         \"fair_workload\": \"{POLITE_TENANTS} polite tenants x {POLITE_OPS} submit-join ops vs 1 flooder x {FLOOD_TASKS} tasks, all x {POLITE_SHOTS} shots (DRR fair queuing)\",\n    \
+         \"fair_workload\": \"{POLITE_TENANTS} polite tenants x {POLITE_OPS} submit-join ops vs 1 flooder x {FLOOD_TASKS} tasks, all x {POLITE_SHOTS} shots (per-tenant round robin)\",\n    \
          \"guard\": \"fail if queued, join-scenario, or flooded-p99 ratio exceeds {MAX_RATIO} (fairness baseline floored at {} ns)\",\n    \
          \"note\": \"async kernel-queue overhead guard; submit latency includes time blocked by backpressure\"\n  }},\n  \
          \"ratio_queued_over_inline\": {ratio:.3},\n  \
@@ -359,7 +344,7 @@ fn main() {
         flooded_p99.as_secs_f64() * 1e9,
         stats.peak_queue_len,
     );
-    std::fs::write("BENCH_queue.json", &json).expect("failed to write BENCH_queue.json");
+    let recorded = qcor_bench::write_guard_record("BENCH_queue.json", &json);
 
     println!("inline  {TASKS} tasks: {:>10.1} us", inline_time.as_secs_f64() * 1e6);
     println!(
@@ -382,12 +367,7 @@ fn main() {
         baseline_p99.as_secs_f64() * 1e6,
         flooded_p99.as_secs_f64() * 1e6
     );
-    qcor_bench::enforce_guard_ratio("queued / inline", ratio, MAX_RATIO, "BENCH_queue.json");
-    qcor_bench::enforce_guard_ratio("join-scenario / inline", join_ratio, MAX_RATIO, "BENCH_queue.json");
-    qcor_bench::enforce_guard_ratio(
-        "flooded polite p99 / baseline",
-        fair_ratio,
-        MAX_RATIO,
-        "BENCH_queue.json",
-    );
+    qcor_bench::enforce_guard_ratio("queued / inline", ratio, MAX_RATIO, &recorded);
+    qcor_bench::enforce_guard_ratio("join-scenario / inline", join_ratio, MAX_RATIO, &recorded);
+    qcor_bench::enforce_guard_ratio("flooded polite p99 / baseline", fair_ratio, MAX_RATIO, &recorded);
 }

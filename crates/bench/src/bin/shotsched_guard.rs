@@ -2,7 +2,7 @@
 //!
 //! Measures the Bell kernel at 512 shots on 1-thread and 2-thread pools
 //! (plus the shot-parallel ablation), records the numbers to
-//! `BENCH_shotsched.json`, and **exits non-zero** if the `/2` ÷ `/1` ratio
+//! `target/bench/BENCH_shotsched.json`, and **exits non-zero** if the `/2` ÷ `/1` ratio
 //! exceeds [`MAX_RATIO`]. Before the scheduler that ratio was ~100× (the
 //! 2-thread pool paid a fork/join on every 4-amplitude loop); the
 //! scheduler must keep it within 5× on any machine, including a 1-CPU CI
@@ -77,11 +77,11 @@ fn main() {
          \"ratio_shots512_2_over_1\": {ratio:.3},\n  \"benchmarks\": [\n{benchmarks}\n  ]\n}}\n",
         qcor_pool::available_parallelism(),
     );
-    std::fs::write("BENCH_shotsched.json", &json).expect("failed to write BENCH_shotsched.json");
+    let recorded = qcor_bench::write_guard_record("BENCH_shotsched.json", &json);
 
     for (name, time) in &rows {
         println!("{name:<38} {:>10.1} us", time.as_secs_f64() * 1e6);
     }
     println!("(pre-scheduler baseline ratio: ~100)");
-    qcor_bench::enforce_guard_ratio("shots512/2 / shots512/1", ratio, MAX_RATIO, "BENCH_shotsched.json");
+    qcor_bench::enforce_guard_ratio("shots512/2 / shots512/1", ratio, MAX_RATIO, &recorded);
 }

@@ -15,7 +15,7 @@
 //!    lowering pipeline. Cold and cached reps alternate, so a slow
 //!    stretch of the host hits both sides alike.
 //!
-//! Results land in `BENCH_sweepcache.json` (uploaded as a CI artifact; run
+//! Results land in `target/bench/BENCH_sweepcache.json` (uploaded as a CI artifact; run
 //! under both `QCOR_NUM_THREADS=1` and `4` in the workflow).
 //!
 //! ```text
@@ -150,10 +150,10 @@ fn main() {
         compiled.source_len(),
         compiled.len(),
     );
-    std::fs::write("BENCH_sweepcache.json", &json).expect("failed to write BENCH_sweepcache.json");
+    let recorded = qcor_bench::write_guard_record("BENCH_sweepcache.json", &json);
 
     for (name, time) in &rows {
         println!("{name:<38} {:>10.1} us", time.as_secs_f64() * 1e6);
     }
-    qcor_bench::enforce_guard_ratio("cached / cold sweep compile", ratio, MAX_RATIO, "BENCH_sweepcache.json");
+    qcor_bench::enforce_guard_ratio("cached / cold sweep compile", ratio, MAX_RATIO, &recorded);
 }

@@ -16,6 +16,7 @@ use qcor_pool::ThreadPool;
 use qcor_sim::{Counts, ShotRecord, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,17 +52,36 @@ pub fn seeded_counts(
     counts
 }
 
-/// Shared tail of a perf-guard binary (`shotsched_guard`, `queue_guard`):
-/// print `ratio` against its regression `limit` and **exit non-zero** on
-/// breach, so a CI step fails. `what` names the ratio (e.g. "queued /
-/// inline"); `recorded_to` names the BENCH_*.json the caller just wrote.
-pub fn enforce_guard_ratio(what: &str, ratio: f64, limit: f64, recorded_to: &str) {
+/// Record a perf-guard binary's JSON as `target/bench/<file>` under the
+/// workspace root, whatever the working directory, and return the path.
+/// `target/` is git-ignored, so a guard run leaves the tree clean; the
+/// `BENCH_*.json` files at the repository root are older recordings that
+/// no guard rewrites.
+pub fn write_guard_record(file: &str, json: &str) -> PathBuf {
+    let workspace =
+        Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("crates/bench is two levels deep");
+    let dir = workspace.join("target").join("bench");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("failed to create {}: {e}", dir.display()));
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("failed to write {}: {e}", path.display()));
+    path
+}
+
+/// Shared tail of a perf-guard binary (`shotsched_guard`, `queue_guard`,
+/// ...): print `ratio` against its regression `limit` and **exit
+/// non-zero** on breach, so a CI step fails. `what` names the ratio (e.g.
+/// "queued / inline"); `recorded_to` is the path
+/// [`write_guard_record`] returned for the caller's JSON.
+pub fn enforce_guard_ratio(what: &str, ratio: f64, limit: f64, recorded_to: &Path) {
     println!("\n{what} = {ratio:.2} (limit {limit})");
     if ratio > limit {
-        eprintln!("FAIL: {what} ratio {ratio:.2} exceeds the regression limit {limit}");
+        eprintln!(
+            "FAIL: {what} ratio {ratio:.2} exceeds the regression limit {limit} (recorded to {})",
+            recorded_to.display()
+        );
         std::process::exit(1);
     }
-    println!("OK: within the regression budget; recorded to {recorded_to}");
+    println!("OK: within the regression budget; recorded to {}", recorded_to.display());
 }
 
 /// Run `make_tasks()` under both variants `reps` times and keep the best

@@ -7,18 +7,17 @@
 //! [`ServiceStats`] totals and the per-tenant rows are taken under one
 //! lock acquisition, so every per-tenant counter column sums exactly to
 //! its total and the accounting identity
-//! `submitted == completed + running + queued + shed + cancelled + expired`
-//! holds for the totals **and** for every tenant row.
+//! `submitted == completed + running + queued + cancelled` holds for the
+//! totals **and** for every tenant row.
 //!
 //! The JSON is hand-rolled (this workspace carries no serde); the format
 //! is documented in the README and kept deliberately flat:
 //!
 //! ```json
 //! {
-//!   "service": {"capacity": 256, "priority_capacity": 256, "policy": "block",
-//!               "permit_budget": 3, "pool_threads": 4},
+//!   "service": {"capacity": 256, "permit_budget": 3, "pool_threads": 4},
 //!   "stats": {"submitted": 10, "completed": 10, ...},
-//!   "tenants": [{"tenant": "default", "weight": 1.0, ...}],
+//!   "tenants": [{"tenant": "default", "submitted": 10, ...}],
 //!   "backends": [{"backend": "qpp", "inflight": 0}]
 //! }
 //! ```
@@ -26,7 +25,7 @@
 //! [`ExecutionService::introspect`]: crate::ExecutionService::introspect
 //! [`ServiceStats`]: crate::ServiceStats
 
-use crate::exec_service::{BackpressurePolicy, ServiceStats};
+use crate::exec_service::ServiceStats;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,38 +34,22 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One tenant's gauges inside a [`ServiceIntrospection`] snapshot. The
-/// counters satisfy the same accounting identity as
-/// [`ServiceStats`](crate::ServiceStats), with `queued()` playing the role
-/// of `queue_len`.
-#[derive(Debug, Clone, PartialEq)]
+/// counters satisfy the accounting identity
+/// `submitted == completed + running + queued + cancelled`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStats {
     /// The tenant's name (session key).
     pub tenant: String,
-    /// Its fair-queuing weight.
-    pub weight: f64,
     /// Tasks admitted under this tenant.
     pub submitted: usize,
     /// Tasks that ran to completion.
     pub completed: usize,
     /// Tasks currently executing.
     pub running: usize,
-    /// Tasks shed under backpressure.
-    pub shed: usize,
     /// Tasks cancelled while queued.
     pub cancelled: usize,
-    /// Tasks evicted past their deadline.
-    pub expired: usize,
-    /// Tasks queued in the high lane right now.
-    pub high_queued: usize,
-    /// Tasks queued in the normal lane right now.
-    pub normal_queued: usize,
-}
-
-impl TenantStats {
-    /// Total queued tasks (both lanes) for this tenant.
-    pub fn queued(&self) -> usize {
-        self.high_queued + self.normal_queued
-    }
+    /// Tasks queued right now.
+    pub queued: usize,
 }
 
 /// A consistent, self-describing snapshot of an execution service: its
@@ -82,10 +65,6 @@ pub struct ServiceIntrospection {
     pub stats: ServiceStats,
     /// Queue high-water mark.
     pub capacity: usize,
-    /// High-lane high-water mark.
-    pub priority_capacity: usize,
-    /// Configured backpressure policy.
-    pub policy: BackpressurePolicy,
     /// Executor-permit budget.
     pub permit_budget: usize,
     /// Backing pool team size.
@@ -95,14 +74,6 @@ pub struct ServiceIntrospection {
     /// `(backend, in-flight executions)` from the service registry,
     /// sorted by backend name.
     pub backends: Vec<(String, usize)>,
-}
-
-fn policy_token(policy: BackpressurePolicy) -> &'static str {
-    match policy {
-        BackpressurePolicy::Block => "block",
-        BackpressurePolicy::Reject => "reject",
-        BackpressurePolicy::ShedOldest => "shed-oldest",
-    }
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -129,29 +100,13 @@ impl ServiceIntrospection {
         let s = &self.stats;
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
-            "{{\"service\":{{\"capacity\":{},\"priority_capacity\":{},\"policy\":\"{}\",\
-             \"permit_budget\":{},\"pool_threads\":{}}},",
-            self.capacity,
-            self.priority_capacity,
-            policy_token(self.policy),
-            self.permit_budget,
-            self.pool_threads,
+            "{{\"service\":{{\"capacity\":{},\"permit_budget\":{},\"pool_threads\":{}}},",
+            self.capacity, self.permit_budget, self.pool_threads,
         ));
         out.push_str(&format!(
-            "\"stats\":{{\"submitted\":{},\"completed\":{},\"rejected\":{},\"shed\":{},\
-             \"cancelled\":{},\"expired\":{},\"running\":{},\"queue_len\":{},\
-             \"high_queue_len\":{},\"normal_queue_len\":{},\"peak_queue_len\":{}}},",
-            s.submitted,
-            s.completed,
-            s.rejected,
-            s.shed,
-            s.cancelled,
-            s.expired,
-            s.running,
-            s.queue_len,
-            s.high_queue_len,
-            s.normal_queue_len,
-            s.peak_queue_len,
+            "\"stats\":{{\"submitted\":{},\"completed\":{},\"cancelled\":{},\"running\":{},\
+             \"queue_len\":{},\"peak_queue_len\":{}}},",
+            s.submitted, s.completed, s.cancelled, s.running, s.queue_len, s.peak_queue_len,
         ));
         out.push_str("\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
@@ -159,19 +114,14 @@ impl ServiceIntrospection {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"tenant\":\"{}\",\"weight\":{:?},\"submitted\":{},\"completed\":{},\
-                 \"running\":{},\"shed\":{},\"cancelled\":{},\"expired\":{},\
-                 \"high_queued\":{},\"normal_queued\":{}}}",
+                "{{\"tenant\":\"{}\",\"submitted\":{},\"completed\":{},\"running\":{},\
+                 \"cancelled\":{},\"queued\":{}}}",
                 json_escape(&t.tenant),
-                t.weight,
                 t.submitted,
                 t.completed,
                 t.running,
-                t.shed,
                 t.cancelled,
-                t.expired,
-                t.high_queued,
-                t.normal_queued,
+                t.queued,
             ));
         }
         out.push_str("],\"backends\":[");
@@ -192,37 +142,18 @@ impl ServiceIntrospection {
         let mut out = String::with_capacity(1024);
         out.push_str("execution service\n");
         out.push_str(&format!(
-            "  capacity={} priority_capacity={} policy={} permit_budget={} pool_threads={}\n",
-            self.capacity,
-            self.priority_capacity,
-            policy_token(self.policy),
-            self.permit_budget,
-            self.pool_threads,
+            "  capacity={} permit_budget={} pool_threads={}\n",
+            self.capacity, self.permit_budget, self.pool_threads,
         ));
         out.push_str(&format!(
-            "  submitted={} completed={} rejected={} shed={} cancelled={} expired={}\n",
-            s.submitted, s.completed, s.rejected, s.shed, s.cancelled, s.expired
-        ));
-        out.push_str(&format!(
-            "  running={} queued={} (high={} normal={}) peak={}\n",
-            s.running, s.queue_len, s.high_queue_len, s.normal_queue_len, s.peak_queue_len
+            "  submitted={} completed={} cancelled={} running={} queued={} peak={}\n",
+            s.submitted, s.completed, s.cancelled, s.running, s.queue_len, s.peak_queue_len
         ));
         out.push_str("tenants\n");
         for t in &self.tenants {
             out.push_str(&format!(
-                "  {} weight={:?} submitted={} completed={} running={} shed={} cancelled={} \
-                 expired={} queued={} (high={} normal={})\n",
-                t.tenant,
-                t.weight,
-                t.submitted,
-                t.completed,
-                t.running,
-                t.shed,
-                t.cancelled,
-                t.expired,
-                t.queued(),
-                t.high_queued,
-                t.normal_queued,
+                "  {} submitted={} completed={} running={} cancelled={} queued={}\n",
+                t.tenant, t.submitted, t.completed, t.running, t.cancelled, t.queued,
             ));
         }
         out.push_str("backends\n");
@@ -337,32 +268,23 @@ mod tests {
             stats: ServiceStats {
                 submitted: 7,
                 completed: 4,
-                rejected: 1,
-                shed: 1,
-                cancelled: 0,
-                expired: 1,
+                shed: 0,
+                cancelled: 1,
+                expired: 0,
                 peak_queue_len: 3,
                 running: 1,
-                queue_len: 0,
-                high_queue_len: 0,
-                normal_queue_len: 0,
+                queue_len: 1,
             },
             capacity: 8,
-            priority_capacity: 4,
-            policy: BackpressurePolicy::ShedOldest,
             permit_budget: 3,
             pool_threads: 4,
             tenants: vec![TenantStats {
                 tenant: "alice \"a\"".to_string(),
-                weight: 2.5,
                 submitted: 7,
                 completed: 4,
                 running: 1,
-                shed: 1,
-                cancelled: 0,
-                expired: 1,
-                high_queued: 0,
-                normal_queued: 0,
+                cancelled: 1,
+                queued: 1,
             }],
             backends: vec![("qpp".to_string(), 2)],
         }
@@ -372,10 +294,10 @@ mod tests {
     fn json_rendering_is_wellformed_and_escaped() {
         let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"policy\":\"shed-oldest\""));
+        assert!(json.contains("\"capacity\":8,"));
         assert!(json.contains("\"pool_threads\":4}"));
         assert!(json.contains("\"tenant\":\"alice \\\"a\\\"\""), "quotes must be escaped: {json}");
-        assert!(json.contains("\"weight\":2.5"));
+        assert!(json.contains("\"queued\":1}"));
         assert!(json.contains("{\"backend\":\"qpp\",\"inflight\":2}"));
         // Balanced braces/brackets outside strings is a cheap sanity
         // proxy for well-formedness without a JSON parser in-tree.
@@ -401,7 +323,7 @@ mod tests {
     #[test]
     fn text_rendering_mentions_every_surface() {
         let text = sample().to_text();
-        for needle in ["capacity=8", "policy=shed-oldest", "alice", "weight=2.5", "qpp inflight=2"] {
+        for needle in ["capacity=8", "permit_budget=3", "alice", "queued=1", "qpp inflight=2"] {
             assert!(text.contains(needle), "`{needle}` missing from:\n{text}");
         }
     }

@@ -15,10 +15,10 @@
 //!
 //! Beyond the paper, the runtime scales this shape out: [`spawn`] /
 //! [`async_task`] enqueue on a bounded kernel queue drained by a shared
-//! pool ([`ExecutionService`], with block / reject / shed-oldest
-//! backpressure), and the [`QPUManager`] routes initializations across
-//! registered backends ([`RoutingPolicy`]: pinned, round-robin, or by
-//! [`BackendCapability`]).
+//! pool ([`ExecutionService`]: a full queue blocks the submitter, and
+//! tenants are served in round robin), and the [`QPUManager`] routes
+//! initializations across registered backends ([`RoutingPolicy`]:
+//! pinned, round-robin, or by [`BackendCapability`]).
 //!
 //! The paper's Bell example (Listing 4) translates directly:
 //!
@@ -60,8 +60,7 @@ pub use allocation::{
     allocated_buffer_count, clear_allocated_buffers, find_buffer, qalloc, qalloc_named, QReg,
 };
 pub use exec_service::{
-    set_thread_tenant, thread_tenant, BackpressurePolicy, ExecServiceConfig, ExecutionService, ServiceStats,
-    TaskPriority, TaskSpec, DEFAULT_TENANT,
+    set_thread_tenant, thread_tenant, ExecServiceConfig, ExecutionService, ServiceStats, DEFAULT_TENANT,
 };
 pub use introspect::{DebugServer, ServiceIntrospection, TenantStats};
 pub use kernel::Kernel;
@@ -75,10 +74,8 @@ pub use threading::{async_task, spawn, TaskFuture};
 
 pub use qcor_xacc::{Accelerator, AcceleratorBuffer, BackendCapability, ExecOptions, HetMap, HetValue};
 
-/// Submit `f` to the global [`ExecutionService`] under its configured
-/// backpressure policy (`QCOR_QUEUE_POLICY`). Unlike [`spawn`], a full
-/// queue can surface as [`QcorError::QueueFull`] (reject) or resolve the
-/// oldest queued task as [`QcorError::TaskShed`] (shed-oldest).
+/// Submit `f` to the global [`ExecutionService`]: [`spawn`] that reports
+/// a shut-down service as an error instead of panicking.
 pub fn submit<F, T>(f: F) -> Result<TaskFuture<T>, QcorError>
 where
     F: FnOnce() -> T + Send + 'static,
@@ -98,12 +95,6 @@ pub enum QcorError {
     Execution(String),
     /// Kernel construction/binding failed.
     Kernel(String),
-    /// The execution-service queue is at its high-water mark and the
-    /// backpressure policy is `Reject`.
-    QueueFull,
-    /// The task was shed from the queue (`ShedOldest` backpressure, or a
-    /// per-task deadline that expired while queued) before it could run.
-    TaskShed,
     /// The task was cancelled via `TaskFuture::cancel` while it was still
     /// queued; it never ran.
     TaskCancelled,
@@ -129,16 +120,6 @@ impl std::fmt::Display for QcorError {
             QcorError::UnknownBackend(name) => write!(f, "unknown backend `{name}`"),
             QcorError::Execution(msg) => write!(f, "kernel execution failed: {msg}"),
             QcorError::Kernel(msg) => write!(f, "kernel error: {msg}"),
-            QcorError::QueueFull => write!(
-                f,
-                "kernel queue is at its high-water mark and the backpressure policy rejects new work"
-            ),
-            QcorError::TaskShed => {
-                write!(
-                    f,
-                    "task was shed from the kernel queue (shed-oldest backpressure or expired deadline)"
-                )
-            }
             QcorError::TaskCancelled => {
                 write!(f, "task was cancelled while queued and never ran")
             }

@@ -9,8 +9,7 @@
 //! initialize call automatically, which is the convenience the paper
 //! proposes as `qcor::thread` / `qcor::async`; behind them sits the
 //! bounded kernel queue of [`crate::ExecutionService`] (configured by
-//! `QCOR_SERVICE_THREADS`, `QCOR_QUEUE_CAPACITY`,
-//! `QCOR_QUEUE_PRIORITY_CAPACITY` and `QCOR_QUEUE_POLICY`), whose
+//! `QCOR_SERVICE_THREADS` and `QCOR_QUEUE_CAPACITY`), whose
 //! work-conserving joins make it safe to `wait` on sibling task futures
 //! from inside a task.
 

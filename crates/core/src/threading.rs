@@ -13,19 +13,17 @@
 //!
 //! [`TaskFuture`] plays the role of `std::future`: `get()` blocks for and
 //! returns the task's value; `is_ready()` polls without blocking;
-//! `wait()` is the error-aware join that surfaces queue-level outcomes
-//! (a task shed by backpressure) instead of panicking.
+//! `wait()` is the error-aware join that surfaces a queue-level outcome
+//! (a task cancelled while queued) instead of panicking.
 
 use crate::exec_service::{ExecutionService, TaskServiceCtx};
 use crate::QcorError;
 use crossbeam::channel::Receiver;
 
 /// How a queued task ended: ran to completion (value or panic payload),
-/// was shed by the queue's backpressure policy (or an expired deadline)
-/// before running, or was explicitly cancelled while queued.
+/// or was explicitly cancelled while queued.
 pub(crate) enum TaskOutcome<T> {
     Completed(std::thread::Result<T>),
-    Shed,
     Cancelled,
 }
 
@@ -62,8 +60,8 @@ impl<T> TaskFuture<T> {
     /// Abort the task if it is **still queued**: the task never runs and
     /// [`TaskFuture::wait`] resolves as [`QcorError::TaskCancelled`].
     /// Returns `true` exactly when this call removed the task from the
-    /// queue. Once the task has been dispatched (or already finished, was
-    /// shed, or was cancelled before), `cancel` returns `false` and
+    /// queue. Once the task has been dispatched (or already finished, or
+    /// was cancelled before), `cancel` returns `false` and
     /// instead **requests a cooperative stop**: the task's
     /// `qcor_sim::CancelToken` is set, so checkpointed code — a chunked
     /// shot sweep, or anything polling `qcor_sim::cancel_requested()` —
@@ -75,9 +73,7 @@ impl<T> TaskFuture<T> {
     }
 
     /// Block until the task completes and return its outcome: `Ok(value)`,
-    /// [`QcorError::TaskShed`] if the queue's backpressure policy (or an
-    /// expired deadline) shed this task before it ran, or
-    /// [`QcorError::TaskCancelled`] after a successful
+    /// or [`QcorError::TaskCancelled`] after a successful
     /// [`TaskFuture::cancel`]. Re-raises the task's panic, if any.
     ///
     /// Called from inside an executing task of the same service, `wait`
@@ -91,14 +87,14 @@ impl<T> TaskFuture<T> {
         match self.rx.recv().expect("task dropped its result channel without resolving") {
             TaskOutcome::Completed(Ok(value)) => Ok(value),
             TaskOutcome::Completed(Err(payload)) => std::panic::resume_unwind(payload),
-            TaskOutcome::Shed => Err(QcorError::TaskShed),
             TaskOutcome::Cancelled => Err(QcorError::TaskCancelled),
         }
     }
 
     /// Block until the task completes and return its value
     /// (`future.get()`). Re-raises the task's panic; panics if the task
-    /// was shed (use [`TaskFuture::wait`] to observe shedding as an error).
+    /// was cancelled (use [`TaskFuture::wait`] to observe that as an
+    /// error).
     pub fn get(self) -> T {
         match self.wait() {
             Ok(value) => value,
@@ -122,7 +118,7 @@ impl<T> TaskFuture<T> {
 ///
 /// Submission blocks while the kernel queue is at its high-water mark
 /// (backpressure); use [`ExecutionService::submit`] on a configured
-/// service for reject/shed semantics.
+/// service for a different capacity or thread budget.
 ///
 /// Tasks run on a **fixed-size** executor pool, and joins are
 /// **work-conserving**: a task that `wait`s on the future of another task
@@ -134,9 +130,7 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    ExecutionService::global()
-        .submit_blocking(f)
-        .expect("blocking submission to the global execution service cannot fail")
+    ExecutionService::global().submit(f).expect("submission to the global execution service cannot fail")
 }
 
 /// Asynchronously launch `f` (the `qcor::async` analogue of Listing 5).

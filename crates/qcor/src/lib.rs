@@ -31,12 +31,10 @@
 // The runtime API: initialize / initialize_legacy_shared, qalloc, QReg,
 // Kernel, QPUManager (+ RoutingPolicy multi-backend routing, load-weighted
 // under capability policies), spawn / async_task / submit and the
-// ExecutionService behind them (bounded two-lane kernel queue with
-// per-tenant deficit-weighted fair queuing — TaskSpec / set_thread_tenant
-// / QCOR_TENANT_WEIGHTS — block / reject / shed-oldest backpressure,
-// work-conserving in-task joins,
-// TaskFuture::cancel with cooperative mid-execution stop, eagerly-evicted
-// per-task deadlines, TaskPriority lanes, and live introspection via
+// ExecutionService behind them (bounded kernel queue that blocks the
+// submitter when full, per-tenant round robin keyed by set_thread_tenant,
+// work-conserving in-task joins, TaskFuture::cancel with cooperative
+// mid-execution stop, and live introspection via
 // ExecutionService::introspect / QCOR_DEBUG_ENDPOINT), execute /
 // execute_with, objective functions, optimizers, and QcorError.
 pub use qcor_core::*;

@@ -1,32 +1,25 @@
-//! The async execution service end to end: a bounded kernel queue with
-//! backpressure, draining onto a fixed thread budget, with the QPUManager
-//! routing tasks across all four cloneable backends — one process serving
-//! a mixed workload fleet (the ROADMAP's "heavy traffic" shape).
+//! The async execution service end to end: a bounded kernel queue that
+//! blocks the producer when full, draining onto a fixed thread budget,
+//! with the QPUManager routing tasks across all four cloneable backends —
+//! one process serving a mixed workload fleet (the ROADMAP's "heavy
+//! traffic" shape).
 //!
 //! ```text
 //! cargo run -p qcor --release --example service_routing
 //! ```
 
 use qcor::{
-    initialize, qalloc, BackpressurePolicy, ExecServiceConfig, ExecutionService, InitOptions, Kernel,
-    QPUManager, QcorError,
+    initialize, qalloc, ExecServiceConfig, ExecutionService, InitOptions, Kernel, QPUManager, QcorError,
 };
 
 const BELL: &str = "H(q[0]); CX(q[0], q[1]); Measure(q[0]); Measure(q[1]);";
 
 fn main() {
     // A deliberately tiny service: 2 executor threads, queue capacity 4.
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default().threads(3).capacity(4).policy(BackpressurePolicy::Block),
-    );
-    println!(
-        "service: {} pool threads, capacity {}, {:?}\n",
-        svc.pool_threads(),
-        svc.capacity(),
-        svc.policy()
-    );
+    let svc = ExecutionService::new(ExecServiceConfig::default().threads(3).capacity(4));
+    println!("service: {} pool threads, capacity {}\n", svc.pool_threads(), svc.capacity());
 
-    // 16 kernels, far beyond capacity: Block backpressure throttles the
+    // 16 kernels, far beyond capacity: backpressure throttles the
     // producer, and round-robin routing steers every task to the next
     // backend in the rotation.
     let backends = ["qpp", "qpp-noisy", "qpp-density", "remote"];
@@ -45,13 +38,13 @@ fn main() {
                 let clean = q.probability("00") + q.probability("11");
                 Ok::<_, QcorError>((ctx.qpu.name(), clean))
             })
-            .expect("Block submissions cannot overflow")
+            .expect("the service is running")
         })
         .collect();
 
     let mut per_backend = std::collections::BTreeMap::<String, usize>::new();
     for (i, f) in futures.into_iter().enumerate() {
-        let (backend, clean) = f.wait().expect("no shedding under Block").expect("kernel runs");
+        let (backend, clean) = f.get().expect("kernel runs");
         *per_backend.entry(backend.clone()).or_default() += 1;
         println!("task {i:2} -> {backend:<12} p(00)+p(11) = {clean:.3}");
     }
@@ -62,13 +55,11 @@ fn main() {
     }
     let stats = svc.stats();
     println!(
-        "\nqueue stats: {} submitted, {} completed, peak queue {} (capacity {}), {} shed, {} rejected",
+        "\nqueue stats: {} submitted, {} completed, peak queue {} (capacity {})",
         stats.submitted,
         stats.completed,
         stats.peak_queue_len,
-        svc.capacity(),
-        stats.shed,
-        stats.rejected
+        svc.capacity()
     );
     assert_eq!(stats.completed, 16);
     assert!(stats.peak_queue_len <= svc.capacity());

@@ -6,8 +6,8 @@
 //! assertions aren't perturbed by each other.
 
 use qcor::{
-    initialize, qalloc, BackendCapability, BackpressurePolicy, ExecServiceConfig, ExecutionService,
-    InitOptions, Kernel, QPUManager, QcorError, TaskFuture, TaskPriority,
+    initialize, qalloc, set_thread_tenant, BackendCapability, ExecServiceConfig, ExecutionService,
+    InitOptions, Kernel, QPUManager, QcorError, TaskFuture,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,16 +32,14 @@ fn run_bell(shots: usize, seed: u64) -> usize {
 // Queue backpressure semantics
 // ---------------------------------------------------------------------------
 
-/// The ISSUE's saturation acceptance test: queue capacity K, block policy,
-/// far more than K in-flight submissions — the queue never exceeds K and
+/// The saturation acceptance test: queue capacity K, far more than K
+/// in-flight submissions — the queue never exceeds K and
 /// the number of distinct executing threads never exceeds the pool size.
 #[test]
 fn saturation_respects_capacity_and_thread_budget() {
     const K: usize = 4;
     const TASKS: usize = 64;
-    let svc = Arc::new(ExecutionService::new(
-        ExecServiceConfig::default().threads(3).capacity(K).policy(BackpressurePolicy::Block),
-    ));
+    let svc = Arc::new(ExecutionService::new(ExecServiceConfig::default().threads(3).capacity(K)));
     let executing_threads = Arc::new(Mutex::new(HashSet::new()));
     let peak_concurrent = Arc::new(AtomicUsize::new(0));
     let concurrent = Arc::new(AtomicUsize::new(0));
@@ -79,8 +77,6 @@ fn saturation_respects_capacity_and_thread_budget() {
     let stats = svc.stats();
     assert_eq!(stats.submitted, TASKS);
     assert_eq!(stats.completed, TASKS);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.shed, 0);
     assert!(stats.peak_queue_len <= K, "queue exceeded its high-water mark: {stats:?}");
 
     let distinct = executing_threads.lock().unwrap().len();
@@ -93,73 +89,6 @@ fn saturation_respects_capacity_and_thread_budget() {
         peak_concurrent.load(Ordering::SeqCst) <= svc.pool_threads(),
         "more tasks ran concurrently than the thread budget allows"
     );
-}
-
-/// Reject policy: a full queue returns `QueueFull` instead of dropping
-/// work silently — and everything that *was* admitted still runs.
-#[test]
-fn reject_policy_errors_instead_of_dropping() {
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default().threads(2).capacity(2).policy(BackpressurePolicy::Reject),
-    );
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let blocker = svc
-        .submit(move || {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-
-    // Admitted futures must all complete; rejections must be visible.
-    let mut admitted = Vec::new();
-    let mut rejections = 0usize;
-    for i in 0..200usize {
-        match svc.submit(move || i) {
-            Ok(f) => admitted.push((i, f)),
-            Err(QcorError::QueueFull) => rejections += 1,
-            Err(other) => panic!("unexpected error: {other:?}"),
-        }
-    }
-    assert!(rejections > 0, "200 instant submissions against capacity 2 must overflow");
-    assert_eq!(svc.stats().rejected, rejections);
-
-    gate.store(true, Ordering::Release);
-    blocker.get();
-    for (i, f) in admitted {
-        assert_eq!(f.get(), i, "admitted work must never be dropped");
-    }
-}
-
-/// Shed-oldest policy: over-submission resolves the oldest queued future
-/// as `TaskShed` (observable, not silent) while the newest work runs.
-#[test]
-fn shed_oldest_policy_is_observable_and_keeps_newest() {
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default().threads(2).capacity(1).policy(BackpressurePolicy::ShedOldest),
-    );
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let blocker = svc
-        .submit(move || {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    while svc.stats().running == 0 {
-        std::thread::yield_now();
-    }
-
-    let first = svc.submit(|| "first").unwrap();
-    let second = svc.submit(|| "second").unwrap(); // sheds `first`
-    assert_eq!(first.wait(), Err(QcorError::TaskShed));
-    gate.store(true, Ordering::Release);
-    blocker.get();
-    assert_eq!(second.wait(), Ok("second"));
-    let stats = svc.stats();
-    assert_eq!((stats.shed, stats.rejected), (1, 0));
 }
 
 /// Futures resolve with their own task's value regardless of completion
@@ -214,7 +143,7 @@ fn queued_kernel_tasks_keep_instance_isolation() {
 }
 
 // ---------------------------------------------------------------------------
-// Work-conserving joins, cancellation, deadlines, priority lanes
+// Work-conserving joins and cancellation
 // ---------------------------------------------------------------------------
 
 /// Run `scenario` on a helper thread under a deadlock watchdog: if it has
@@ -266,7 +195,7 @@ fn sibling_chain_scenario(threads: usize) {
                     }
                     std::thread::yield_now();
                 };
-                sibling.wait().expect("Block-admitted sibling cannot fail") + 1
+                sibling.wait().expect("an uncancelled sibling cannot fail") + 1
             })
             .unwrap();
         if i == 0 {
@@ -279,7 +208,7 @@ fn sibling_chain_scenario(threads: usize) {
     svc.drain();
     let stats = svc.stats();
     assert_eq!(stats.completed, n);
-    assert_eq!(stats.shed + stats.cancelled + stats.expired, 0);
+    assert_eq!(stats.cancelled, 0);
 }
 
 /// Shape 2: `permit_budget + 2` driver tasks that each **spawn** siblings
@@ -374,108 +303,6 @@ fn cancel_before_vs_after_dispatch_is_observable() {
         stats.submitted,
         stats.completed + stats.running + stats.queue_len + stats.shed + stats.cancelled + stats.expired
     );
-}
-
-/// A task whose deadline lapses while queued resolves as shed (the
-/// existing shed path), never runs, and ticks the `expired` counter.
-#[test]
-fn expired_deadline_feeds_the_shed_path() {
-    let svc = ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(8));
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let blocker = svc
-        .submit(move || {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    while svc.stats().running == 0 {
-        std::thread::yield_now();
-    }
-    let ran = Arc::new(AtomicBool::new(false));
-    let r = Arc::clone(&ran);
-    let doomed =
-        svc.submit_with_deadline(Duration::from_millis(1), move || r.store(true, Ordering::Release)).unwrap();
-    let kept = svc.submit_with_deadline(Duration::from_secs(600), || 5usize).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
-    gate.store(true, Ordering::Release);
-    blocker.get();
-    assert_eq!(doomed.wait(), Err(QcorError::TaskShed), "expired deadlines resolve through the shed path");
-    assert_eq!(kept.wait(), Ok(5), "an unexpired deadline runs normally");
-    svc.drain();
-    assert!(!ran.load(Ordering::Acquire), "expired tasks must never run");
-    let stats = svc.stats();
-    assert_eq!((stats.expired, stats.completed), (1, 2));
-}
-
-/// High-lane tasks dispatch before queued normal-lane tasks (FIFO within
-/// each lane), and the lane-depth gauges are observable.
-#[test]
-fn priority_lane_dispatches_first_and_is_observable() {
-    let svc = ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(16));
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let blocker = svc
-        .submit(move || {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    while svc.stats().running == 0 {
-        std::thread::yield_now();
-    }
-    let order = Arc::new(Mutex::new(Vec::new()));
-    let mut futures = Vec::new();
-    for (priority, name) in [
-        (TaskPriority::Normal, "n1"),
-        (TaskPriority::Normal, "n2"),
-        (TaskPriority::High, "h1"),
-        (TaskPriority::High, "h2"),
-    ] {
-        let order = Arc::clone(&order);
-        futures.push(svc.submit_prioritized(priority, move || order.lock().unwrap().push(name)).unwrap());
-    }
-    let stats = svc.stats();
-    assert_eq!((stats.high_queue_len, stats.normal_queue_len, stats.queue_len), (2, 2, 4));
-    gate.store(true, Ordering::Release);
-    blocker.get();
-    for f in futures {
-        f.get();
-    }
-    // One permit (threads=2) ⇒ deterministic dispatch order.
-    assert_eq!(*order.lock().unwrap(), vec!["h1", "h2", "n1", "n2"]);
-}
-
-/// Shed-oldest victimizes the normal lane before the high lane, even when
-/// the high task is older.
-#[test]
-fn shed_oldest_prefers_normal_lane_victims() {
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default().threads(2).capacity(2).policy(BackpressurePolicy::ShedOldest),
-    );
-    let gate = Arc::new(AtomicBool::new(false));
-    let g = Arc::clone(&gate);
-    let blocker = svc
-        .submit(move || {
-            while !g.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        })
-        .unwrap();
-    while svc.stats().running == 0 {
-        std::thread::yield_now();
-    }
-    let high_first = svc.submit_prioritized(TaskPriority::High, || "high").unwrap();
-    let normal_victim = svc.submit(|| "normal").unwrap();
-    let newcomer = svc.submit(|| "newcomer").unwrap(); // over capacity: sheds the normal task
-    assert_eq!(normal_victim.wait(), Err(QcorError::TaskShed));
-    gate.store(true, Ordering::Release);
-    blocker.get();
-    assert_eq!(high_first.wait(), Ok("high"));
-    assert_eq!(newcomer.wait(), Ok("newcomer"));
-    assert_eq!(svc.stats().shed, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -679,19 +506,17 @@ fn exited_threads_do_not_leak_registrations() {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant fair queuing, eager eviction, cooperative cancellation
+// Multi-tenant round robin, cooperative cancellation
 // ---------------------------------------------------------------------------
 
-/// Weighted shares under saturation at the service level: with a single
-/// permit and both tenants backlogged, a weight-3 tenant drains at ~3× the
-/// weight-1 flooder's rate, so its whole batch completes long before the
-/// flooder's backlog does.
+/// Fair shares under saturation at the service level: with a single
+/// permit and both tenants backlogged, round robin serves the late
+/// tenant's batch one-for-one with the flooder's backlog, so the batch
+/// completes long before that backlog does.
 #[test]
 fn weighted_tenants_share_the_permit_fairly() {
     // threads(2) = one dispatcher + one executor permit.
-    let svc = ExecutionService::new(
-        ExecServiceConfig::default().threads(2).capacity(256).tenant_weight("favored", 3.0),
-    );
+    let svc = ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(256));
     let gate = Arc::new(AtomicBool::new(false));
     let g = Arc::clone(&gate);
     let blocker = svc
@@ -707,24 +532,14 @@ fn weighted_tenants_share_the_permit_fairly() {
     // Both tenants fully backlogged behind the blocker before any pop.
     let log = Arc::new(Mutex::new(Vec::new()));
     let mut futures = Vec::new();
-    for i in 0..48 {
-        let log = Arc::clone(&log);
-        futures.push(
-            svc.submit_spec(qcor::TaskSpec::new().tenant("flooder"), move || {
-                log.lock().unwrap().push(("flooder", i))
-            })
-            .unwrap(),
-        );
+    for (tenant, n) in [("flooder", 48), ("favored", 12)] {
+        set_thread_tenant(Some(tenant));
+        for i in 0..n {
+            let log = Arc::clone(&log);
+            futures.push(svc.submit(move || log.lock().unwrap().push((tenant, i))).unwrap());
+        }
     }
-    for i in 0..12 {
-        let log = Arc::clone(&log);
-        futures.push(
-            svc.submit_spec(qcor::TaskSpec::new().tenant("favored"), move || {
-                log.lock().unwrap().push(("favored", i))
-            })
-            .unwrap(),
-        );
-    }
+    set_thread_tenant(None);
     gate.store(true, Ordering::Release);
     blocker.get();
     for f in futures {
@@ -733,8 +548,8 @@ fn weighted_tenants_share_the_permit_fairly() {
     let log = log.lock().unwrap();
     let last_favored = log.iter().rposition(|(t, _)| *t == "favored").unwrap();
     let flooder_before = log[..=last_favored].iter().filter(|(t, _)| *t == "flooder").count();
-    // Ideal DRR interleave: ⌈12/3⌉ = 4 flooder pops before the favored
-    // batch ends; leave slack but rule out anything close to FIFO (48).
+    // Round robin interleaves one flooder pop per favored pop: 12 flooder
+    // tasks before the favored batch ends, where FIFO would run all 48.
     assert!(
         flooder_before <= 12,
         "favored tenant starved: {flooder_before}/48 flooder tasks finished before its batch"
@@ -742,46 +557,6 @@ fn weighted_tenants_share_the_permit_fairly() {
     let snap = svc.introspect();
     let favored = snap.tenants.iter().find(|t| t.tenant == "favored").unwrap();
     assert_eq!((favored.submitted, favored.completed), (12, 12));
-    assert!((favored.weight - 3.0).abs() < f64::EPSILON);
-}
-
-/// Eager eviction never touches dispatched work: a task dispatched before
-/// its deadline and still running when it fires completes normally, while
-/// a queued sibling with the same deadline is evicted without a permit
-/// ever freeing.
-#[test]
-fn eager_eviction_spares_dispatched_tasks_and_evicts_queued_ones() {
-    // threads(2) = one dispatcher + one executor permit.
-    let svc = ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(8));
-    let release = Arc::new(AtomicBool::new(false));
-    let r = Arc::clone(&release);
-    // Dispatched immediately (idle permit), outlives its own deadline.
-    let dispatched = svc
-        .submit_with_deadline(Duration::from_millis(20), move || {
-            while !r.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            99usize
-        })
-        .unwrap();
-    while svc.stats().running == 0 {
-        std::thread::yield_now();
-    }
-    // Queued behind the busy permit with the same deadline: evicted.
-    let queued = svc.submit_with_deadline(Duration::from_millis(20), || 1usize).unwrap();
-    let give_up = Instant::now() + Duration::from_secs(10);
-    while svc.stats().expired == 0 {
-        assert!(Instant::now() < give_up, "eager eviction never fired: {:?}", svc.stats());
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let mid = svc.stats();
-    assert_eq!((mid.expired, mid.running, mid.queue_len), (1, 1, 0), "{mid:?}");
-    assert_eq!(queued.wait(), Err(QcorError::TaskShed));
-    release.store(true, Ordering::Release);
-    assert_eq!(dispatched.wait(), Ok(99), "a dispatched task is past eviction");
-    svc.drain();
-    let stats = svc.stats();
-    assert_eq!((stats.expired, stats.completed), (1, 1));
 }
 
 /// Service-level cooperative cancellation of a chunked shot sweep:
@@ -852,10 +627,12 @@ fn introspection_sums_and_debug_endpoint_agree() {
     let svc = Arc::new(ExecutionService::new(ExecServiceConfig::default().threads(3).capacity(64)));
     let mut futures = Vec::new();
     for (tenant, n) in [("t-a", 6usize), ("t-b", 9), ("t-c", 3)] {
+        set_thread_tenant(Some(tenant));
         for i in 0..n {
-            futures.push(svc.submit_spec(qcor::TaskSpec::new().tenant(tenant), move || i * i).unwrap());
+            futures.push(svc.submit(move || i * i).unwrap());
         }
     }
+    set_thread_tenant(None);
     for f in futures {
         f.get();
     }
@@ -866,11 +643,11 @@ fn introspection_sums_and_debug_endpoint_agree() {
     let sum = |f: fn(&qcor::TenantStats) -> usize| snap.tenants.iter().map(f).sum::<usize>();
     assert_eq!(sum(|t| t.submitted), s.submitted);
     assert_eq!(sum(|t| t.completed), s.completed);
-    assert_eq!(sum(|t| t.running) + sum(|t| t.shed) + sum(|t| t.cancelled) + sum(|t| t.expired), 0);
+    assert_eq!(sum(|t| t.running) + sum(|t| t.cancelled), 0);
     for t in &snap.tenants {
         assert_eq!(
             t.submitted,
-            t.completed + t.running + t.queued() + t.shed + t.cancelled + t.expired,
+            t.completed + t.running + t.queued + t.cancelled,
             "identity broken for tenant {}",
             t.tenant
         );

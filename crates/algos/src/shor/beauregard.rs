@@ -15,8 +15,9 @@ use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use qcor_sim::{run_once, StateVector};
 use rand::Rng;
+use std::collections::HashMap;
 use std::f64::consts::TAU;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached per-(a, N) modular-exponentiation step circuits.
 pub struct ModExpEngine {
@@ -106,8 +107,31 @@ impl ModExpEngine {
 /// The Beauregard period-finding kernel: `shots` phase samples for base
 /// `a` mod `n_mod`, simulated on `pool`.
 pub fn shor_kernel(a: u64, n_mod: u64, shots: usize, pool: Arc<ThreadPool>, rng: &mut impl Rng) -> Vec<u64> {
-    let engine = ModExpEngine::new(a, n_mod);
+    let engine = shared_engine(a, n_mod);
     (0..shots).map(|_| engine.sample_phase(Arc::clone(&pool), rng)).collect()
+}
+
+/// Engines kept by [`shared_engine`]; more distinct `(a, N)` than this
+/// empties the memo first, which bounds its memory.
+const ENGINE_MEMO_CAPACITY: usize = 16;
+
+/// The engine for `(a, n_mod)`, built once per process: its step circuits
+/// depend on nothing else, so every attempt on the same base shares them.
+fn shared_engine(a: u64, n_mod: u64) -> Arc<ModExpEngine> {
+    type Memo = Mutex<HashMap<(u64, u64), Arc<ModExpEngine>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    let memo = MEMO.get_or_init(Default::default);
+    let cached = memo.lock().expect("engine memo poisoned").get(&(a, n_mod)).cloned();
+    if let Some(engine) = cached {
+        return engine;
+    }
+    // Built outside the lock: a concurrent miss builds an identical engine.
+    let engine = Arc::new(ModExpEngine::new(a, n_mod));
+    let mut memo = memo.lock().expect("engine memo poisoned");
+    if memo.len() >= ENGINE_MEMO_CAPACITY {
+        memo.clear();
+    }
+    Arc::clone(memo.entry((a, n_mod)).or_insert(engine))
 }
 
 #[cfg(test)]
@@ -196,5 +220,15 @@ mod tests {
         assert_eq!(engine.t_bits, 6);
         assert_eq!(engine.modulus(), 7);
         assert!(engine.gate_count() > 500, "gate-level modexp is large");
+    }
+
+    #[test]
+    fn shared_engine_is_built_once_and_samples_like_a_fresh_one() {
+        assert!(Arc::ptr_eq(&shared_engine(4, 15), &shared_engine(4, 15)));
+        let fresh = ModExpEngine::new(4, 15);
+        let mut rng = StdRng::seed_from_u64(5);
+        let expect: Vec<u64> = (0..3).map(|_| fresh.sample_phase(seq_pool(), &mut rng)).collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(shor_kernel(4, 15, 3, seq_pool(), &mut rng), expect);
     }
 }

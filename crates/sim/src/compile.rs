@@ -53,11 +53,11 @@
 //! sit in a per-core L2 while leaving room for the read+write streams)
 //! streams through the cache **once for the whole run of fused ops**
 //! instead of once per op. Block-local ops cannot reach across a block
-//! boundary, and the per-amplitude arithmetic is expression-identical to
-//! the full-state kernels, so blocked replay is bit-identical to unblocked
-//! replay — only the traversal order changes. Segments containing a
-//! `Measure`/`Reset` or any op touching a qubit ≥ 15 replay through the
-//! ordinary full-state kernels.
+//! boundary, and each op runs the same sweep function as its full-state
+//! kernel, so blocked replay is bit-identical to unblocked replay — only
+//! the traversal order changes. Segments containing a `Measure`/`Reset` or
+//! any op touching a qubit ≥ 15 replay through the ordinary full-state
+//! kernels.
 //!
 //! # Determinism contract
 //!
@@ -80,7 +80,7 @@ use crate::executor::ShotRecord;
 use crate::gates::{
     embed_pair_single, identity4, mat2_mul, mat4_mul, pair_phase_matrix, single_qubit_matrix, swap4,
 };
-use crate::state::{BitInserts, StateVector};
+use crate::state::{sweep, AmpsPtr, BitInserts, StateVector};
 use crate::stats::{record_iterations, KernelClass};
 use qcor_circuit::{Circuit, GateKind, Instruction};
 use rand::Rng;
@@ -454,10 +454,8 @@ impl CompiledCircuit {
         for (range, blockable) in &self.segments {
             let ops = &self.ops[range.clone()];
             if *blockable && use_blocks {
-                // Record the same iteration counts the full-state kernels
-                // would, on the issuing thread (blocks run on the pool).
-                for op in ops {
-                    record_blocked_op_stats(op, total);
+                for (class, ins) in ops.iter().map(op_inserts) {
+                    record_iterations(class, ins.all(total).len());
                 }
                 state.for_each_block(CACHE_BLOCK_QUBITS, |block| {
                     for op in ops {
@@ -514,30 +512,30 @@ fn plan_segments(ops: &[KernelOp]) -> Vec<(Range<usize>, bool)> {
     segments
 }
 
-/// Record the iteration counts the full-state kernels would have recorded
-/// for `op` on an `n`-amplitude state. Blocked replay bypasses those
-/// kernels, so the compiled executor keeps the counters (and the guard's
-/// exact `2^(n-2-c)` Dense2 assert) identical between both replay shapes.
-fn record_blocked_op_stats(op: &KernelOp, n: usize) {
+/// The kernel class and the fixed bits of a unitary op's full-state
+/// kernel sweep. Blocked replay records the counts from it on the issuing thread
+/// (blocks run on the pool), so the counters — and the guard's exact
+/// `2^(n-2-c)` Dense2 assert — are identical between both replay shapes.
+fn op_inserts(op: &KernelOp) -> (KernelClass, BitInserts) {
     match op {
-        KernelOp::Dense { ctrl_mask, .. } => {
-            record_iterations(KernelClass::Dense, n >> (1 + ctrl_mask.count_ones() as usize))
+        KernelOp::Dense { target, ctrl_mask, .. } => {
+            (KernelClass::Dense, BitInserts::new(*ctrl_mask, 1 << target))
         }
-        KernelOp::Dense2 { ctrl_mask, .. } => {
-            record_iterations(KernelClass::Dense2, n >> (2 + ctrl_mask.count_ones() as usize))
+        KernelOp::Dense2 { t0, t1, ctrl_mask, .. } => {
+            (KernelClass::Dense2, BitInserts::new(*ctrl_mask, (1 << t0) | (1 << t1)))
         }
-        KernelOp::Flip { ctrl_mask, .. } => {
-            record_iterations(KernelClass::Flip, n >> (1 + ctrl_mask.count_ones() as usize))
+        KernelOp::Flip { target, ctrl_mask, .. } => {
+            (KernelClass::Flip, BitInserts::new(*ctrl_mask, 1 << target))
         }
-        KernelOp::Diag { ctrl_mask, .. } => {
-            record_iterations(KernelClass::Diag, n >> (1 + ctrl_mask.count_ones() as usize))
+        KernelOp::Diag { target, ctrl_mask, .. } => {
+            (KernelClass::Diag, BitInserts::new(*ctrl_mask, 1 << target))
         }
         KernelOp::Phase { set_mask, clear_mask, .. } => {
-            record_iterations(KernelClass::Phase, n >> (set_mask | clear_mask).count_ones() as usize)
+            (KernelClass::Phase, BitInserts::new(*set_mask, *clear_mask))
         }
-        KernelOp::Scale { .. } => record_iterations(KernelClass::Scale, n),
-        KernelOp::Swap { ctrl_mask, .. } => {
-            record_iterations(KernelClass::Swap, n >> (2 + ctrl_mask.count_ones() as usize))
+        KernelOp::Scale { .. } => (KernelClass::Scale, BitInserts::new(0, 0)),
+        KernelOp::Swap { a, b, ctrl_mask } => {
+            (KernelClass::Swap, BitInserts::new(ctrl_mask | (1 << a), 1 << b))
         }
         KernelOp::Measure { .. } | KernelOp::Reset { .. } => {
             unreachable!("non-unitary ops are never in a blockable segment")
@@ -547,123 +545,24 @@ fn record_blocked_op_stats(op: &KernelOp, n: usize) {
 
 /// Apply one unitary kernel op to a contiguous amplitude block. Every
 /// support bit of `op` must lie below `log2(amps.len())` (guaranteed by
-/// [`plan_segments`]), so the op cannot reach outside the slice. The
-/// per-amplitude arithmetic is expression-identical to the corresponding
-/// [`StateVector`] kernels, making blocked replay bit-identical.
+/// [`plan_segments`]), so the op cannot reach outside the slice. It runs
+/// the same [`sweep`] function as the corresponding [`StateVector`]
+/// kernel, over all the block's counters, making blocked replay
+/// bit-identical.
 fn apply_op_to_slice(amps: &mut [Complex64], op: &KernelOp) {
-    let n = amps.len();
-    let p = amps.as_mut_ptr();
-    match op {
-        KernelOp::Dense { target, ctrl_mask, m } => {
-            let stride = 1usize << target;
-            let inserts = BitInserts::new(*ctrl_mask, stride);
-            let pairs = n >> inserts.width();
-            if *ctrl_mask == 0 {
-                // Contiguous-run sweep, as in `StateVector::apply_single`.
-                let low_mask = stride - 1;
-                let mut k = 0;
-                while k < pairs {
-                    let run = (stride - (k & low_mask)).min(pairs - k);
-                    let i0 = ((k & !low_mask) << 1) | (k & low_mask);
-                    for i in i0..i0 + run {
-                        let j = i | stride;
-                        // SAFETY: pair indices are in bounds and disjoint.
-                        unsafe {
-                            let (a, b) = (*p.add(i), *p.add(j));
-                            *p.add(i) = m[0][0] * a + m[0][1] * b;
-                            *p.add(j) = m[1][0] * a + m[1][1] * b;
-                        }
-                    }
-                    k += run;
-                }
-            } else {
-                for k in 0..pairs {
-                    let i = inserts.expand(k);
-                    let j = i | stride;
-                    // SAFETY: pair indices are in bounds and disjoint.
-                    unsafe {
-                        let (a, b) = (*p.add(i), *p.add(j));
-                        *p.add(i) = m[0][0] * a + m[0][1] * b;
-                        *p.add(j) = m[1][0] * a + m[1][1] * b;
-                    }
-                }
-            }
-        }
-        KernelOp::Dense2 { t0, t1, ctrl_mask, m } => {
-            let (s0, s1) = (1usize << t0, 1usize << t1);
-            let inserts = BitInserts::new(*ctrl_mask, s0 | s1);
-            let quads = n >> inserts.width();
-            for k in 0..quads {
-                let i00 = inserts.expand(k);
-                let (i01, i10, i11) = (i00 | s0, i00 | s1, i00 | s0 | s1);
-                // SAFETY: quad indices are in bounds and disjoint across k.
-                unsafe {
-                    let a = [*p.add(i00), *p.add(i01), *p.add(i10), *p.add(i11)];
-                    for (r, &i) in [i00, i01, i10, i11].iter().enumerate() {
-                        *p.add(i) = m[r][0] * a[0] + m[r][1] * a[1] + m[r][2] * a[2] + m[r][3] * a[3];
-                    }
-                }
-            }
-        }
-        KernelOp::Flip { target, ctrl_mask, m01, m10 } => {
-            let stride = 1usize << target;
-            let inserts = BitInserts::new(*ctrl_mask, stride);
-            let pairs = n >> inserts.width();
-            let pure_flip = *m01 == Complex64::ONE && *m10 == Complex64::ONE;
-            for k in 0..pairs {
-                let i = inserts.expand(k);
-                let j = i | stride;
-                // SAFETY: pair indices are in bounds and disjoint.
-                unsafe {
-                    if pure_flip {
-                        std::ptr::swap(p.add(i), p.add(j));
-                    } else {
-                        let (a, b) = (*p.add(i), *p.add(j));
-                        *p.add(i) = *m01 * b;
-                        *p.add(j) = *m10 * a;
-                    }
-                }
-            }
-        }
-        KernelOp::Diag { target, ctrl_mask, d0, d1 } => {
-            let stride = 1usize << target;
-            let inserts = BitInserts::new(*ctrl_mask, stride);
-            let pairs = n >> inserts.width();
-            for k in 0..pairs {
-                let i = inserts.expand(k);
-                // SAFETY: pair indices are in bounds and disjoint.
-                unsafe {
-                    *p.add(i) *= *d0;
-                    *p.add(i | stride) *= *d1;
-                }
-            }
-        }
-        KernelOp::Phase { set_mask, clear_mask, phase } => {
-            let inserts = BitInserts::new(*set_mask, *clear_mask);
-            let matching = n >> inserts.width();
-            for k in 0..matching {
-                // SAFETY: expanded indices are in bounds and distinct.
-                unsafe { *p.add(inserts.expand(k)) *= *phase };
-            }
-        }
-        KernelOp::Scale { factor } => {
-            for a in amps.iter_mut() {
-                *a *= *factor;
-            }
-        }
-        KernelOp::Swap { a, b, ctrl_mask } => {
-            let (bit_a, bit_b) = (1usize << a, 1usize << b);
-            let inserts = BitInserts::new(ctrl_mask | bit_a, bit_b);
-            let count = n >> inserts.width();
-            for k in 0..count {
-                let i = inserts.expand(k);
-                let j = i ^ bit_a ^ bit_b;
-                // SAFETY: each pair is enumerated once, from its a=1 side.
-                unsafe { std::ptr::swap(p.add(i), p.add(j)) };
-            }
-        }
-        KernelOp::Measure { .. } | KernelOp::Reset { .. } => {
-            unreachable!("non-unitary ops are never in a blockable segment")
+    let ins = op_inserts(op).1;
+    let runs = ins.runs(ins.all(amps.len()));
+    let p = AmpsPtr::new(amps);
+    // SAFETY: `p` owns the whole block, and every op's support lies inside it.
+    unsafe {
+        match op {
+            KernelOp::Dense { target, m, .. } => sweep::dense(p, runs, 1 << target, m),
+            KernelOp::Dense2 { t0, t1, m, .. } => sweep::quad(p, runs, 1 << t0, 1 << t1, m),
+            KernelOp::Flip { target, m01, m10, .. } => sweep::antidiag(p, runs, 1 << target, *m01, *m10),
+            KernelOp::Diag { target, d0, d1, .. } => sweep::diag(p, runs, 1 << target, *d0, *d1),
+            KernelOp::Phase { phase: z, .. } | KernelOp::Scale { factor: z } => sweep::mul(p, runs, *z),
+            KernelOp::Swap { a, b, .. } => sweep::swap(p, runs, (1 << a) | (1 << b)),
+            KernelOp::Measure { .. } | KernelOp::Reset { .. } => unreachable!(),
         }
     }
 }
@@ -1990,15 +1889,32 @@ mod tests {
         c.ry(2, 0.37); // → Dense
         c.x(3).cx(3, 4); // → Flips
         c.rz(5, 0.21).cz(5, 6); // → Phase + Scale
+        c.ccphase(9, 11, 13, 0.61).ccx(12, 14, 10); // → controlled Phase + Flip
         c.h(17).cx(17, 2); // high-qubit: non-blockable segment
         c.swap(7, 8); // relabel + flushed swap
         c.h(7);
-        let compiled = CompiledCircuit::compile(&c);
+        // The gate set fuses no controlled pair block, so add one with
+        // controls below, between and above its pair, and a Phase with
+        // both set and clear bits, inside the first blockable segment.
+        let mut ops = CompiledCircuit::compile(&c).ops().to_vec();
+        let m = Box::new(std::array::from_fn(|r| {
+            std::array::from_fn(|col| {
+                Complex64::new(0.1 * (r + 1) as f64 - 0.2 * col as f64, 0.05 * (r * col) as f64)
+            })
+        }));
+        ops.insert(1, KernelOp::Dense2 { t0: 3, t1: 9, ctrl_mask: (1 << 1) | (1 << 5) | (1 << 12), m });
+        let phase = Complex64::from_polar_unit(-0.83);
+        ops.insert(
+            2,
+            KernelOp::Phase { set_mask: (1 << 0) | (1 << 8), clear_mask: (1 << 4) | (1 << 11), phase },
+        );
+        let compiled = CompiledCircuit::from_ops(n, ops, c.len());
         assert!(
             compiled.ops().iter().any(|op| !is_block_local(op)),
             "test must exercise a non-blockable segment: {:?}",
             compiled.ops()
         );
+        assert!(compiled.segments[0].1 && compiled.segments[0].0.contains(&2), "{:?}", compiled.segments);
 
         // Blocked replay (run_once engages blocking at 2^18 amplitudes).
         let mut blocked = StateVector::new(n);

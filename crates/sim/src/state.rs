@@ -34,33 +34,46 @@
 //! Unlike Quantum++ (and our earlier port of it), controlled kernels do not
 //! scan all indices and branch-skip the ones whose control bits are unset.
 //! Instead they enumerate exactly the indices that satisfy the control
-//! mask, by inserting the fixed bits (controls = 1, cleared bits = 0) into
-//! a compressed loop counter at their sorted positions ([`BitInserts`]).
-//! A kernel with `c` control bits therefore executes `2^(n-1-c)` loop
-//! iterations instead of `2^(n-1)` — a CX does half the iterations of an
-//! H, a CCX a quarter — and the loop body is branch-free. The executed
-//! iteration counts are reported to [`crate::stats`], which is what the
-//! `gatefuse_guard` CI gate asserts on.
+//! mask: a compressed loop counter `k` stands for the index with the fixed
+//! bits (controls = 1, cleared bits = 0) inserted at their sorted
+//! positions ([`BitInserts`]). A kernel with `c` control bits therefore
+//! executes `2^(n-1-c)` loop iterations instead of `2^(n-1)` — a CX does
+//! half the iterations of an H, a CCX a quarter — and the loop body is
+//! branch-free. The executed iteration counts are reported to
+//! [`crate::stats`], which is what the `gatefuse_guard` CI gate asserts on.
 //!
-//! Measurement reductions ([`StateVector::prob_one`], `norm_sqr`) fold
-//! fixed-size chunks in a fixed order via
+//! The same enumeration serves the measurement sweeps:
+//! [`StateVector::collapse`] visits the pairs with the measured bit clear,
+//! and [`StateVector::prob_one`] sums only the indices with it set.
+//! Measurement reductions (`prob_one`, `norm_sqr`) fold fixed-size chunks
+//! of the full index space in a fixed order via
 //! [`ThreadPool::parallel_reduce_ordered`], so their sums are bit-identical
 //! on any pool size — the inner-parallel path no longer depends on
 //! floating-point fold order.
 //!
 //! # Loop shape and memory layout
 //!
-//! Amplitudes are stored interleaved (`re, im` pairs — AoS). The
-//! flop-heavy kernels ([`StateVector::apply_single`],
-//! [`StateVector::apply_pair`]) restructure their uncontrolled sweeps into
-//! **contiguous runs**: instead of re-expanding the compressed counter per
-//! iteration, the loop emits maximal unit-stride spans (`2^t` pairs at a
-//! time for target `t`), which the compiler can autovectorize and the
-//! prefetcher can stream. Timed against the alternatives on an uncontrolled
-//! dense layer over 2^20 amplitudes (1 logical CPU, best of 5), a split
-//! re/im (SoA) sweep took 1.055× and a per-iteration-expand AoS sweep
-//! 1.051× the contiguous-run AoS sweep, so the interleaved layout is kept —
-//! it is also what keeps `amplitudes()` zero-copy.
+//! A chunk of counters is expanded **once**, at its first counter; the
+//! rest of the chunk is walked as maximal unit-stride runs
+//! ([`BitInserts::runs`]). Between the fixed bits an index counts like an
+//! integer, so a run is `2^z` consecutive indices for the lowest fixed bit
+//! `z` (the whole chunk when no bit is fixed), and the next run starts at
+//! the O(1) masked successor `(((i | fixed) + 1) & !fixed) | ones` of the
+//! last index `i` (Warren, *Hacker's Delight*, ch. 2): the carry ripples
+//! through the fixed bits, which are then restored. That visits the same
+//! indices in the same order as expanding every counter, with no per-index
+//! loop over the fixed bits, and the inner loops are unit-stride, so the
+//! compiler can autovectorize them and the prefetcher can stream them.
+//! Each kernel's arithmetic is written once, as a sweep over
+//! `(amplitudes, runs)` in [`sweep`]: the [`StateVector`] kernels run it
+//! per dispatch chunk, cache-blocked replay over a whole block.
+//!
+//! Amplitudes are stored interleaved (`re, im` pairs — AoS). Timed against
+//! the alternatives on an uncontrolled dense layer over 2^20 amplitudes
+//! (1 logical CPU, best of 5), a split re/im (SoA) sweep took 1.055× and a
+//! per-iteration-expand AoS sweep 1.051× the contiguous-run AoS sweep, so
+//! the interleaved layout is kept — it is also what keeps `amplitudes()`
+//! zero-copy.
 //!
 //! # Cache-blocked replay
 //!
@@ -87,11 +100,16 @@ use std::sync::Arc;
 /// from exactly one chunk (indices are partitioned by `parallel_for`), so
 /// no two threads alias a write.
 #[derive(Clone, Copy)]
-struct AmpsPtr(*mut Complex64);
+pub(crate) struct AmpsPtr(*mut Complex64);
 unsafe impl Send for AmpsPtr {}
 unsafe impl Sync for AmpsPtr {}
 
 impl AmpsPtr {
+    /// The start of `amps`, for a sweep over that buffer.
+    pub(crate) fn new(amps: &mut [Complex64]) -> Self {
+        AmpsPtr(amps.as_mut_ptr())
+    }
+
     /// SAFETY: caller guarantees `i` is in bounds and not concurrently
     /// written by another thread.
     #[inline]
@@ -107,62 +125,217 @@ impl AmpsPtr {
     }
 }
 
-/// Bit-insertion table: expands a compressed loop counter into a full basis
-/// index by inserting fixed bits at sorted positions.
+/// Bit insertion: maps a compressed loop counter to a full basis index by
+/// inserting fixed bits at their positions.
 ///
 /// `ones_mask` positions are inserted as 1 (control bits), `zeros_mask`
 /// positions as 0 (the target bit of a pair loop, or cleared-control bits).
-/// Iterating `k` over `0..len >> (ones + zeros).count_ones()` and expanding
-/// enumerates exactly the indices with those bits fixed — no scan, no
-/// branch. Expansion is injective, so parallel chunks never alias a write.
-///
-/// The table is a fixed inline array (a state holds ≤ 30 qubits, so ≤ 30
-/// inserted bits): building one per kernel invocation touches no heap,
-/// keeping compiled replay genuinely allocation-free.
+/// The counters `0..len >> (ones + zeros).count_ones()` stand for exactly
+/// the indices with those bits fixed — no scan, no branch. The mapping is
+/// injective and increasing, so parallel chunks of counters never alias a
+/// write. A sweep walks its chunk with [`BitInserts::runs`]: one
+/// [`BitInserts::expand`] for the chunk's first counter, then unit-stride
+/// runs joined by the O(1) masked successor. Two words, so building one
+/// per kernel invocation (or per measurement) costs nothing.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BitInserts {
-    /// `(low_mask, fixed_bit)` per inserted position, ascending. Positions
-    /// are absolute in the progressively expanded index, which is why
-    /// ascending insertion order is correct.
-    steps: [(usize, usize); 32],
-    len: usize,
+    /// `ones_mask | zeros_mask`.
+    fixed: usize,
+    ones: usize,
+}
+
+/// The indices of a counter range as maximal unit-stride runs, ascending;
+/// see [`BitInserts::runs`].
+pub(crate) struct Runs {
+    /// First index of the next run.
+    next: usize,
+    /// Counters not yet yielded.
+    left: usize,
+    /// The bits below the lowest fixed bit (all bits when none is fixed):
+    /// inside a run they count like an integer.
+    free_low: usize,
+    fixed: usize,
+    ones: usize,
+}
+
+impl Iterator for Runs {
+    type Item = Range<usize>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.left == 0 {
+            return None;
+        }
+        let start = self.next;
+        // The run ends where the free low bits wrap, or at the range end.
+        let len = (self.free_low - (start & self.free_low)).min(self.left - 1) + 1;
+        self.left -= len;
+        // Masked successor of the run's last index: the carry out of the
+        // free bits ripples through the fixed ones, which are then restored.
+        let last = start + len - 1;
+        self.next = ((last | self.fixed).wrapping_add(1) & !self.fixed) | self.ones;
+        Some(start..start + len)
+    }
+}
+
+impl Runs {
+    /// Call `f` on every index of every run, ascending — the one loop
+    /// every masked sweep runs.
+    #[inline(always)]
+    pub(crate) fn each(self, mut f: impl FnMut(usize)) {
+        for run in self {
+            run.for_each(&mut f);
+        }
+    }
 }
 
 impl BitInserts {
     pub(crate) fn new(ones_mask: usize, zeros_mask: usize) -> Self {
         debug_assert_eq!(ones_mask & zeros_mask, 0, "a bit cannot be fixed to both 0 and 1");
-        let mut steps = [(0usize, 0usize); 32];
-        let mut len = 0usize;
-        // Merge the two mask bit-streams in ascending position order
-        // (trailing_zeros iteration yields each mask low-to-high).
-        let (mut ones, mut zeros) = (ones_mask, zeros_mask);
-        while ones != 0 || zeros != 0 {
-            let p1 = if ones != 0 { ones.trailing_zeros() as usize } else { usize::MAX };
-            let p0 = if zeros != 0 { zeros.trailing_zeros() as usize } else { usize::MAX };
-            let (p, bit) = if p1 < p0 {
-                ones &= ones - 1;
-                (p1, 1usize << p1)
-            } else {
-                zeros &= zeros - 1;
-                (p0, 0)
-            };
-            steps[len] = ((1usize << p) - 1, bit);
-            len += 1;
-        }
-        BitInserts { steps, len }
+        BitInserts { fixed: ones_mask | zeros_mask, ones: ones_mask }
     }
 
-    /// Number of inserted (fixed) bits.
-    pub(crate) fn width(&self) -> usize {
-        self.len
+    /// The counters `0..amps >> fixed.count_ones()` that cover a state (or
+    /// block) of `amps` amplitudes.
+    pub(crate) fn all(&self, amps: usize) -> Range<usize> {
+        0..amps >> self.fixed.count_ones()
     }
 
+    /// The index counter `k` stands for: the fixed bits inserted lowest
+    /// first (each position is absolute in the expanded index, which is
+    /// why ascending order is correct).
     #[inline]
     pub(crate) fn expand(&self, mut k: usize) -> usize {
-        for &(low, bit) in &self.steps[..self.len] {
-            k = ((k & !low) << 1) | bit | (k & low);
+        let mut rest = self.fixed;
+        while rest != 0 {
+            let bit = rest & rest.wrapping_neg();
+            k = ((k & !(bit - 1)) << 1) | (self.ones & bit) | (k & (bit - 1));
+            rest &= rest - 1;
         }
         k
+    }
+
+    /// The indices of the counters in `range`, ascending, as maximal
+    /// unit-stride runs: `2^tz(fixed)` indices each (fewer at the range
+    /// ends; the whole range when no bit is fixed). Only `range.start` is
+    /// expanded; every later run starts at the masked successor
+    /// `(((i | fixed) + 1) & !fixed) | ones` of the previous run's last
+    /// index `i` (Warren, *Hacker's Delight*, ch. 2).
+    #[inline]
+    pub(crate) fn runs(&self, range: Range<usize>) -> Runs {
+        let free_low =
+            if self.fixed == 0 { usize::MAX } else { (self.fixed & self.fixed.wrapping_neg()) - 1 };
+        Runs {
+            next: if range.is_empty() { 0 } else { self.expand(range.start) },
+            left: range.len(),
+            free_low,
+            fixed: self.fixed,
+            ones: self.ones,
+        }
+    }
+}
+
+/// The masked sweeps: each kernel's per-index arithmetic, written once,
+/// over the indices of `runs` (see [`BitInserts::runs`]). The
+/// [`StateVector`] kernels run them per dispatch chunk; cache-blocked
+/// replay (`compile.rs`) runs them over a whole block.
+///
+/// # Safety
+///
+/// For every sweep: `p` addresses a buffer holding every index the sweep
+/// reaches from `runs` (each index and its partners, `| stride`,
+/// `| s0 | s1` or `^ flip`), and no other thread touches those indices
+/// while it runs. Distinct counters reach disjoint index sets, so runs of
+/// disjoint counter ranges may be swept concurrently.
+pub(crate) mod sweep {
+    use super::{AmpsPtr, Runs};
+    use crate::complex::Complex64;
+
+    /// Dense 2×2 `m` on the pairs `(i, i | stride)`.
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn dense(p: AmpsPtr, runs: Runs, stride: usize, m: &[[Complex64; 2]; 2]) {
+        runs.each(|i| {
+            let j = i | stride;
+            // SAFETY: the module contract covers `i` and `j`.
+            unsafe {
+                let (a, b) = (*p.at(i), *p.at(j));
+                *p.at(i) = m[0][0] * a + m[0][1] * b;
+                *p.at(j) = m[1][0] * a + m[1][1] * b;
+            }
+        });
+    }
+
+    /// Dense 4×4 `m` on the quads based at `i` (pair-basis index
+    /// `s = bit(s1) << 1 | bit(s0)`).
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn quad(p: AmpsPtr, runs: Runs, s0: usize, s1: usize, m: &[[Complex64; 4]; 4]) {
+        runs.each(|i00| {
+            let idx = [i00, i00 | s0, i00 | s1, i00 | s0 | s1];
+            // SAFETY: the module contract covers the quad.
+            unsafe {
+                let a = idx.map(|i| *p.at(i));
+                for (r, &i) in idx.iter().enumerate() {
+                    *p.at(i) = m[r][0] * a[0] + m[r][1] * a[1] + m[r][2] * a[2] + m[r][3] * a[3];
+                }
+            }
+        });
+    }
+
+    /// Anti-diagonal `[[0, m01], [m10, 0]]` on the pairs `(i, i | stride)`;
+    /// a pure bit flip (both entries 1) exchanges them without multiplies.
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn antidiag(p: AmpsPtr, runs: Runs, stride: usize, m01: Complex64, m10: Complex64) {
+        if m01 == Complex64::ONE && m10 == Complex64::ONE {
+            // SAFETY: forwarded from the caller; `i ^ stride == i | stride`.
+            return unsafe { swap(p, runs, stride) };
+        }
+        runs.each(|i| {
+            let j = i | stride;
+            // SAFETY: the module contract covers `i` and `j`.
+            unsafe {
+                let (a, b) = (*p.at(i), *p.at(j));
+                *p.at(i) = m01 * b;
+                *p.at(j) = m10 * a;
+            }
+        });
+    }
+
+    /// `diag(d0, d1)` on the pairs `(i, i | stride)`.
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn diag(p: AmpsPtr, runs: Runs, stride: usize, d0: Complex64, d1: Complex64) {
+        runs.each(|i| {
+            // SAFETY: the module contract covers `i` and `i | stride`.
+            unsafe {
+                *p.at(i) *= d0;
+                *p.at(i | stride) *= d1;
+            }
+        });
+    }
+
+    /// Multiply every reached amplitude by `z` (phases and global scale).
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn mul(p: AmpsPtr, runs: Runs, z: Complex64) {
+        // SAFETY: the module contract covers `i`.
+        runs.each(|i| unsafe { *p.at(i) *= z });
+    }
+
+    /// Exchange the amplitudes `i` and `i ^ flip`.
+    ///
+    /// # Safety
+    /// The module contract.
+    pub(crate) unsafe fn swap(p: AmpsPtr, runs: Runs, flip: usize) {
+        // SAFETY: the module contract covers `i` and `i ^ flip`.
+        runs.each(|i| unsafe { std::ptr::swap(p.at(i), p.at(i ^ flip)) });
     }
 }
 
@@ -191,6 +364,10 @@ const AMP_BYTES: usize = std::mem::size_of::<Complex64>();
 /// * an inline sweep streams `sim.replay_us_per_shot` = 1176 µs for
 ///   `sim.kernel_iters` = 374 784 iterations (3.1 ns each) which, priced by
 ///   class as `dispatch` prices them, touch 8.73 MB: 7.4 B/ns.
+///   (Since masked sweeps step over unit-stride runs, the same 10 s trace
+///   reads 1637 µs, 4.4 ns per iteration, against 2759 µs, 7.4 ns, for the
+///   per-index-expand sweeps on the same, slower host. The floor below is
+///   not yet re-derived from that rate.)
 ///
 /// Splitting `W` bytes over `T` threads saves `W·(1 − 1/T)/rate` and costs
 /// one fork/join, so on the smallest team (`T = 2`) it breaks even when a
@@ -318,7 +495,7 @@ impl StateVector {
 
     /// Reset to |0...0⟩ without reallocating.
     pub fn reset_to_zero(&mut self) {
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
+        let ptr = AmpsPtr::new(&mut self.amps);
         self.dispatch(self.amps.len(), AMP_BYTES, |range| {
             for i in range {
                 // SAFETY: disjoint indices per chunk.
@@ -405,6 +582,20 @@ impl StateVector {
             .fold(0.0, |a, b| a + b)
     }
 
+    /// Record `class`'s iterations and run `sweep` over every counter of
+    /// `ins` on this state's amplitudes, forked or inline under the fork
+    /// rule (`iter_bytes` per counter).
+    #[inline]
+    fn masked<F>(&mut self, class: KernelClass, ins: BitInserts, iter_bytes: usize, sweep: F)
+    where
+        F: Fn(AmpsPtr, Runs) + Sync,
+    {
+        let counters = ins.all(self.amps.len());
+        crate::stats::record_iterations(class, counters.len());
+        let p = AmpsPtr::new(&mut self.amps);
+        self.dispatch(counters.len(), iter_bytes, |range| sweep(p, ins.runs(range)));
+    }
+
     /// Apply a single-qubit matrix `m` (row-major `[[m00,m01],[m10,m11]]`) to
     /// qubit `t`, restricted to basis states where every bit of
     /// `ctrl_mask` is set (`ctrl_mask` must not include bit `t`; 0 means
@@ -416,50 +607,14 @@ impl StateVector {
         debug_assert!(t < self.num_qubits);
         debug_assert_eq!(ctrl_mask & (1 << t), 0, "control mask must exclude the target");
         let stride = 1usize << t;
-        let inserts = BitInserts::new(ctrl_mask, stride);
-        let pairs = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Dense, pairs);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        if ctrl_mask == 0 {
-            // Uncontrolled sweep: emit maximal contiguous runs (the `2^t`
-            // pairs sharing their high bits) so the inner loop is
-            // unit-stride and autovectorizable. The per-pair arithmetic is
-            // the same expression as the general path, so amplitudes are
-            // bit-identical whichever path runs.
-            let low_mask = stride - 1;
-            self.dispatch(pairs, 2 * AMP_BYTES, |range| {
-                let mut k = range.start;
-                while k < range.end {
-                    let run = (stride - (k & low_mask)).min(range.end - k);
-                    let i0 = ((k & !low_mask) << 1) | (k & low_mask);
-                    for i in i0..i0 + run {
-                        let j = i | stride;
-                        // SAFETY: (i, j) pairs are disjoint across k values
-                        // (expansion is injective).
-                        let (a, b) = unsafe { (*ptr.at(i), *ptr.at(j)) };
-                        unsafe {
-                            *ptr.at(i) = m[0][0] * a + m[0][1] * b;
-                            *ptr.at(j) = m[1][0] * a + m[1][1] * b;
-                        }
-                    }
-                    k += run;
-                }
-            });
-            return;
-        }
-        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
-            for k in range {
-                let i = inserts.expand(k);
-                let j = i | stride;
-                // SAFETY: (i, j) pairs are disjoint across k values
-                // (expansion is injective).
-                let (a, b) = unsafe { (*ptr.at(i), *ptr.at(j)) };
-                unsafe {
-                    *ptr.at(i) = m[0][0] * a + m[0][1] * b;
-                    *ptr.at(j) = m[1][0] * a + m[1][1] * b;
-                }
-            }
-        });
+        // SAFETY: `masked` hands each chunk a disjoint range of counters
+        // whose pairs lie inside this state.
+        self.masked(
+            KernelClass::Dense,
+            BitInserts::new(ctrl_mask, stride),
+            2 * AMP_BYTES,
+            |p, runs| unsafe { sweep::dense(p, runs, stride, &m) },
+        );
     }
 
     /// Apply a two-qubit matrix `m` (row-major, basis index
@@ -470,56 +625,19 @@ impl StateVector {
     /// This is the replay kernel of a fused [`crate::KernelOp::Dense2`]
     /// block: one sweep visiting `2^(n-2-c)` amplitude quads, instead of
     /// one full sweep per fused gate. Like every other kernel it builds
-    /// its `BitInserts` table inline — zero steady-state allocations.
+    /// its `BitInserts` inline — zero steady-state allocations.
     pub fn apply_pair(&mut self, t0: usize, t1: usize, m: &[[Complex64; 4]; 4], ctrl_mask: usize) {
         assert!(t0 < t1, "pair must be ordered low-to-high");
         debug_assert!(t1 < self.num_qubits);
         debug_assert_eq!(ctrl_mask & ((1 << t0) | (1 << t1)), 0, "control mask must exclude the pair");
         let (s0, s1) = (1usize << t0, 1usize << t1);
-        let inserts = BitInserts::new(ctrl_mask, s0 | s1);
-        let quads = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Dense2, quads);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-
-        /// One 4×4 mat-vec on the quad based at `i00`.
-        ///
-        /// SAFETY: caller guarantees the four indices are in bounds and the
-        /// quad is written from exactly one chunk (expansion is injective).
-        #[inline(always)]
-        unsafe fn quad(ptr: AmpsPtr, i00: usize, s0: usize, s1: usize, m: &[[Complex64; 4]; 4]) {
-            let (i01, i10, i11) = (i00 | s0, i00 | s1, i00 | s0 | s1);
-            let a = unsafe { [*ptr.at(i00), *ptr.at(i01), *ptr.at(i10), *ptr.at(i11)] };
-            for (r, &i) in [i00, i01, i10, i11].iter().enumerate() {
-                unsafe {
-                    *ptr.at(i) = m[r][0] * a[0] + m[r][1] * a[1] + m[r][2] * a[2] + m[r][3] * a[3];
-                }
-            }
-        }
-
-        if ctrl_mask == 0 {
-            // Contiguous-run sweep, as in `apply_single`: the `2^t0` quads
-            // sharing their bits above `t0` have consecutive base indices.
-            let low_mask = s0 - 1;
-            self.dispatch(quads, 4 * AMP_BYTES, |range| {
-                let mut k = range.start;
-                while k < range.end {
-                    let run = (s0 - (k & low_mask)).min(range.end - k);
-                    let base = inserts.expand(k);
-                    for off in 0..run {
-                        // SAFETY: disjoint quads across k values.
-                        unsafe { quad(ptr, base + off, s0, s1, m) };
-                    }
-                    k += run;
-                }
-            });
-            return;
-        }
-        self.dispatch(quads, 4 * AMP_BYTES, |range| {
-            for k in range {
-                // SAFETY: disjoint quads across k values.
-                unsafe { quad(ptr, inserts.expand(k), s0, s1, m) };
-            }
-        });
+        // SAFETY: as in `apply_single`, for quads.
+        self.masked(
+            KernelClass::Dense2,
+            BitInserts::new(ctrl_mask, s0 | s1),
+            4 * AMP_BYTES,
+            |p, runs| unsafe { sweep::quad(p, runs, s0, s1, m) },
+        );
     }
 
     /// Apply the anti-diagonal matrix [[0, m01], [m10, 0]] to qubit `t`
@@ -531,26 +649,9 @@ impl StateVector {
         debug_assert!(t < self.num_qubits);
         debug_assert_eq!(ctrl_mask & (1 << t), 0, "control mask must exclude the target");
         let stride = 1usize << t;
-        let inserts = BitInserts::new(ctrl_mask, stride);
-        let pairs = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Flip, pairs);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        let pure_flip = m01 == Complex64::ONE && m10 == Complex64::ONE;
-        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
-            for k in range {
-                let i = inserts.expand(k);
-                let j = i | stride;
-                // SAFETY: (i, j) pairs are disjoint across k values.
-                unsafe {
-                    if pure_flip {
-                        std::ptr::swap(ptr.at(i), ptr.at(j));
-                    } else {
-                        let (a, b) = (*ptr.at(i), *ptr.at(j));
-                        *ptr.at(i) = m01 * b;
-                        *ptr.at(j) = m10 * a;
-                    }
-                }
-            }
+        // SAFETY: as in `apply_single`.
+        self.masked(KernelClass::Flip, BitInserts::new(ctrl_mask, stride), 2 * AMP_BYTES, |p, runs| unsafe {
+            sweep::antidiag(p, runs, stride, m01, m10)
         });
     }
 
@@ -561,19 +662,9 @@ impl StateVector {
         debug_assert!(t < self.num_qubits);
         debug_assert_eq!(ctrl_mask & (1 << t), 0, "control mask must exclude the target");
         let stride = 1usize << t;
-        let inserts = BitInserts::new(ctrl_mask, stride);
-        let pairs = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Diag, pairs);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(pairs, 2 * AMP_BYTES, |range| {
-            for k in range {
-                let i = inserts.expand(k);
-                // SAFETY: disjoint pairs across k values.
-                unsafe {
-                    *ptr.at(i) *= d0;
-                    *ptr.at(i | stride) *= d1;
-                }
-            }
+        // SAFETY: as in `apply_single`.
+        self.masked(KernelClass::Diag, BitInserts::new(ctrl_mask, stride), 2 * AMP_BYTES, |p, runs| unsafe {
+            sweep::diag(p, runs, stride, d0, d1)
         });
     }
 
@@ -589,27 +680,17 @@ impl StateVector {
     /// `2^(n-s-c)` matching indices are visited.
     pub fn mul_where(&mut self, set_mask: usize, clear_mask: usize, z: Complex64) {
         debug_assert_eq!(set_mask & clear_mask, 0);
-        let inserts = BitInserts::new(set_mask, clear_mask);
-        let matching = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Phase, matching);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(matching, AMP_BYTES, |range| {
-            for k in range {
-                // SAFETY: disjoint indices per chunk (expansion injective).
-                unsafe { *ptr.at(inserts.expand(k)) *= z };
-            }
+        // SAFETY: as in `apply_single`, for single indices.
+        self.masked(KernelClass::Phase, BitInserts::new(set_mask, clear_mask), AMP_BYTES, |p, runs| unsafe {
+            sweep::mul(p, runs, z)
         });
     }
 
     /// Multiply every amplitude by `z` (used for the global phase of Rz).
     pub fn scale_all(&mut self, z: Complex64) {
-        crate::stats::record_iterations(KernelClass::Scale, self.amps.len());
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(self.amps.len(), AMP_BYTES, |range| {
-            for i in range {
-                // SAFETY: disjoint indices per chunk.
-                unsafe { *ptr.at(i) *= z };
-            }
+        // SAFETY: as in `mul_where`.
+        self.masked(KernelClass::Scale, BitInserts::new(0, 0), AMP_BYTES, |p, runs| unsafe {
+            sweep::mul(p, runs, z)
         });
     }
 
@@ -623,19 +704,14 @@ impl StateVector {
         assert_ne!(a, b, "swap requires distinct qubits");
         debug_assert_eq!(ctrl_mask & ((1 << a) | (1 << b)), 0);
         let (bit_a, bit_b) = (1usize << a, 1usize << b);
-        let inserts = BitInserts::new(ctrl_mask | bit_a, bit_b);
-        let count = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Swap, count);
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(count, 2 * AMP_BYTES, |range| {
-            for k in range {
-                let i = inserts.expand(k);
-                let j = i ^ bit_a ^ bit_b;
-                // SAFETY: each (i, j) pair is enumerated exactly once (only
-                // from its a=1, b=0 side) and pairs are disjoint across k.
-                unsafe { std::ptr::swap(ptr.at(i), ptr.at(j)) };
-            }
-        });
+        // SAFETY: as in `apply_single`; each pair is reached once, from its
+        // a=1, b=0 side.
+        self.masked(
+            KernelClass::Swap,
+            BitInserts::new(ctrl_mask | bit_a, bit_b),
+            2 * AMP_BYTES,
+            |p, runs| unsafe { sweep::swap(p, runs, bit_a | bit_b) },
+        );
     }
 
     /// Apply the classical bijection `perm` to the value encoded (little-
@@ -672,10 +748,10 @@ impl StateVector {
             // Indices failing the controls keep their amplitude.
             self.scratch.copy_from_slice(&self.amps);
         }
-        let inserts = BitInserts::new(ctrl_mask, 0);
-        let matching = self.amps.len() >> inserts.width();
-        crate::stats::record_iterations(KernelClass::Perm, matching);
-        let out_ptr = AmpsPtr(self.scratch.as_mut_ptr());
+        let ins = BitInserts::new(ctrl_mask, 0);
+        let counters = ins.all(self.amps.len());
+        crate::stats::record_iterations(KernelClass::Perm, counters.len());
+        let out = AmpsPtr::new(&mut self.scratch);
         let amps = &self.amps;
         let src_of = |i: usize| -> usize {
             let mut x = 0usize;
@@ -689,12 +765,10 @@ impl StateVector {
             }
             j
         };
-        self.dispatch(matching, AMP_BYTES, |range| {
-            for k in range {
-                let i = inserts.expand(k);
-                // SAFETY: each output index written once; reads are shared.
-                unsafe { *out_ptr.at(i) = amps[src_of(i)] };
-            }
+        self.dispatch(counters.len(), AMP_BYTES, |range| {
+            // SAFETY: each output index is written from one counter only;
+            // reads are shared.
+            ins.runs(range).each(|i| unsafe { *out.at(i) = amps[src_of(i)] });
         });
         std::mem::swap(&mut self.amps, &mut self.scratch);
     }
@@ -723,7 +797,7 @@ impl StateVector {
         let block_len = 1usize << block_qubits;
         assert!(block_len <= self.amps.len(), "block larger than the state");
         let blocks = self.amps.len() >> block_qubits;
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
+        let ptr = AmpsPtr::new(&mut self.amps);
         self.dispatch(blocks, block_len * AMP_BYTES, |range| {
             for b in range {
                 // SAFETY: blocks are disjoint across b values and `f` is
@@ -737,14 +811,15 @@ impl StateVector {
     /// Probability of measuring |1⟩ on qubit `q`.
     pub fn prob_one(&self, q: usize) -> f64 {
         let bit = 1usize << q;
+        let ins = BitInserts::new(bit, 0);
+        // Counters of the set-bit indices below `x`: each full `2·bit`
+        // period holds `bit` of them. A chunk of the full index space thus
+        // sums its own set-bit indices, in ascending order.
+        let below = |x: usize| ((x >> 1) & !(bit - 1)) + (x & (2 * bit - 1)).saturating_sub(bit);
         let amps = &self.amps;
         self.reduce(self.amps.len(), |range| {
             let mut acc = 0.0;
-            for i in range {
-                if i & bit != 0 {
-                    acc += amps[i].norm_sqr();
-                }
-            }
+            ins.runs(below(range.start)..below(range.end)).each(|i| acc += amps[i].norm_sqr());
             acc
         })
     }
@@ -768,21 +843,19 @@ impl StateVector {
     pub fn collapse(&mut self, q: usize, outcome: u8, prob: f64) {
         assert!(prob > 0.0, "cannot collapse onto a zero-probability outcome");
         let bit = 1usize << q;
-        let keep_set = outcome == 1;
+        // Visit the pairs `(i, i | bit)` once each: one side is kept and
+        // rescaled, the other zeroed.
+        let (keep, drop) = if outcome == 1 { (bit, 0) } else { (0, bit) };
         let scale = 1.0 / prob.sqrt();
-        let ptr = AmpsPtr(self.amps.as_mut_ptr());
-        self.dispatch(self.amps.len(), AMP_BYTES, |range| {
-            for i in range {
-                let set = i & bit != 0;
-                // SAFETY: disjoint indices per chunk.
-                unsafe {
-                    if set == keep_set {
-                        *ptr.at(i) = ptr.at(i).scale(scale);
-                    } else {
-                        *ptr.at(i) = Complex64::ZERO;
-                    }
-                }
-            }
+        let ins = BitInserts::new(0, bit);
+        let pairs = ins.all(self.amps.len());
+        let p = AmpsPtr::new(&mut self.amps);
+        self.dispatch(pairs.len(), 2 * AMP_BYTES, |range| {
+            // SAFETY: disjoint pairs per chunk, inside the state.
+            ins.runs(range).each(|i| unsafe {
+                *p.at(i | keep) = p.at(i | keep).scale(scale);
+                *p.at(i | drop) = Complex64::ZERO;
+            });
         });
     }
 
@@ -935,15 +1008,6 @@ mod tests {
         }
     }
 
-    /// A 6-qubit state on a 4-thread pool that forks every sweep — the
-    /// default floor would run a register this small inline and the
-    /// forked-vs-sequential comparisons below would compare nothing.
-    fn forking_state() -> StateVector {
-        let mut par = StateVector::with_pool(6, Arc::new(ThreadPool::new(4)));
-        par.set_par_threshold(1);
-        par
-    }
-
     #[test]
     fn parallel_pool_matches_sequential() {
         let mut seq = StateVector::new(6);
@@ -993,24 +1057,43 @@ mod tests {
     // ---- control-aware enumeration vs the old scan-and-skip kernels ----
     //
     // Reference implementations of the pre-PR-4 kernels: scan every index
-    // (or pair) and branch-skip the ones failing the control mask. The
-    // control-aware kernels must produce bit-identical amplitudes.
+    // (or pair) and branch-skip the ones failing the control mask. Every
+    // masked kernel must produce bit-identical amplitudes, inline and on a
+    // pool that forks every sweep.
 
     fn insert_zero_at(k: usize, t: usize) -> usize {
         let low = (1usize << t) - 1;
         ((k & !low) << 1) | (k & low)
     }
 
+    /// The pairs `(i, i | 1 << t)` whose `i` satisfies `ctrl`, in scan order.
+    fn scan_pairs(len: usize, t: usize, ctrl: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..len / 2)
+            .map(move |k| insert_zero_at(k, t))
+            .filter(move |i| i & ctrl == ctrl)
+            .map(move |i| (i, i | 1 << t))
+    }
+
     fn scan_apply_single(amps: &mut [Complex64], t: usize, m: [[Complex64; 2]; 2], ctrl: usize) {
-        let stride = 1usize << t;
-        for k in 0..amps.len() / 2 {
-            let i = insert_zero_at(k, t);
-            if i & ctrl != ctrl {
-                continue;
-            }
-            let (a, b) = (amps[i], amps[i | stride]);
+        for (i, j) in scan_pairs(amps.len(), t, ctrl) {
+            let (a, b) = (amps[i], amps[j]);
             amps[i] = m[0][0] * a + m[0][1] * b;
-            amps[i | stride] = m[1][0] * a + m[1][1] * b;
+            amps[j] = m[1][0] * a + m[1][1] * b;
+        }
+    }
+
+    fn scan_antidiag(amps: &mut [Complex64], t: usize, m01: Complex64, m10: Complex64, ctrl: usize) {
+        for (i, j) in scan_pairs(amps.len(), t, ctrl) {
+            let (a, b) = (amps[i], amps[j]);
+            amps[i] = m01 * b;
+            amps[j] = m10 * a;
+        }
+    }
+
+    fn scan_diag(amps: &mut [Complex64], t: usize, d0: Complex64, d1: Complex64, ctrl: usize) {
+        for (i, j) in scan_pairs(amps.len(), t, ctrl) {
+            amps[i] *= d0;
+            amps[j] *= d1;
         }
     }
 
@@ -1031,64 +1114,220 @@ mod tests {
         }
     }
 
-    /// A deterministic non-trivial 6-qubit state to run kernels against.
-    fn scrambled_state() -> StateVector {
-        let mut sv = StateVector::new(6);
-        for q in 0..6 {
+    fn scan_permutation(amps: &mut [Complex64], ctrl: usize, targets: &[usize], perm: &[usize]) {
+        let old = amps.to_vec();
+        for (i, src) in old.iter().enumerate() {
+            if i & ctrl == ctrl {
+                let x: usize = targets.iter().enumerate().map(|(pos, &q)| ((i >> q) & 1) << pos).sum();
+                let y = perm[x];
+                let j = targets
+                    .iter()
+                    .enumerate()
+                    .fold(i, |j, (pos, &q)| (j & !(1 << q)) | ((y >> pos) & 1) << q);
+                amps[j] = *src;
+            }
+        }
+    }
+
+    fn scan_collapse(amps: &mut [Complex64], q: usize, outcome: u8, prob: f64) {
+        let scale = 1.0 / prob.sqrt();
+        for (i, amp) in amps.iter_mut().enumerate() {
+            *amp = if (i >> q) as u8 & 1 == outcome { amp.scale(scale) } else { Complex64::ZERO };
+        }
+    }
+
+    /// A 6-qubit state on a 4-thread pool that forks every sweep — the
+    /// default floor would run a register this small inline and the
+    /// forked-vs-sequential comparisons below would compare nothing. Its
+    /// chunks are a single counter or a few, so they split unit-stride runs.
+    fn forking_state() -> StateVector {
+        forking_state_of(6)
+    }
+
+    fn forking_state_of(num_qubits: usize) -> StateVector {
+        let mut par = StateVector::with_pool(num_qubits, Arc::new(ThreadPool::new(4)));
+        par.set_par_threshold(1);
+        par
+    }
+
+    /// Drive `sv` to a deterministic non-trivial state.
+    fn scramble(mut sv: StateVector) -> StateVector {
+        let n = sv.num_qubits();
+        for q in 0..n {
             sv.apply_single(q, h_matrix(), 0);
             sv.phase_where(1 << q, 0, 0.17 * (q as f64 + 1.0));
         }
-        for q in 0..5 {
+        for q in 0..n - 1 {
             let x = [[Complex64::ZERO, Complex64::ONE], [Complex64::ONE, Complex64::ZERO]];
             sv.apply_single(q + 1, x, 1 << q);
         }
         sv
     }
 
+    /// A deterministic non-trivial 6-qubit state to run kernels against.
+    fn scrambled_state() -> StateVector {
+        scramble(StateVector::new(6))
+    }
+
+    fn assert_bits_eq(expect: &[Complex64], got: &[Complex64], label: &str) {
+        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
+            assert_eq!(e.re.to_bits(), g.re.to_bits(), "{label}: re of amplitude {i}");
+            assert_eq!(e.im.to_bits(), g.im.to_bits(), "{label}: im of amplitude {i}");
+        }
+    }
+
+    /// `kernel` on the scrambled state must leave exactly the amplitudes
+    /// `reference` leaves, inline and forked.
+    fn assert_matches_scan(
+        label: &str,
+        reference: impl Fn(&mut [Complex64]),
+        kernel: impl Fn(&mut StateVector),
+    ) {
+        let mut expect = scrambled_state().amplitudes().to_vec();
+        reference(&mut expect);
+        let mut inline = scrambled_state();
+        kernel(&mut inline);
+        assert_bits_eq(&expect, inline.amplitudes(), &format!("{label}, inline"));
+        let mut forked = scramble(forking_state());
+        let forked_before = crate::stats::forked_sweeps();
+        kernel(&mut forked);
+        assert!(crate::stats::forked_sweeps() > forked_before, "{label}: the pooled sweep must fork");
+        assert_bits_eq(&expect, forked.amplitudes(), &format!("{label}, forked"));
+    }
+
+    /// Control masks for a target at qubit 2: none, one, two on both sides
+    /// of it, three on both sides, two above it only.
+    const CTRLS_AROUND_2: [usize; 5] =
+        [0, 1 << 0, (1 << 0) | (1 << 4), (1 << 1) | (1 << 3) | (1 << 5), 0b110000];
+
     #[test]
     fn control_aware_single_matches_scan_and_skip() {
         let u = [[c64(0.6, 0.0), c64(0.0, 0.8)], [c64(0.0, 0.8), c64(0.6, 0.0)]];
-        for ctrl in [0usize, 1 << 0, (1 << 0) | (1 << 4), (1 << 1) | (1 << 3) | (1 << 5)] {
-            let base = scrambled_state();
-            let mut expect: Vec<Complex64> = base.amplitudes().to_vec();
-            scan_apply_single(&mut expect, 2, u, ctrl);
-            let mut got = scrambled_state();
-            got.apply_single(2, u, ctrl);
-            for (e, g) in expect.iter().zip(got.amplitudes()) {
-                assert_eq!(e.re.to_bits(), g.re.to_bits(), "ctrl={ctrl:#b}");
-                assert_eq!(e.im.to_bits(), g.im.to_bits(), "ctrl={ctrl:#b}");
+        for ctrl in CTRLS_AROUND_2 {
+            assert_matches_scan(
+                &format!("dense ctrl={ctrl:#b}"),
+                |amps| scan_apply_single(amps, 2, u, ctrl),
+                |sv| sv.apply_single(2, u, ctrl),
+            );
+        }
+    }
+
+    #[test]
+    fn control_aware_antidiag_and_diag_match_scan_and_skip() {
+        let (a, b) = (Complex64::from_polar_unit(0.3), Complex64::from_polar_unit(-1.1));
+        for ctrl in CTRLS_AROUND_2 {
+            for (m01, m10) in [(Complex64::ONE, Complex64::ONE), (a, b)] {
+                assert_matches_scan(
+                    &format!("antidiag ctrl={ctrl:#b} m01={m01}"),
+                    |amps| scan_antidiag(amps, 2, m01, m10, ctrl),
+                    |sv| sv.apply_antidiag(2, m01, m10, ctrl),
+                );
             }
+            assert_matches_scan(
+                &format!("diag ctrl={ctrl:#b}"),
+                |amps| scan_diag(amps, 2, a, b, ctrl),
+                |sv| sv.apply_diag(2, a, b, ctrl),
+            );
         }
     }
 
     #[test]
     fn control_aware_mul_where_matches_scan_and_skip() {
         let z = Complex64::from_polar_unit(1.234);
-        for (set, clear) in [(1usize << 1, 0usize), ((1 << 0) | (1 << 3), 1 << 5), (0, (1 << 2) | (1 << 4))] {
-            let base = scrambled_state();
-            let mut expect: Vec<Complex64> = base.amplitudes().to_vec();
-            scan_mul_where(&mut expect, set, clear, z);
-            let mut got = scrambled_state();
-            got.mul_where(set, clear, z);
-            for (e, g) in expect.iter().zip(got.amplitudes()) {
-                assert_eq!(e.re.to_bits(), g.re.to_bits(), "set={set:#b} clear={clear:#b}");
-                assert_eq!(e.im.to_bits(), g.im.to_bits(), "set={set:#b} clear={clear:#b}");
+        for (set, clear) in [
+            (1usize << 1, 0usize),
+            ((1 << 0) | (1 << 3), 1 << 5),
+            (0, (1 << 2) | (1 << 4)),
+            ((1 << 2) | (1 << 5), (1 << 0) | (1 << 3)),
+            (0b110000, 0b1000),
+        ] {
+            assert_matches_scan(
+                &format!("mul_where set={set:#b} clear={clear:#b}"),
+                |amps| scan_mul_where(amps, set, clear, z),
+                |sv| sv.mul_where(set, clear, z),
+            );
+        }
+        assert_matches_scan("scale_all", |amps| scan_mul_where(amps, 0, 0, z), |sv| sv.scale_all(z));
+    }
+
+    #[test]
+    fn control_aware_swap_matches_scan_and_skip() {
+        for (a, b, ctrl) in [
+            (0usize, 3usize, 0usize),
+            (0, 3, 1 << 2),
+            (0, 3, (1 << 2) | (1 << 5)),
+            (4, 1, (1 << 0) | (1 << 5)),
+            (2, 3, 0b110000),
+        ] {
+            assert_matches_scan(
+                &format!("swap {a}<->{b} ctrl={ctrl:#b}"),
+                |amps| scan_swap(amps, a, b, ctrl),
+                |sv| sv.apply_swap(a, b, ctrl),
+            );
+        }
+    }
+
+    #[test]
+    fn control_aware_permutation_matches_scan_and_skip() {
+        let perm: Vec<usize> = (0..8).map(|x| (x * 3 + 1) % 8).collect();
+        for (targets, ctrl) in
+            [([1usize, 2, 3], 0usize), ([1, 2, 3], (1 << 0) | (1 << 5)), ([0, 2, 5], 0b10010)]
+        {
+            assert_matches_scan(
+                &format!("permutation {targets:?} ctrl={ctrl:#b}"),
+                |amps| scan_permutation(amps, ctrl, &targets, &perm),
+                |sv| sv.apply_controlled_permutation(ctrl, &targets, &perm),
+            );
+        }
+    }
+
+    #[test]
+    fn collapse_matches_scan_and_skip() {
+        for q in [0usize, 3, 5] {
+            for outcome in [0u8, 1] {
+                let prob = 0.3 + 0.1 * q as f64;
+                assert_matches_scan(
+                    &format!("collapse q={q} outcome={outcome}"),
+                    |amps| scan_collapse(amps, q, outcome, prob),
+                    |sv| sv.collapse(q, outcome, prob),
+                );
             }
         }
     }
 
     #[test]
-    fn control_aware_swap_matches_scan_and_skip() {
-        for ctrl in [0usize, 1 << 2, (1 << 2) | (1 << 5)] {
-            let base = scrambled_state();
-            let mut expect: Vec<Complex64> = base.amplitudes().to_vec();
-            scan_swap(&mut expect, 0, 3, ctrl);
-            let mut got = scrambled_state();
-            got.apply_swap(0, 3, ctrl);
-            for (e, g) in expect.iter().zip(got.amplitudes()) {
-                assert_eq!(e.re.to_bits(), g.re.to_bits(), "ctrl={ctrl:#b}");
-                assert_eq!(e.im.to_bits(), g.im.to_bits(), "ctrl={ctrl:#b}");
+    fn prob_one_sums_like_the_chunked_scan() {
+        // Four reduce chunks: a low qubit has set bits inside every chunk,
+        // a high one sets whole chunks, and for the top qubit a chunk starts
+        // half-way through its set half.
+        let n = 14;
+        // Uneven magnitudes, so a sum regrouped across chunks rounds
+        // differently (the scrambled state's are all equal, hence exact).
+        let uneven = |mut sv: StateVector| {
+            for q in 0..n {
+                let (c, s) = ((0.3 + 0.1 * q as f64).cos(), (0.3 + 0.1 * q as f64).sin());
+                sv.apply_single(q, [[c64(c, 0.0), c64(-s, 0.0)], [c64(s, 0.0), c64(c, 0.0)]], 0);
             }
+            sv
+        };
+        let inline = uneven(scramble(StateVector::new(n)));
+        let forked = uneven(scramble(forking_state_of(n)));
+        let amps = inline.amplitudes();
+        for q in 0..n {
+            let expect = (0..amps.len())
+                .step_by(StateVector::REDUCE_GRAIN)
+                .map(|lo| {
+                    let mut acc = 0.0;
+                    for (i, a) in amps.iter().enumerate().take(lo + StateVector::REDUCE_GRAIN).skip(lo) {
+                        if i & (1 << q) != 0 {
+                            acc += a.norm_sqr();
+                        }
+                    }
+                    acc
+                })
+                .fold(0.0, |a, b| a + b);
+            assert_eq!(inline.prob_one(q).to_bits(), expect.to_bits(), "q={q}, inline");
+            assert_eq!(forked.prob_one(q).to_bits(), expect.to_bits(), "q={q}, forked");
         }
     }
 
@@ -1199,18 +1438,19 @@ mod tests {
     #[test]
     fn pair_kernel_matches_scan_and_skip() {
         let m = test_pair_matrix();
-        for (t0, t1, ctrl) in
-            [(0usize, 1usize, 0usize), (2, 4, 0), (0, 5, 1 << 2), (1, 3, (1 << 0) | (1 << 5))]
-        {
-            let base = scrambled_state();
-            let mut expect: Vec<Complex64> = base.amplitudes().to_vec();
-            scan_apply_pair(&mut expect, t0, t1, &m, ctrl);
-            let mut got = scrambled_state();
-            got.apply_pair(t0, t1, &m, ctrl);
-            for (e, g) in expect.iter().zip(got.amplitudes()) {
-                assert_eq!(e.re.to_bits(), g.re.to_bits(), "t0={t0} t1={t1} ctrl={ctrl:#b}");
-                assert_eq!(e.im.to_bits(), g.im.to_bits(), "t0={t0} t1={t1} ctrl={ctrl:#b}");
-            }
+        for (t0, t1, ctrl) in [
+            (0usize, 1usize, 0usize),
+            (2, 4, 0),
+            (0, 5, 1 << 2),
+            (1, 3, (1 << 0) | (1 << 5)),
+            (1, 4, (1 << 0) | (1 << 2) | (1 << 5)),
+            (0, 1, 0b110000),
+        ] {
+            assert_matches_scan(
+                &format!("pair t0={t0} t1={t1} ctrl={ctrl:#b}"),
+                |amps| scan_apply_pair(amps, t0, t1, &m, ctrl),
+                |sv| sv.apply_pair(t0, t1, &m, ctrl),
+            );
         }
     }
 
@@ -1218,24 +1458,12 @@ mod tests {
     fn pair_kernel_parallel_matches_sequential() {
         let m = test_pair_matrix();
         let mut seq = scrambled_state();
-        let mut par = forking_state();
-        // Rebuild the scrambled state on the pooled instance.
-        for q in 0..6 {
-            par.apply_single(q, h_matrix(), 0);
-            par.phase_where(1 << q, 0, 0.17 * (q as f64 + 1.0));
-        }
-        for q in 0..5 {
-            let x = [[Complex64::ZERO, Complex64::ONE], [Complex64::ONE, Complex64::ZERO]];
-            par.apply_single(q + 1, x, 1 << q);
-        }
+        let mut par = scramble(forking_state());
         seq.apply_pair(1, 4, &m, 0);
         let forked_before = crate::stats::forked_sweeps();
         par.apply_pair(1, 4, &m, 0);
         assert_eq!(crate::stats::forked_sweeps() - forked_before, 1, "the pooled pair sweep must fork");
-        for (a, b) in seq.amplitudes().iter().zip(par.amplitudes()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
+        assert_bits_eq(seq.amplitudes(), par.amplitudes(), "pair");
     }
 
     #[test]
@@ -1282,9 +1510,59 @@ mod tests {
         let zeros = 1usize << 2;
         let inserts = BitInserts::new(ones, zeros);
         let n = 6;
-        let mut seen: Vec<usize> = (0..(1usize << n) >> inserts.width()).map(|k| inserts.expand(k)).collect();
+        let mut seen: Vec<usize> = inserts.all(1 << n).map(|k| inserts.expand(k)).collect();
         seen.sort_unstable();
         let expect: Vec<usize> = (0..1usize << n).filter(|i| i & ones == ones && i & zeros == 0).collect();
         assert_eq!(seen, expect);
+    }
+
+    /// The runs of a counter range, flattened, are the expansions of its
+    /// counters; each run is non-empty, no longer than `2^tz(fixed)`, and
+    /// maximal (the next run does not continue it).
+    fn assert_runs_flatten_to_expand(ones: usize, zeros: usize, range: Range<usize>) {
+        let ins = BitInserts::new(ones, zeros);
+        let label = format!("ones={ones:#b} zeros={zeros:#b} range={range:?}");
+        let runs: Vec<Range<usize>> = ins.runs(range.clone()).collect();
+        let fixed = ones | zeros;
+        let max_run = if fixed == 0 { usize::MAX } else { fixed & fixed.wrapping_neg() };
+        for (i, run) in runs.iter().enumerate() {
+            assert!(!run.is_empty() && run.len() <= max_run, "{label}: run {run:?}");
+            if let Some(next) = runs.get(i + 1) {
+                assert!(next.start > run.end, "{label}: {run:?} then {next:?}");
+            }
+        }
+        let flat: Vec<usize> = runs.into_iter().flatten().collect();
+        let expect: Vec<usize> = range.map(|k| ins.expand(k)).collect();
+        assert_eq!(flat, expect, "{label}");
+    }
+
+    #[test]
+    fn bit_inserts_runs_flatten_to_expand() {
+        let n = 24;
+        let len = |ones: usize, zeros: usize| (1usize << n) >> (ones | zeros).count_ones();
+        // No fixed bit (one run), bit 0 fixed (runs of one index), lowest
+        // fixed bit above 0; empty ranges, ranges ending at `len`.
+        let (hi_ones, hi_zeros) = ((1usize << 5) | (1 << 23), (1usize << 3) | (1 << 12));
+        for (ones, zeros) in [(0usize, 0usize), (1, 1 << 7), (1 << 9, 1), (hi_ones, hi_zeros), (0, 1 << 3)] {
+            let len = len(ones, zeros);
+            for range in [0..0, 17..17, 0..300, 5..len.min(5000), len - 1000..len, len..len] {
+                assert_runs_flatten_to_expand(ones, zeros, range);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(36);
+        for _ in 0..300 {
+            let (mut ones, mut zeros) = (0usize, 0usize);
+            for bit in 0..n {
+                match rng.gen_range(0..5) {
+                    0 => ones |= 1 << bit,
+                    1 => zeros |= 1 << bit,
+                    _ => {}
+                }
+            }
+            let len = len(ones, zeros);
+            let start = rng.gen_range(0..=len);
+            let end = rng.gen_range(start..=len.min(start + 4096));
+            assert_runs_flatten_to_expand(ones, zeros, start..end);
+        }
     }
 }

@@ -50,7 +50,7 @@
 //!   next checkpoint and returns the completed prefix. Dropping a future
 //!   stays detached (fire-and-forget).
 //! * **Live introspection** — [`ExecutionService::introspect`] snapshots
-//!   the stats, per-tenant gauges and live backend loads into a
+//!   the stats and per-tenant gauges into a
 //!   [`ServiceIntrospection`] (text or JSON via
 //!   [`ServiceIntrospection::to_text`] / [`to_json`](ServiceIntrospection::to_json));
 //!   setting `QCOR_DEBUG_ENDPOINT=<addr>` serves the global service's
@@ -80,7 +80,7 @@
 
 use crate::introspect::{DebugServer, ServiceIntrospection, TenantStats};
 use crate::qpu_manager::QPUManager;
-use crate::runtime::{initialize, InitOptions};
+use crate::runtime::{current_options, initialize, InitOptions};
 use crate::threading::{TaskFuture, TaskOutcome};
 use crate::QcorError;
 use crossbeam::channel::bounded;
@@ -571,7 +571,7 @@ impl ExecutionService {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let inherited = inherited_task_options();
+        let inherited = current_options();
         let in_own_task = IN_SERVICE_TASK.with(|owner| owner.get()) == self.inner.id;
         let tenant: Arc<str> = current_tenant_key().unwrap_or_else(|| Arc::from(DEFAULT_TENANT));
 
@@ -671,10 +671,9 @@ impl ExecutionService {
     }
 
     /// A full live snapshot: [`ServiceStats`], the service's configuration
-    /// surface, per-tenant gauges (one [`TenantStats`] per tenant ever
-    /// seen, sorted by name) and the registry's per-backend in-flight
-    /// loads. The stats and tenant rows come from **one** lock
-    /// acquisition, so the per-tenant columns sum exactly to the
+    /// surface and per-tenant gauges (one [`TenantStats`] per tenant ever
+    /// seen, sorted by name). The stats and tenant rows come from **one**
+    /// lock acquisition, so the per-tenant columns sum exactly to the
     /// `ServiceStats` totals and the accounting identity holds per row.
     pub fn introspect(&self) -> ServiceIntrospection {
         let (stats, mut tenants) = {
@@ -700,7 +699,6 @@ impl ExecutionService {
             permit_budget: self.inner.max_permits,
             pool_threads: self.pool.num_threads(),
             tenants,
-            backends: qcor_xacc::registry::global().backend_loads(),
         }
     }
 
@@ -780,27 +778,6 @@ where
         None => QPUManager::instance().clear_current(),
     }
     TaskOutcome::Completed(result)
-}
-
-/// The `InitOptions` a child task inherits: the parent's options pinned
-/// to the backend the parent's own initialization **resolved to**. A
-/// child must get a fresh instance of the *same* backend as its parent —
-/// replaying a non-pinned routing policy would re-route (advancing
-/// rotation cursors) and could silently hand the child a different
-/// backend class. Tasks that want routed placement call `initialize`
-/// with a routing policy themselves.
-fn inherited_task_options() -> Option<InitOptions> {
-    QPUManager::instance().get_qpu().map(|ctx| {
-        let mut opts = ctx.init;
-        // The registry key routing resolved for the parent — NOT
-        // `qpu.name()`, which custom services may register differently.
-        opts.backend = ctx.resolved_backend;
-        opts.routing = Some(crate::RoutingPolicy::Pinned);
-        for key in ["routing", "routing-backends", "routing-capability"] {
-            opts.params.remove(key);
-        }
-        opts
-    })
 }
 
 /// The dispatcher: waits for (queued task ∧ free permit), ships the task

@@ -17,8 +17,7 @@
 //! {
 //!   "service": {"capacity": 256, "permit_budget": 3, "pool_threads": 4},
 //!   "stats": {"submitted": 10, "completed": 10, ...},
-//!   "tenants": [{"tenant": "default", "submitted": 10, ...}],
-//!   "backends": [{"backend": "qpp", "inflight": 0}]
+//!   "tenants": [{"tenant": "default", "submitted": 10, ...}]
 //! }
 //! ```
 //!
@@ -53,8 +52,8 @@ pub struct TenantStats {
 }
 
 /// A consistent, self-describing snapshot of an execution service: its
-/// configuration surface, [`ServiceStats`](crate::ServiceStats),
-/// per-tenant gauges and the live per-backend in-flight loads. Produced by
+/// configuration surface, [`ServiceStats`](crate::ServiceStats) and
+/// per-tenant gauges. Produced by
 /// [`ExecutionService::introspect`](crate::ExecutionService::introspect);
 /// rendered by [`to_text`](ServiceIntrospection::to_text) /
 /// [`to_json`](ServiceIntrospection::to_json) and served by
@@ -71,9 +70,6 @@ pub struct ServiceIntrospection {
     pub pool_threads: usize,
     /// Per-tenant gauges, sorted by tenant name.
     pub tenants: Vec<TenantStats>,
-    /// `(backend, in-flight executions)` from the service registry,
-    /// sorted by backend name.
-    pub backends: Vec<(String, usize)>,
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -124,13 +120,6 @@ impl ServiceIntrospection {
                 t.queued,
             ));
         }
-        out.push_str("],\"backends\":[");
-        for (i, (name, inflight)) in self.backends.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"backend\":\"{}\",\"inflight\":{}}}", json_escape(name), inflight));
-        }
         out.push_str("]}");
         out
     }
@@ -155,10 +144,6 @@ impl ServiceIntrospection {
                 "  {} submitted={} completed={} running={} cancelled={} queued={}\n",
                 t.tenant, t.submitted, t.completed, t.running, t.cancelled, t.queued,
             ));
-        }
-        out.push_str("backends\n");
-        for (name, inflight) in &self.backends {
-            out.push_str(&format!("  {name} inflight={inflight}\n"));
         }
         out
     }
@@ -286,7 +271,6 @@ mod tests {
                 cancelled: 1,
                 queued: 1,
             }],
-            backends: vec![("qpp".to_string(), 2)],
         }
     }
 
@@ -298,7 +282,6 @@ mod tests {
         assert!(json.contains("\"pool_threads\":4}"));
         assert!(json.contains("\"tenant\":\"alice \\\"a\\\"\""), "quotes must be escaped: {json}");
         assert!(json.contains("\"queued\":1}"));
-        assert!(json.contains("{\"backend\":\"qpp\",\"inflight\":2}"));
         // Balanced braces/brackets outside strings is a cheap sanity
         // proxy for well-formedness without a JSON parser in-tree.
         let (mut depth, mut in_str, mut esc) = (0i32, false, false);
@@ -323,7 +306,7 @@ mod tests {
     #[test]
     fn text_rendering_mentions_every_surface() {
         let text = sample().to_text();
-        for needle in ["capacity=8", "permit_budget=3", "alice", "queued=1", "qpp inflight=2"] {
+        for needle in ["capacity=8", "permit_budget=3", "alice", "queued=1"] {
             assert!(text.contains(needle), "`{needle}` missing from:\n{text}");
         }
     }

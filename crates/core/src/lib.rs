@@ -16,9 +16,8 @@
 //! Beyond the paper, the runtime scales this shape out: [`spawn`] /
 //! [`async_task`] enqueue on a bounded kernel queue drained by a shared
 //! pool ([`ExecutionService`]: a full queue blocks the submitter, and
-//! tenants are served in round robin), and the [`QPUManager`] routes
-//! initializations across registered backends ([`RoutingPolicy`]:
-//! pinned, round-robin, or by [`BackendCapability`]).
+//! tenants are served in round robin); each task re-initializes its
+//! worker with a fresh instance of the submitting thread's backend.
 //!
 //! The paper's Bell example (Listing 4) translates directly:
 //!
@@ -66,13 +65,13 @@ pub use introspect::{DebugServer, ServiceIntrospection, TenantStats};
 pub use kernel::Kernel;
 pub use objective::{create_objective_function, EvalStrategy, ObjectiveFunction};
 pub use optim::{create_optimizer, Optimizer, OptimizerResult};
-pub use qpu_manager::{QPUManager, RoutingPolicy};
+pub use qpu_manager::QPUManager;
 pub use runtime::{
     current_options, execute, execute_with, initialize, initialize_legacy_shared, InitOptions,
 };
 pub use threading::{async_task, spawn, TaskFuture};
 
-pub use qcor_xacc::{Accelerator, AcceleratorBuffer, BackendCapability, ExecOptions, HetMap, HetValue};
+pub use qcor_xacc::{Accelerator, AcceleratorBuffer, ExecOptions, HetMap, HetValue};
 
 /// Submit `f` to the global [`ExecutionService`]: [`spawn`] that reports
 /// a shut-down service as an error instead of panicking.
@@ -98,9 +97,6 @@ pub enum QcorError {
     /// The task was cancelled via `TaskFuture::cancel` while it was still
     /// queued; it never ran.
     TaskCancelled,
-    /// Backend routing failed (bad policy parameters, or no backend
-    /// matches the requested capability).
-    Routing(String),
     /// A backend factory or [`create_optimizer`] rejected its construction
     /// parameters (e.g. a mistyped `threads` or `max-iters` value, or an
     /// unknown optimizer name). Permanently invalid configuration —
@@ -123,7 +119,6 @@ impl std::fmt::Display for QcorError {
             QcorError::TaskCancelled => {
                 write!(f, "task was cancelled while queued and never ran")
             }
-            QcorError::Routing(msg) => write!(f, "backend routing failed: {msg}"),
             QcorError::InvalidParam(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }

@@ -14,16 +14,15 @@
 //! from inside a task.
 
 use crate::allocation::QReg;
-use crate::qpu_manager::{QPUManager, RoutingPolicy, ThreadContext};
+use crate::qpu_manager::{QPUManager, ThreadContext};
 use crate::QcorError;
 use qcor_circuit::Circuit;
-use qcor_xacc::{registry, BackendCapability, ExecOptions, HetMap, HetValue};
+use qcor_xacc::{registry, ExecOptions, HetMap};
 
 /// Options for [`initialize`].
 #[derive(Debug, Clone)]
 pub struct InitOptions {
-    /// Backend service name (default `"qpp"`). Under non-pinned routing
-    /// this is only a fallback — the router picks the actual service.
+    /// Backend service name (default `"qpp"`).
     pub backend: String,
     /// Simulator threads per kernel (the per-kernel `OMP_NUM_THREADS` of
     /// the paper's experiments). `None` = backend default.
@@ -34,11 +33,6 @@ pub struct InitOptions {
     pub seed: Option<u64>,
     /// Additional backend parameters.
     pub params: HetMap,
-    /// How the `QPUManager` routes this initialization to a backend.
-    /// `None` = inherit the manager's process-wide policy (default:
-    /// pinned to `backend`). Backend params (`routing`,
-    /// `routing-backends`, `routing-capability`) override this field.
-    pub routing: Option<RoutingPolicy>,
     /// Session tenant for the calling thread: when set, [`initialize`]
     /// also calls [`crate::set_thread_tenant`], so subsequent execution-
     /// service submissions from this thread are fair-queued and accounted
@@ -54,7 +48,6 @@ impl Default for InitOptions {
             shots: 1024,
             seed: None,
             params: HetMap::new(),
-            routing: None,
             tenant: None,
         }
     }
@@ -108,78 +101,6 @@ impl InitOptions {
         self.params.insert("chunk-shots", chunk_shots.max(1));
         self
     }
-
-    /// Pin this initialization to `backend` verbatim (explicitly override
-    /// any process-wide routing policy).
-    pub fn route_pinned(mut self) -> Self {
-        self.routing = Some(RoutingPolicy::Pinned);
-        self
-    }
-
-    /// Route this initialization round-robin over `backends` (shared
-    /// process-wide cursor: concurrent initializations spread evenly).
-    pub fn route_round_robin<I, S>(mut self, backends: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.routing = Some(RoutingPolicy::RoundRobin(backends.into_iter().map(Into::into).collect()));
-        self
-    }
-
-    /// Route this initialization to any cloneable backend advertising
-    /// `capability` (e.g. noisy-vs-ideal selection).
-    pub fn route_capability(mut self, capability: BackendCapability) -> Self {
-        self.routing = Some(RoutingPolicy::Capability(capability));
-        self
-    }
-
-    /// The effective routing policy of these options: backend params
-    /// (`routing` = `pinned` | `round-robin` | `capability`, with
-    /// `routing-backends` as a comma-separated list and
-    /// `routing-capability` as a capability name) take precedence over the
-    /// [`InitOptions::routing`] field. `Ok(None)` = inherit the
-    /// process-wide policy.
-    pub fn routing_policy(&self) -> Result<Option<RoutingPolicy>, QcorError> {
-        let Some(mode) = self.params.get("routing") else {
-            return Ok(self.routing.clone());
-        };
-        let HetValue::Str(mode) = mode else {
-            return Err(QcorError::Routing("`routing` param must be a string".into()));
-        };
-        match mode.as_str() {
-            "pinned" => Ok(Some(RoutingPolicy::Pinned)),
-            "round-robin" => {
-                let Some(HetValue::Str(list)) = self.params.get("routing-backends") else {
-                    return Err(QcorError::Routing(
-                        "round-robin routing needs a comma-separated `routing-backends` param".into(),
-                    ));
-                };
-                let backends: Vec<String> =
-                    list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
-                if backends.is_empty() {
-                    return Err(QcorError::Routing("`routing-backends` lists no backend names".into()));
-                }
-                Ok(Some(RoutingPolicy::RoundRobin(backends)))
-            }
-            "capability" => {
-                let Some(HetValue::Str(cap)) = self.params.get("routing-capability") else {
-                    return Err(QcorError::Routing(
-                        "capability routing needs a `routing-capability` param".into(),
-                    ));
-                };
-                let capability = BackendCapability::parse(cap).ok_or_else(|| {
-                    QcorError::Routing(format!(
-                        "unknown capability `{cap}` (expected ideal | noisy | density | remote)"
-                    ))
-                })?;
-                Ok(Some(RoutingPolicy::Capability(capability)))
-            }
-            other => Err(QcorError::Routing(format!(
-                "unknown routing mode `{other}` (expected pinned | round-robin | capability)"
-            ))),
-        }
-    }
 }
 
 /// `quantum::initialize()` — obtain an accelerator for the calling thread
@@ -193,16 +114,12 @@ pub fn initialize(opts: InitOptions) -> Result<(), QcorError> {
     if let Some(t) = opts.threads {
         params.insert("threads", t);
     }
-    // Route first: the QPUManager decides which service this thread gets
-    // (pinned by default; round-robin / capability for mixed workloads).
-    let policy = opts.routing_policy()?;
-    let backend = QPUManager::instance().route(policy.as_ref(), &opts.backend)?;
-    let qpu = registry::get_accelerator(&backend, &params)?;
+    let qpu = registry::get_accelerator(&opts.backend, &params)?;
     let exec = ExecOptions { shots: opts.shots, seed: opts.seed };
     if let Some(tenant) = &opts.tenant {
         crate::exec_service::set_thread_tenant(Some(tenant));
     }
-    QPUManager::instance().set_qpu(ThreadContext { qpu, resolved_backend: backend, exec, init: opts });
+    QPUManager::instance().set_qpu(ThreadContext { qpu, exec, init: opts });
     Ok(())
 }
 
@@ -228,9 +145,6 @@ pub fn current_options() -> Option<InitOptions> {
 /// accelerator with its registered shots/seed.
 pub fn execute(q: &QReg, circuit: &Circuit) -> Result<(), QcorError> {
     let ctx = QPUManager::instance().get_qpu().ok_or(QcorError::NotInitialized)?;
-    // The registry's live queue-depth gauge covers the execution: this is
-    // what load-weighted capability routing steers around.
-    let _load = registry::global().track_load(&ctx.resolved_backend);
     q.with_buffer(|buf| ctx.qpu.execute(buf, circuit, &ctx.exec))?;
     Ok(())
 }
@@ -238,7 +152,6 @@ pub fn execute(q: &QReg, circuit: &Circuit) -> Result<(), QcorError> {
 /// Execute with explicit options (overriding the registered shots/seed).
 pub fn execute_with(q: &QReg, circuit: &Circuit, exec: &ExecOptions) -> Result<(), QcorError> {
     let ctx = QPUManager::instance().get_qpu().ok_or(QcorError::NotInitialized)?;
-    let _load = registry::global().track_load(&ctx.resolved_backend);
     q.with_buffer(|buf| ctx.qpu.execute(buf, circuit, exec))?;
     Ok(())
 }
@@ -328,59 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn routed_initialize_by_capability_selects_noisy_backend() {
-        std::thread::spawn(|| {
-            initialize(
-                InitOptions::default()
-                    .threads(1)
-                    .shots(16)
-                    .seed(1)
-                    .route_capability(qcor_xacc::BackendCapability::Noisy),
-            )
-            .unwrap();
-            let ctx = QPUManager::instance().get_qpu().unwrap();
-            assert_eq!(ctx.qpu.name(), "qpp-noisy");
-            QPUManager::instance().clear_current();
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn routing_params_override_field() {
-        let opts = InitOptions::default()
-            .route_capability(qcor_xacc::BackendCapability::Remote)
-            .param("routing", "round-robin")
-            .param("routing-backends", "qpp, qpp-density");
-        assert_eq!(
-            opts.routing_policy().unwrap(),
-            Some(crate::RoutingPolicy::RoundRobin(vec!["qpp".into(), "qpp-density".into()]))
-        );
-    }
-
-    #[test]
-    fn bad_routing_params_error() {
-        let unknown_mode = InitOptions::default().param("routing", "telepathy");
-        assert!(matches!(unknown_mode.routing_policy(), Err(QcorError::Routing(_))));
-        let missing_list = InitOptions::default().param("routing", "round-robin");
-        assert!(matches!(missing_list.routing_policy(), Err(QcorError::Routing(_))));
-        let bad_cap =
-            InitOptions::default().param("routing", "capability").param("routing-capability", "warp");
-        assert!(matches!(bad_cap.routing_policy(), Err(QcorError::Routing(_))));
-        // And the error surfaces through initialize itself.
-        std::thread::spawn(|| {
-            let err = initialize(InitOptions::default().param("routing", "telepathy"));
-            assert!(matches!(err, Err(QcorError::Routing(_))));
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
     fn bad_backend_params_error_through_initialize() {
         // Fallible factory construction: qpp's mistyped-param rejections
-        // surface as Err through initialize(), exactly like the routing
-        // params — no panic inside the factory.
+        // surface as Err through initialize() — no panic inside the factory.
         std::thread::spawn(|| {
             let err = initialize(InitOptions::default().threads(1).param("chunk-shots", "x"));
             assert!(

@@ -9,7 +9,8 @@
 //!   thread (the "master", as in an OpenMP parallel region),
 //! * [`ThreadPool::parallel_for`] — a work-shared loop over an index range
 //!   with static or dynamic chunk scheduling,
-//! * [`ThreadPool::parallel_reduce`] — a work-shared map/reduce,
+//! * [`ThreadPool::parallel_reduce_ordered`] — a work-shared map/reduce
+//!   whose fold order, and so its result, does not depend on the team size,
 //! * [`ThreadPool::scope`] — fork/join task parallelism with borrowed data,
 //! * [`num_threads_from_env`] — the `OMP_NUM_THREADS` analogue
 //!   (`QCOR_NUM_THREADS`).

@@ -412,35 +412,6 @@ impl ThreadPool {
         }
     }
 
-    /// Work-shared map/reduce: `map` is applied to disjoint chunks of
-    /// `range` and the partial results are folded with `reduce`. Returns
-    /// `identity` for an empty range.
-    ///
-    /// `reduce` must be associative; chunk order is unspecified.
-    pub fn parallel_reduce<T, M, R>(
-        &self,
-        range: Range<usize>,
-        schedule: Schedule,
-        identity: T,
-        map: M,
-        reduce: R,
-    ) -> T
-    where
-        T: Send,
-        M: Fn(Range<usize>) -> T + Sync,
-        R: Fn(T, T) -> T + Sync + Send,
-    {
-        if range.is_empty() {
-            return identity;
-        }
-        let partials: Mutex<Vec<T>> = Mutex::new(Vec::new());
-        self.parallel_for_with(range, schedule, |chunk| {
-            let part = map(chunk);
-            partials.lock().push(part);
-        });
-        partials.into_inner().into_iter().fold(identity, &reduce)
-    }
-
     /// Deterministic work-shared map/reduce: `range` is partitioned into
     /// fixed chunks of `grain` iterations (the final chunk may be shorter)
     /// and the partial results are folded **in chunk order**, regardless of
@@ -452,9 +423,7 @@ impl ThreadPool {
     /// `reduce` (floating-point addition being the motivating case) returns
     /// **bit-identical results on any pool size, including a team of one**.
     /// This is what lets the simulator's inner-parallel measurement sums
-    /// participate in the byte-identical determinism contract; the
-    /// unordered [`ThreadPool::parallel_reduce`] remains the cheaper choice
-    /// for genuinely associative folds.
+    /// participate in the byte-identical determinism contract.
     pub fn parallel_reduce_ordered<T, M, R>(
         &self,
         range: Range<usize>,
@@ -696,10 +665,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    fn seq_sum(n: u64) -> u64 {
-        (0..n).map(|i| i * i).sum()
-    }
-
     #[test]
     fn parallel_for_covers_every_index_once() {
         let pool = ThreadPool::new(4);
@@ -724,20 +689,6 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential() {
-        let pool = ThreadPool::new(8);
-        let n = 100_000u64;
-        let total = pool.parallel_reduce(
-            0..n as usize,
-            Schedule::Auto,
-            0u64,
-            |chunk| chunk.map(|i| (i as u64) * (i as u64)).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, seq_sum(n));
     }
 
     /// Sum values engineered so that fold order changes the f64 result:

@@ -30,24 +30,6 @@ proptest! {
     }
 
     #[test]
-    fn reduce_matches_sequential_sum(
-        values in prop::collection::vec(0u64..1_000_000, 0..3000),
-        threads in 1usize..9,
-        schedule in schedule_strategy(),
-    ) {
-        let pool = ThreadPool::new(threads);
-        let expect: u64 = values.iter().sum();
-        let got = pool.parallel_reduce(
-            0..values.len(),
-            schedule,
-            0u64,
-            |chunk| chunk.map(|i| values[i]).sum::<u64>(),
-            |a, b| a + b,
-        );
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
     fn scope_runs_every_task(task_count in 0usize..200, threads in 1usize..9) {
         let pool = ThreadPool::new(threads);
         let counter = AtomicU64::new(0);

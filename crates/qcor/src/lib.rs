@@ -29,10 +29,10 @@
 //! ```
 
 // The runtime API: initialize / initialize_legacy_shared, qalloc, QReg,
-// Kernel, QPUManager (+ RoutingPolicy multi-backend routing, load-weighted
-// under capability policies), spawn / async_task / submit and the
-// ExecutionService behind them (bounded kernel queue that blocks the
-// submitter when full, per-tenant round robin keyed by set_thread_tenant,
+// Kernel, QPUManager (the thread -> accelerator-instance map), spawn /
+// async_task / submit and the ExecutionService behind them (bounded
+// kernel queue that blocks the submitter when full, per-tenant round
+// robin keyed by set_thread_tenant,
 // work-conserving in-task joins, TaskFuture::cancel with cooperative
 // mid-execution stop, and live introspection via
 // ExecutionService::introspect / QCOR_DEBUG_ENDPOINT), execute /

@@ -33,47 +33,6 @@ impl ExecOptions {
     }
 }
 
-/// What a backend is good for — the coarse routing classes the
-/// [`crate::registry`] exposes so a router (the runtime's `QPUManager`)
-/// can steer workloads by requirement ("any ideal simulator", "a noisy
-/// sampler", …) instead of by hard-coded service name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BackendCapability {
-    /// Ideal (noise-free) state-vector sampling.
-    Ideal,
-    /// Stochastic per-shot noise (depolarizing, readout error, …).
-    Noisy,
-    /// Exact density-matrix evolution under a noise model.
-    Density,
-    /// Network-attached execution with queueing/transfer latency.
-    Remote,
-}
-
-impl BackendCapability {
-    /// Parse the lowercase capability names used in backend params
-    /// (`"ideal"`, `"noisy"`, `"density"`, `"remote"`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "ideal" => Some(BackendCapability::Ideal),
-            "noisy" => Some(BackendCapability::Noisy),
-            "density" => Some(BackendCapability::Density),
-            "remote" => Some(BackendCapability::Remote),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BackendCapability {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BackendCapability::Ideal => "ideal",
-            BackendCapability::Noisy => "noisy",
-            BackendCapability::Density => "density",
-            BackendCapability::Remote => "remote",
-        })
-    }
-}
-
 /// A quantum execution resource (hardware QPU or simulator).
 ///
 /// In the paper's machine model (Fig. 1) several CPU threads may drive one
@@ -104,11 +63,5 @@ pub trait Accelerator: Send + Sync {
     /// and are shared — the §V-A.2 data-race hazard.
     fn is_cloneable(&self) -> bool {
         true
-    }
-
-    /// The routing class of this backend (defaults to ideal simulation).
-    /// Must agree with the capability the service was registered under.
-    fn capability(&self) -> BackendCapability {
-        BackendCapability::Ideal
     }
 }

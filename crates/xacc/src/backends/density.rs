@@ -2,7 +2,7 @@
 //! configurable per-gate noise model, sampling shot counts from the exact
 //! outcome distribution.
 
-use crate::accelerator::{Accelerator, BackendCapability, ExecOptions};
+use crate::accelerator::{Accelerator, ExecOptions};
 use crate::buffer::AcceleratorBuffer;
 use crate::hetmap::HetMap;
 use crate::XaccError;
@@ -64,10 +64,6 @@ impl DensityAccelerator {
 impl Accelerator for DensityAccelerator {
     fn name(&self) -> String {
         "qpp-density".to_string()
-    }
-
-    fn capability(&self) -> BackendCapability {
-        BackendCapability::Density
     }
 
     fn execute(

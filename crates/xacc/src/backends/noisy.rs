@@ -15,7 +15,7 @@
 //! `readout-error` params and is the oracle trajectories are tested
 //! against.
 
-use crate::accelerator::{Accelerator, BackendCapability, ExecOptions};
+use crate::accelerator::{Accelerator, ExecOptions};
 use crate::buffer::AcceleratorBuffer;
 use crate::hetmap::HetMap;
 use crate::XaccError;
@@ -91,10 +91,6 @@ impl NoisyQppAccelerator {
 impl Accelerator for NoisyQppAccelerator {
     fn name(&self) -> String {
         "qpp-noisy".to_string()
-    }
-
-    fn capability(&self) -> BackendCapability {
-        BackendCapability::Noisy
     }
 
     fn execute(

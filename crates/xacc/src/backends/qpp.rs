@@ -46,8 +46,7 @@ impl QppAccelerator {
     ///
     /// Bad parameter values — a value of the wrong type or sign — are
     /// rejected with [`XaccError::InvalidParam`], surfaced as
-    /// an `Err` through `get_accelerator`/`initialize` like the routing
-    /// params.
+    /// an `Err` through `get_accelerator`/`initialize`.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         let threads = params.try_usize("threads")?.unwrap_or_else(qcor_pool::num_threads_from_env);
         let mut acc = Self::new(threads.max(1));

@@ -7,7 +7,7 @@
 //! pays off. This backend delegates to the local `qpp` simulator after a
 //! configurable artificial delay.
 
-use crate::accelerator::{Accelerator, BackendCapability, ExecOptions};
+use crate::accelerator::{Accelerator, ExecOptions};
 use crate::backends::QppAccelerator;
 use crate::buffer::AcceleratorBuffer;
 use crate::hetmap::HetMap;
@@ -48,10 +48,6 @@ impl RemoteAccelerator {
 impl Accelerator for RemoteAccelerator {
     fn name(&self) -> String {
         "remote".to_string()
-    }
-
-    fn capability(&self) -> BackendCapability {
-        BackendCapability::Remote
     }
 
     fn execute(

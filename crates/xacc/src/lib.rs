@@ -27,7 +27,7 @@ mod buffer;
 mod hetmap;
 pub mod registry;
 
-pub use accelerator::{Accelerator, BackendCapability, ExecOptions};
+pub use accelerator::{Accelerator, ExecOptions};
 pub use buffer::AcceleratorBuffer;
 pub use hetmap::{HetMap, HetValue};
 

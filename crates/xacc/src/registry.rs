@@ -13,59 +13,28 @@
 //!   Two threads driving it concurrently interleave their gate streams —
 //!   the data race of §V-A.2 (see the `qpp-legacy-shared` backend).
 
-use crate::accelerator::{Accelerator, BackendCapability};
+use crate::accelerator::Accelerator;
 use crate::backends;
 use crate::hetmap::HetMap;
 use crate::XaccError;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Factories are **fallible**: bad construction parameters surface as an
 /// `Err` through [`get_accelerator`] (and therefore through
-/// `quantum::initialize`) instead of panicking inside the factory — the
-/// same contract the routing parameters follow.
+/// `quantum::initialize`) instead of panicking inside the factory.
 type Factory = Box<dyn Fn(&HetMap) -> Result<Arc<dyn Accelerator>, XaccError> + Send + Sync>;
 
-enum EntryKind {
+enum Entry {
     Factory(Factory),
     Singleton(Arc<dyn Accelerator>),
-}
-
-struct Entry {
-    kind: EntryKind,
-    capability: BackendCapability,
 }
 
 /// A named collection of accelerator services.
 #[derive(Default)]
 pub struct ServiceRegistry {
     entries: RwLock<HashMap<String, Entry>>,
-    /// Live in-flight execution gauges per service name, maintained by
-    /// [`ServiceRegistry::track_load`] guards. Kept separate from `entries`
-    /// so gauges survive re-registration and lookups never block on the
-    /// entry lock.
-    loads: RwLock<HashMap<String, Arc<AtomicUsize>>>,
-}
-
-/// RAII handle for one in-flight execution against a backend: created by
-/// [`ServiceRegistry::track_load`], it increments the backend's live queue
-/// depth and decrements it again on drop (including on panic), so the
-/// gauge can never leak an execution.
-#[must_use = "dropping the guard immediately ends the tracked execution"]
-pub struct LoadGuard(Arc<AtomicUsize>);
-
-impl Drop for LoadGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl std::fmt::Debug for LoadGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("LoadGuard").field(&self.0.load(Ordering::Acquire)).finish()
-    }
 }
 
 impl ServiceRegistry {
@@ -77,36 +46,19 @@ impl ServiceRegistry {
 
     /// Register a cloneable service: every lookup constructs a fresh
     /// instance through `factory`, which may reject bad parameters with an
-    /// `Err` (surfaced through [`get_accelerator`]). The service is
-    /// advertised as [`BackendCapability::Ideal`]; use
-    /// [`ServiceRegistry::register_factory_with_capability`] to annotate a
-    /// different routing class.
+    /// `Err` (surfaced through [`get_accelerator`]).
     pub fn register_factory(
         &self,
         name: impl Into<String>,
         factory: impl Fn(&HetMap) -> Result<Arc<dyn Accelerator>, XaccError> + Send + Sync + 'static,
     ) {
-        self.register_factory_with_capability(name, BackendCapability::Ideal, factory);
-    }
-
-    /// Register a cloneable service advertised under an explicit routing
-    /// capability (what a capability-based `RoutingPolicy` matches on).
-    pub fn register_factory_with_capability(
-        &self,
-        name: impl Into<String>,
-        capability: BackendCapability,
-        factory: impl Fn(&HetMap) -> Result<Arc<dyn Accelerator>, XaccError> + Send + Sync + 'static,
-    ) {
-        self.entries
-            .write()
-            .insert(name.into(), Entry { kind: EntryKind::Factory(Box::new(factory)), capability });
+        self.entries.write().insert(name.into(), Entry::Factory(Box::new(factory)));
     }
 
     /// Register a singleton service: every lookup returns this same
-    /// instance. Its capability is read off the instance.
+    /// instance.
     pub fn register_singleton(&self, name: impl Into<String>, instance: Arc<dyn Accelerator>) {
-        let capability = instance.capability();
-        self.entries.write().insert(name.into(), Entry { kind: EntryKind::Singleton(instance), capability });
+        self.entries.write().insert(name.into(), Entry::Singleton(instance));
     }
 
     /// Look up an accelerator. Factory services receive `params` and may
@@ -115,9 +67,9 @@ impl ServiceRegistry {
     /// services compose badly with threads).
     pub fn get_accelerator(&self, name: &str, params: &HetMap) -> Result<Arc<dyn Accelerator>, XaccError> {
         let entries = self.entries.read();
-        match entries.get(name).map(|e| &e.kind) {
-            Some(EntryKind::Factory(factory)) => factory(params),
-            Some(EntryKind::Singleton(instance)) => Ok(Arc::clone(instance)),
+        match entries.get(name) {
+            Some(Entry::Factory(factory)) => factory(params),
+            Some(Entry::Singleton(instance)) => Ok(Arc::clone(instance)),
             None => Err(XaccError::UnknownService(name.to_string())),
         }
     }
@@ -131,66 +83,10 @@ impl ServiceRegistry {
 
     /// True when `name` resolves to a cloneable (factory) service.
     pub fn is_cloneable(&self, name: &str) -> Option<bool> {
-        match &self.entries.read().get(name)?.kind {
-            EntryKind::Factory(_) => Some(true),
-            EntryKind::Singleton(_) => Some(false),
+        match self.entries.read().get(name)? {
+            Entry::Factory(_) => Some(true),
+            Entry::Singleton(_) => Some(false),
         }
-    }
-
-    /// The capability `name` was registered under.
-    pub fn capability_of(&self, name: &str) -> Option<BackendCapability> {
-        self.entries.read().get(name).map(|e| e.capability)
-    }
-
-    /// Sorted names of the **cloneable** services advertising `capability`.
-    /// Singletons are excluded on purpose: a router handing the same shared
-    /// instance to many threads would reintroduce the §V-A.2 race.
-    pub fn cloneable_services_with_capability(&self, capability: BackendCapability) -> Vec<String> {
-        let entries = self.entries.read();
-        let mut names: Vec<String> = entries
-            .iter()
-            .filter(|(_, e)| e.capability == capability && matches!(e.kind, EntryKind::Factory(_)))
-            .map(|(name, _)| name.clone())
-            .collect();
-        names.sort();
-        names
-    }
-
-    /// Begin one tracked execution against `name`: the backend's live
-    /// queue-depth gauge is incremented until the returned guard drops.
-    /// The name does not need to be registered — custom execution layers
-    /// may track logical backends of their own.
-    pub fn track_load(&self, name: &str) -> LoadGuard {
-        let gauge = {
-            let loads = self.loads.read();
-            loads.get(name).cloned()
-        };
-        let gauge = match gauge {
-            Some(gauge) => gauge,
-            None => {
-                let mut loads = self.loads.write();
-                Arc::clone(loads.entry(name.to_string()).or_default())
-            }
-        };
-        gauge.fetch_add(1, Ordering::AcqRel);
-        LoadGuard(gauge)
-    }
-
-    /// The live queue depth of `name`: how many tracked executions are in
-    /// flight right now. Zero for names never tracked.
-    pub fn load_of(&self, name: &str) -> usize {
-        self.loads.read().get(name).map_or(0, |g| g.load(Ordering::Acquire))
-    }
-
-    /// Snapshot of every tracked backend's live queue depth, sorted by
-    /// name (the introspection endpoint's `backends` section).
-    pub fn backend_loads(&self) -> Vec<(String, usize)> {
-        let loads = self.loads.read();
-        let mut out: Vec<(String, usize)> =
-            loads.iter().map(|(name, g)| (name.clone(), g.load(Ordering::Acquire))).collect();
-        drop(loads);
-        out.sort();
-        out
     }
 }
 
@@ -208,16 +104,16 @@ static GLOBAL: OnceLock<ServiceRegistry> = OnceLock::new();
 pub fn global() -> &'static ServiceRegistry {
     GLOBAL.get_or_init(|| {
         let reg = ServiceRegistry::new();
-        reg.register_factory_with_capability("qpp", BackendCapability::Ideal, |params| {
+        reg.register_factory("qpp", |params| {
             Ok(Arc::new(backends::QppAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
-        reg.register_factory_with_capability("qpp-noisy", BackendCapability::Noisy, |params| {
+        reg.register_factory("qpp-noisy", |params| {
             Ok(Arc::new(backends::NoisyQppAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
-        reg.register_factory_with_capability("remote", BackendCapability::Remote, |params| {
+        reg.register_factory("remote", |params| {
             Ok(Arc::new(backends::RemoteAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
-        reg.register_factory_with_capability("qpp-density", BackendCapability::Density, |params| {
+        reg.register_factory("qpp-density", |params| {
             Ok(Arc::new(backends::DensityAccelerator::from_params(params)?) as Arc<dyn Accelerator>)
         });
         reg.register_singleton(
@@ -312,74 +208,5 @@ mod tests {
         let params = HetMap::new().with("threads", 3usize);
         let acc = get_accelerator("qpp", &params).unwrap();
         assert_eq!(acc.num_threads(), 3);
-    }
-
-    #[test]
-    fn builtin_capability_metadata_matches_instances() {
-        // The registry's advertised capability must agree with what a
-        // constructed instance reports, or capability routing would lie.
-        let params = HetMap::new().with("threads", 1usize);
-        for name in global().service_names() {
-            let advertised = global().capability_of(&name).unwrap();
-            let instance = get_accelerator(&name, &params).unwrap();
-            assert_eq!(advertised, instance.capability(), "capability mismatch for `{name}`");
-        }
-    }
-
-    #[test]
-    fn capability_lookup_excludes_singletons() {
-        // `qpp-legacy-shared` is Ideal but a singleton: routing over Ideal
-        // must never hand out the shared race-prone instance.
-        let ideal = global().cloneable_services_with_capability(BackendCapability::Ideal);
-        assert!(ideal.iter().any(|n| n == "qpp"), "{ideal:?}");
-        assert!(!ideal.iter().any(|n| n == "qpp-legacy-shared"), "{ideal:?}");
-        assert_eq!(
-            global().cloneable_services_with_capability(BackendCapability::Noisy),
-            vec!["qpp-noisy".to_string()]
-        );
-        assert_eq!(
-            global().cloneable_services_with_capability(BackendCapability::Density),
-            vec!["qpp-density".to_string()]
-        );
-        assert_eq!(
-            global().cloneable_services_with_capability(BackendCapability::Remote),
-            vec!["remote".to_string()]
-        );
-    }
-
-    #[test]
-    fn load_guards_track_inflight_depth() {
-        let reg = ServiceRegistry::new();
-        assert_eq!(reg.load_of("qpp"), 0);
-        let a = reg.track_load("qpp");
-        let b = reg.track_load("qpp");
-        let other = reg.track_load("remote");
-        assert_eq!(reg.load_of("qpp"), 2);
-        assert_eq!(reg.load_of("remote"), 1);
-        assert_eq!(
-            reg.backend_loads(),
-            vec![("qpp".to_string(), 2), ("remote".to_string(), 1)],
-            "snapshot must be sorted by name"
-        );
-        drop(a);
-        assert_eq!(reg.load_of("qpp"), 1);
-        drop(b);
-        drop(other);
-        assert_eq!(reg.load_of("qpp"), 0);
-        assert_eq!(reg.load_of("remote"), 0);
-        assert_eq!(reg.load_of("never-tracked"), 0);
-    }
-
-    #[test]
-    fn capability_parse_roundtrips() {
-        for cap in [
-            BackendCapability::Ideal,
-            BackendCapability::Noisy,
-            BackendCapability::Density,
-            BackendCapability::Remote,
-        ] {
-            assert_eq!(BackendCapability::parse(&cap.to_string()), Some(cap));
-        }
-        assert_eq!(BackendCapability::parse("annealer"), None);
     }
 }

@@ -1,9 +1,10 @@
 //! Backend consistency matrix: every registered backend, driven through
 //! the public `qcor` runtime, must (a) execute the Bell kernel, (b)
 //! conserve shots, and (c) agree on the ideal distribution when its noise
-//! is turned off.
+//! is turned off. Each run also checks that `initialize` registered an
+//! instance of exactly the backend it named for the calling thread.
 
-use qcor::{initialize, qalloc, InitOptions, Kernel, QReg};
+use qcor::{initialize, qalloc, InitOptions, Kernel, QPUManager, QReg};
 
 const BELL: &str = r#"
 __qpu__ void bell(qreg q) {
@@ -16,7 +17,9 @@ __qpu__ void bell(qreg q) {
 
 fn run_backend(opts: InitOptions, shots: usize) -> QReg {
     std::thread::spawn(move || {
+        let backend = opts.backend.clone();
         initialize(opts.shots(shots)).unwrap();
+        assert_eq!(QPUManager::instance().get_qpu().unwrap().qpu.name(), backend);
         let q = qalloc(2);
         Kernel::from_xasm(BELL, 2).unwrap().invoke(&q, &[]).unwrap();
         q

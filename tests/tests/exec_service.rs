@@ -1,23 +1,15 @@
 //! Integration tests for the async execution service (bounded kernel
-//! queue + backpressure) and QPUManager multi-backend routing.
-//!
-//! The routing tests rotate the QPUManager's process-wide shared cursor;
-//! a static lock serializes them within this binary so the exact-balance
-//! assertions aren't perturbed by each other.
+//! queue + backpressure) and the QPUManager's per-thread backend
+//! registrations.
 
 use qcor::{
-    initialize, qalloc, set_thread_tenant, BackendCapability, ExecServiceConfig, ExecutionService,
-    InitOptions, Kernel, QPUManager, QcorError, TaskFuture,
+    initialize, qalloc, set_thread_tenant, ExecServiceConfig, ExecutionService, InitOptions, Kernel,
+    QPUManager, QcorError, TaskFuture,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-fn route_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poison| poison.into_inner())
-}
 
 const BELL: &str = "H(q[0]); CX(q[0], q[1]); Measure(q[0]); Measure(q[1]);";
 
@@ -306,144 +298,21 @@ fn cancel_before_vs_after_dispatch_is_observable() {
 }
 
 // ---------------------------------------------------------------------------
-// QPUManager routing
+// QPUManager registrations
 // ---------------------------------------------------------------------------
 
-/// Concurrent initializations under a shared round-robin policy split
-/// exactly evenly across the named backends (the shared-cursor contract).
+/// A child task runs on a fresh instance of its parent's backend: every
+/// child of a parent initialized on `qpp-density` runs on `qpp-density`.
 #[test]
-fn round_robin_routing_balances_concurrent_registrations() {
-    let _guard = route_lock();
-    let names: Vec<String> = (0..8)
-        .map(|_| {
-            std::thread::spawn(|| {
-                initialize(
-                    InitOptions::default()
-                        .threads(1)
-                        .shots(8)
-                        .seed(1)
-                        .route_round_robin(["qpp", "qpp-density"]),
-                )
-                .unwrap();
-                let name = QPUManager::instance().get_qpu().unwrap().qpu.name();
-                QPUManager::instance().clear_current();
-                name
-            })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .collect();
-    let qpp = names.iter().filter(|n| *n == "qpp").count();
-    let density = names.iter().filter(|n| *n == "qpp-density").count();
-    assert_eq!((qpp, density), (4, 4), "shared cursor must balance exactly: {names:?}");
-}
-
-/// Capability routing resolves to the matching backend, and the routed
-/// backend actually executes kernels (noisy counts can leak outside the
-/// Bell subspace; remote reports its latency class).
-#[test]
-fn capability_routing_selects_and_executes() {
-    let _guard = route_lock();
+fn spawned_tasks_inherit_parent_backend() {
     std::thread::spawn(|| {
-        initialize(
-            InitOptions::default().threads(1).shots(128).seed(11).route_capability(BackendCapability::Noisy),
-        )
-        .unwrap();
-        let ctx = QPUManager::instance().get_qpu().unwrap();
-        assert_eq!(ctx.qpu.name(), "qpp-noisy");
-        assert_eq!(ctx.qpu.capability(), BackendCapability::Noisy);
-        let q = qalloc(2);
-        Kernel::from_xasm(BELL, 2).unwrap().invoke(&q, &[]).unwrap();
-        assert_eq!(q.total_shots(), 128);
-        QPUManager::instance().clear_current();
-    })
-    .join()
-    .unwrap();
-}
-
-/// Params-driven routing (the `routing*` backend params) works through
-/// `initialize` without touching the typed builder API.
-#[test]
-fn params_driven_routing_round_robins() {
-    let _guard = route_lock();
-    let names: Vec<String> = (0..4)
-        .map(|_| {
-            std::thread::spawn(|| {
-                initialize(
-                    InitOptions::default()
-                        .threads(1)
-                        .shots(8)
-                        .seed(2)
-                        .param("routing", "round-robin")
-                        .param("routing-backends", "qpp,qpp-noisy"),
-                )
-                .unwrap();
-                let name = QPUManager::instance().get_qpu().unwrap().qpu.name();
-                QPUManager::instance().clear_current();
-                name
-            })
-            .join()
-            .unwrap()
-        })
-        .collect();
-    assert_eq!(names.iter().filter(|n| *n == "qpp").count(), 2, "{names:?}");
-    assert_eq!(names.iter().filter(|n| *n == "qpp-noisy").count(), 2, "{names:?}");
-}
-
-/// A mixed fleet: tasks spawned through the kernel queue with round-robin
-/// routing land on alternating backends — one process serving
-/// heterogeneous workloads with a bounded thread budget.
-#[test]
-fn queued_tasks_route_across_backends() {
-    let _guard = route_lock();
-    let svc = ExecutionService::new(ExecServiceConfig::default().threads(2).capacity(8));
-    let futures: Vec<_> = (0..6)
-        .map(|i| {
-            svc.submit(move || {
-                initialize(
-                    InitOptions::default()
-                        .threads(1)
-                        .shots(16)
-                        .seed(i)
-                        .route_round_robin(["qpp", "qpp-density"]),
-                )
-                .unwrap();
-                let name = QPUManager::instance().get_qpu().unwrap().qpu.name();
-                let q = qalloc(2);
-                Kernel::from_xasm(BELL, 2).unwrap().invoke(&q, &[]).unwrap();
-                (name, q.total_shots())
-            })
-            .unwrap()
-        })
-        .collect();
-    let results: Vec<(String, usize)> = futures.into_iter().map(|f| f.get()).collect();
-    assert!(results.iter().all(|(_, shots)| *shots == 16));
-    // threads(2) = serial FIFO executor, so the shared cursor alternates
-    // deterministically.
-    let qpp = results.iter().filter(|(n, _)| n == "qpp").count();
-    assert_eq!(qpp, 3, "{results:?}");
-}
-
-/// Inheritance pins to the parent's **resolved** backend: a child task of
-/// a round-robin-routed parent lands on the same backend class as the
-/// parent instead of re-routing (which would advance the rotation and mix
-/// backend types within one task family).
-#[test]
-fn spawned_tasks_inherit_resolved_backend_not_routing() {
-    let _guard = route_lock();
-    std::thread::spawn(|| {
-        initialize(
-            InitOptions::default().threads(1).shots(8).seed(3).route_round_robin(["qpp-density", "qpp"]),
-        )
-        .unwrap();
-        let parent = QPUManager::instance().get_qpu().unwrap().qpu.name();
+        initialize(InitOptions::default().threads(1).shots(8).seed(3).backend("qpp-density")).unwrap();
         let child_names: Vec<String> = (0..3)
             .map(|_| qcor::spawn(|| QPUManager::instance().get_qpu().unwrap().qpu.name()).get())
             .collect();
         assert!(
-            child_names.iter().all(|n| *n == parent),
-            "children must run on the parent's backend {parent}, got {child_names:?}"
+            child_names.iter().all(|n| n == "qpp-density"),
+            "children must run on the parent's backend qpp-density, got {child_names:?}"
         );
         QPUManager::instance().clear_current();
     })
@@ -451,7 +320,7 @@ fn spawned_tasks_inherit_resolved_backend_not_routing() {
     .unwrap();
 }
 
-/// Inheritance replays the **registry key** the parent resolved, not the
+/// Inheritance replays the parent's **registry key**, not the
 /// instance's self-reported name — a service registered under an alias
 /// whose instances report a different `name()` must still be spawnable.
 #[test]
@@ -465,14 +334,14 @@ fn inheritance_uses_registry_key_not_instance_name() {
         initialize(InitOptions::default().threads(1).shots(8).seed(5).backend("alias-sim")).unwrap();
         // The instance reports "qpp" but the registry key is "alias-sim".
         assert_eq!(QPUManager::instance().get_qpu().unwrap().qpu.name(), "qpp");
-        let (resolved, shots) = qcor::spawn(|| {
+        let (backend, shots) = qcor::spawn(|| {
             let ctx = QPUManager::instance().get_qpu().unwrap();
             let q = qalloc(2);
             Kernel::from_xasm(BELL, 2).unwrap().invoke(&q, &[]).unwrap();
-            (ctx.resolved_backend, q.total_shots())
+            (ctx.init.backend, q.total_shots())
         })
         .get();
-        assert_eq!(resolved, "alias-sim");
+        assert_eq!(backend, "alias-sim");
         assert_eq!(shots, 8);
         QPUManager::instance().clear_current();
     })
@@ -653,10 +522,7 @@ fn introspection_sums_and_debug_endpoint_agree() {
         );
     }
 
-    // The debug listener serves exactly what introspect() renders. The
-    // backends section samples live global-registry load gauges that other
-    // tests in this binary move concurrently, so compare the service-local
-    // prefix (service config + stats + tenants) of both renders.
+    // The debug listener serves exactly what introspect() renders.
     let svc2 = Arc::clone(&svc);
     let server = qcor::DebugServer::start("127.0.0.1:0", move || svc2.introspect()).expect("bind loopback");
     let addr = server.local_addr();
@@ -667,7 +533,6 @@ fn introspection_sums_and_debug_endpoint_agree() {
     conn.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.0 200"), "{response}");
     let body = response.split_once("\r\n\r\n").expect("http header/body").1;
-    let service_local = |json: &str| json.split("\"backends\"").next().unwrap().to_string();
-    assert_eq!(service_local(body), service_local(&svc.introspect().to_json()));
+    assert_eq!(body, svc.introspect().to_json());
     assert!(body.contains("\"tenant\":\"t-b\""));
 }

@@ -85,7 +85,7 @@ use crate::threading::{TaskFuture, TaskOutcome};
 use crate::QcorError;
 use crossbeam::channel::bounded;
 use parking_lot::{Condvar, Mutex};
-use qcor_pool::{num_threads_from_env, PoolBuilder, ThreadPool};
+use qcor_pool::{num_threads_from_env, parse_positive, PoolBuilder, ThreadPool};
 use qcor_sim::cancel::{self, CancelToken};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -150,15 +150,6 @@ impl ExecServiceConfig {
             cfg.threads = parse_positive("QCOR_SERVICE_THREADS", &threads);
         }
         cfg
-    }
-}
-
-/// Parse an env knob that must be a positive integer; zero and garbage are
-/// rejected loudly (the satellite fix for the old silent `max(1)` clamp).
-fn parse_positive(key: &str, value: &str) -> usize {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => panic!("{key}=`{value}` is not a positive integer (expected >= 1)"),
     }
 }
 

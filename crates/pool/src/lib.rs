@@ -8,10 +8,11 @@
 //! * [`ThreadPool`] — a team of persistent worker threads plus the calling
 //!   thread (the "master", as in an OpenMP parallel region),
 //! * [`ThreadPool::parallel_for`] — a work-shared loop over an index range
-//!   with static or dynamic chunk scheduling,
+//!   whose members claim chunks dynamically,
 //! * [`ThreadPool::parallel_reduce_ordered`] — a work-shared map/reduce
 //!   whose fold order, and so its result, does not depend on the team size,
-//! * [`ThreadPool::scope`] — fork/join task parallelism with borrowed data,
+//! * [`ThreadPool::submit_batch`] and [`ThreadPool::spawn_detached`] — a
+//!   joined batch of independent jobs and a fire-and-forget task,
 //! * [`num_threads_from_env`] — the `OMP_NUM_THREADS` analogue
 //!   (`QCOR_NUM_THREADS`).
 //!
@@ -32,11 +33,9 @@
 
 mod latch;
 mod pool;
-mod scope;
 
-pub use latch::{CountLatch, WaitGroup};
-pub use pool::{batch_steal_count, current_worker_pool_id, PoolBuilder, Schedule, ThreadPool};
-pub use scope::Scope;
+pub use latch::CountLatch;
+pub use pool::{batch_steal_count, current_worker_pool_id, PoolBuilder, ThreadPool};
 
 use std::num::NonZeroUsize;
 
@@ -49,15 +48,28 @@ pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Resolve the default thread count: `QCOR_NUM_THREADS` if set and valid,
-/// otherwise the number of logical CPUs.
+/// Resolve the default thread count: `QCOR_NUM_THREADS` if set, otherwise
+/// the number of logical CPUs. A set value must be a positive integer
+/// ([`parse_positive`] panics on zero or garbage).
 ///
 /// This mirrors how the paper's experiments set `OMP_NUM_THREADS` to choose
 /// the per-kernel simulator thread count.
 pub fn num_threads_from_env() -> usize {
     match std::env::var(NUM_THREADS_ENV) {
-        Ok(v) => v.trim().parse::<usize>().ok().filter(|&n| n > 0).unwrap_or_else(available_parallelism),
+        Ok(v) => parse_positive(NUM_THREADS_ENV, &v),
         Err(_) => available_parallelism(),
+    }
+}
+
+/// Parse the value of the numeric knob `key`, which must be a positive
+/// integer. Zero and garbage panic with a message naming the variable and
+/// the value: running under a configuration the operator did not ask for
+/// is worse than failing fast. Every numeric `QCOR_*` variable goes
+/// through here.
+pub fn parse_positive(key: &str, value: &str) -> usize {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => panic!("{key}=`{value}` is not a positive integer (expected >= 1)"),
     }
 }
 
@@ -73,5 +85,16 @@ mod tests {
     #[test]
     fn env_fallback_is_positive() {
         assert!(num_threads_from_env() >= 1);
+    }
+
+    #[test]
+    fn parse_positive_accepts_positive_and_rejects_zero_and_garbage() {
+        assert_eq!(parse_positive(NUM_THREADS_ENV, " 4 "), 4);
+        for bad in ["0", "four", "-1", ""] {
+            let err = std::panic::catch_unwind(|| parse_positive(NUM_THREADS_ENV, bad))
+                .expect_err("zero and garbage must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert_eq!(msg, &format!("QCOR_NUM_THREADS=`{bad}` is not a positive integer (expected >= 1)"));
+        }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! A [`ThreadPool`] owns `num_threads - 1` persistent background workers;
 //! the thread that issues a parallel construct acts as the remaining team
-//! member, exactly like the master thread of an OpenMP parallel region. Work
-//! items are distributed over the team either statically (one contiguous
-//! chunk per team member) or dynamically (members repeatedly claim
-//! `grain`-sized chunks from an atomic counter).
+//! member, exactly like the master thread of an OpenMP parallel region.
+//! Loop iterations are distributed dynamically: members repeatedly claim
+//! `grain`-sized chunks from an atomic counter (OpenMP's
+//! `schedule(dynamic, grain)`).
 
 use crate::latch::CountLatch;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -24,23 +24,6 @@ use std::thread::JoinHandle;
 /// still report the counter.
 pub fn batch_steal_count() -> u64 {
     0
-}
-
-/// Chunk-scheduling policy for [`ThreadPool::parallel_for`].
-///
-/// `Static` mirrors OpenMP's `schedule(static)`: the iteration range is split
-/// into one contiguous chunk per team member. `Dynamic(grain)` mirrors
-/// `schedule(dynamic, grain)`: members repeatedly claim the next `grain`
-/// iterations until the range is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// One contiguous chunk per team member.
-    Static,
-    /// Members claim chunks of the given size (clamped to at least 1).
-    Dynamic(usize),
-    /// Dynamic scheduling with an automatically chosen grain
-    /// (`len / (4 * team)` clamped to at least 1).
-    Auto,
 }
 
 thread_local! {
@@ -86,12 +69,9 @@ enum Message {
 /// Shared state of one `parallel_for` invocation.
 struct ForJob<'f> {
     func: &'f (dyn Fn(Range<usize>) + Sync),
-    start: usize,
     end: usize,
     grain: usize,
-    schedule: Schedule,
-    team: usize,
-    /// Next iteration index (dynamic) or next participant slot (static).
+    /// Next unclaimed iteration index.
     cursor: AtomicUsize,
     latch: CountLatch,
     panicked: AtomicBool,
@@ -102,28 +82,11 @@ impl<'f> ForJob<'f> {
     /// Claim and run chunks until the range is exhausted.
     fn work(&self) {
         loop {
-            let chunk = match self.schedule {
-                Schedule::Static => {
-                    let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= self.team {
-                        break;
-                    }
-                    let len = self.end - self.start;
-                    let lo = self.start + slot * len / self.team;
-                    let hi = self.start + (slot + 1) * len / self.team;
-                    lo..hi
-                }
-                Schedule::Dynamic(_) | Schedule::Auto => {
-                    let lo = self.cursor.fetch_add(self.grain, Ordering::Relaxed);
-                    if lo >= self.end {
-                        break;
-                    }
-                    lo..(lo + self.grain).min(self.end)
-                }
-            };
-            if chunk.is_empty() {
-                continue;
+            let lo = self.cursor.fetch_add(self.grain, Ordering::Relaxed);
+            if lo >= self.end {
+                break;
             }
+            let chunk = lo..(lo + self.grain).min(self.end);
             let result = catch_unwind(AssertUnwindSafe(|| (self.func)(chunk)));
             if let Err(payload) = result {
                 self.panicked.store(true, Ordering::Release);
@@ -259,8 +222,8 @@ impl PoolBuilder {
     }
 }
 
-/// A fixed-size team of threads executing work-shared loops and scoped
-/// tasks. See the [crate docs](crate) for the OpenMP analogy.
+/// A fixed-size team of threads executing work-shared loops and batches
+/// of jobs. See the [crate docs](crate) for the OpenMP analogy.
 pub struct ThreadPool {
     inner: Arc<PoolInner>,
 }
@@ -339,18 +302,10 @@ impl ThreadPool {
         WORKER_OF.with(|w| w.get()) == self.inner.id
     }
 
-    /// Work-shared loop over `range` with [`Schedule::Auto`]; see
-    /// [`ThreadPool::parallel_for_with`].
-    pub fn parallel_for<F>(&self, range: Range<usize>, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        self.parallel_for_with(range, Schedule::Auto, f)
-    }
-
     /// Execute `f` over disjoint sub-ranges of `range`, work-shared across
-    /// the team. Blocks until every iteration has run (the implicit barrier
-    /// at the end of an OpenMP parallel-for).
+    /// the team: members claim chunks of `len / (4 * team)` iterations (at
+    /// least 1) until the range is exhausted. Blocks until every iteration
+    /// has run (the implicit barrier at the end of an OpenMP parallel-for).
     ///
     /// If the team size is 1, the range is empty, or the caller is already a
     /// worker of this pool (nested parallelism), `f(range)` runs inline on
@@ -358,36 +313,33 @@ impl ThreadPool {
     ///
     /// Panics in `f` are captured and re-raised on the calling thread after
     /// the construct completes.
-    pub fn parallel_for_with<F>(&self, range: Range<usize>, schedule: Schedule, f: F)
+    pub fn parallel_for<F>(&self, range: Range<usize>, f: F)
+    where
+        F: Fn(Range<usize>) + Sync,
+    {
+        let team = self.inner.num_threads.min(range.len()).max(1);
+        self.parallel_for_grain(range.clone(), (range.len() / (4 * team)).max(1), f)
+    }
+
+    /// [`ThreadPool::parallel_for`] with an explicit chunk size.
+    fn parallel_for_grain<F>(&self, range: Range<usize>, grain: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
     {
         if range.is_empty() {
             return;
         }
-        let len = range.end - range.start;
         // Never field more team members than iterations.
-        let team = self.inner.num_threads.min(len);
+        let team = self.inner.num_threads.min(range.len());
         if team <= 1 || self.on_worker() {
             f(range);
             return;
         }
-        let grain = match schedule {
-            Schedule::Dynamic(g) => g.max(1),
-            Schedule::Auto => (len / (4 * team)).max(1),
-            Schedule::Static => 1, // unused
-        };
         let job = ForJob {
             func: &f,
-            start: range.start,
             end: range.end,
             grain,
-            schedule,
-            team,
-            cursor: AtomicUsize::new(match schedule {
-                Schedule::Static => 0,
-                _ => range.start,
-            }),
+            cursor: AtomicUsize::new(range.start),
             latch: CountLatch::new(team - 1),
             panicked: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
@@ -453,7 +405,7 @@ impl ThreadPool {
             return (0..num_chunks).map(chunk_range).map(&map).fold(identity, reduce);
         }
         let partials: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(num_chunks));
-        self.parallel_for_with(0..num_chunks, Schedule::Dynamic(1), |chunks| {
+        self.parallel_for_grain(0..num_chunks, 1, |chunks| {
             for c in chunks {
                 let part = map(chunk_range(c));
                 partials.lock().push((c, part));
@@ -462,15 +414,6 @@ impl ThreadPool {
         let mut partials = partials.into_inner();
         partials.sort_unstable_by_key(|&(c, _)| c);
         partials.into_iter().map(|(_, part)| part).fold(identity, reduce)
-    }
-
-    /// Fork/join task region: tasks spawned on the [`Scope`](crate::Scope) may borrow from
-    /// the enclosing stack frame; `scope` blocks until all of them finish.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&crate::Scope<'env>) -> R,
-    {
-        crate::scope::run_scope(self, f)
     }
 
     /// Run a batch of independent jobs to completion and return their
@@ -494,7 +437,7 @@ impl ThreadPool {
     /// which is what makes nested fan-out deadlock-free.
     ///
     /// Panics in a job propagate to the caller after the whole batch has
-    /// drained (the [`ThreadPool::scope`] contract).
+    /// drained.
     pub fn submit_batch<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -611,7 +554,7 @@ impl ThreadPool {
     ///
     /// If the pool has no workers (team of one) or the caller is already a
     /// worker of this pool, `f` runs inline on the calling thread to
-    /// guarantee forward progress, exactly like [`crate::Scope::spawn`].
+    /// guarantee forward progress.
     pub fn spawn_detached<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
@@ -620,14 +563,10 @@ impl ThreadPool {
             f();
             return;
         }
-        self.send_task(Box::new(f));
+        self.inner.sender.send(Message::Task(Box::new(f))).expect("pool workers disconnected");
     }
 
-    pub(crate) fn send_task(&self, task: Box<dyn FnOnce() + Send>) {
-        self.inner.sender.send(Message::Task(task)).expect("pool workers disconnected");
-    }
-
-    pub(crate) fn has_workers(&self) -> bool {
+    fn has_workers(&self) -> bool {
         self.inner.num_threads > 1
     }
 }
@@ -671,19 +610,6 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         pool.parallel_for(0..n, |chunk| {
-            for i in chunk {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_static_covers_every_index_once() {
-        let pool = ThreadPool::new(3);
-        let n = 1_001; // deliberately not divisible by the team size
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_with(0..n, Schedule::Static, |chunk| {
             for i in chunk {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -811,20 +737,23 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_runs_inline() {
-        let pool = std::sync::Arc::new(ThreadPool::new(4));
-        let p2 = std::sync::Arc::clone(&pool);
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            s.spawn(|| {
-                // Inside a worker of the same pool: must not deadlock.
-                p2.parallel_for(0..100, |chunk| {
-                    for i in chunk {
-                        total.fetch_add(i as u64, Ordering::Relaxed);
-                    }
-                });
+        let pool = Arc::new(ThreadPool::new(4));
+        let p2 = Arc::clone(&pool);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn_detached(move || {
+            // Inside a worker of the same pool: must not deadlock, and the
+            // whole range runs on this worker.
+            let worker = std::thread::current().id();
+            let total = AtomicU64::new(0);
+            p2.parallel_for(0..100, |chunk| {
+                assert_eq!(std::thread::current().id(), worker, "nested loop left the worker");
+                for i in chunk {
+                    total.fetch_add(i as u64, Ordering::Relaxed);
+                }
             });
+            tx.send(total.load(Ordering::Relaxed)).unwrap();
         });
-        assert_eq!(total.load(Ordering::Relaxed), (0..100u64).sum());
+        assert_eq!(rx.recv().unwrap(), (0..100u64).sum());
     }
 
     #[test]
@@ -872,7 +801,7 @@ mod tests {
     fn dynamic_grain_one_works() {
         let pool = ThreadPool::new(4);
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_with(0..257, Schedule::Dynamic(1), |chunk| {
+        pool.parallel_for_grain(0..257, 1, |chunk| {
             for i in chunk {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }

@@ -50,7 +50,7 @@ pub use qcor_xacc::{registry, XaccError};
 
 // The threading substrate, exposed for advanced users who tune pool sizes
 // the way the paper tunes OMP_NUM_THREADS.
-pub use qcor_pool::{available_parallelism, num_threads_from_env, PoolBuilder, Schedule, ThreadPool};
+pub use qcor_pool::{available_parallelism, num_threads_from_env, PoolBuilder, ThreadPool};
 
 // The simulator's batched shot scheduler: one execution core,
 // `ShotPlan::execute`, partitions a shot loop into chunks sized by cost

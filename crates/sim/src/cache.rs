@@ -15,8 +15,8 @@
 //! the one-gate segments of an active noise model (see
 //! [`crate::noise::compile_noisy`]).
 //! `QCOR_COMPILE_CACHE_CAPACITY` sets the maximum number of cached
-//! templates (default 64, clamped to ≥ 1); least-recently-used entries
-//! evict beyond it.
+//! templates (default 64; zero or garbage panics); least-recently-used
+//! entries evict beyond it.
 //!
 //! Hit/miss counters live in [`crate::stats`] as process-global atomics so
 //! compiles issued from pool worker threads stay observable.
@@ -54,13 +54,8 @@ fn cache() -> &'static Mutex<CacheInner> {
 }
 
 fn capacity_env() -> usize {
-    match std::env::var("QCOR_COMPILE_CACHE_CAPACITY") {
-        Err(_) => DEFAULT_CAPACITY,
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => panic!("QCOR_COMPILE_CACHE_CAPACITY must be a positive integer, got {v:?}"),
-        },
-    }
+    const KEY: &str = "QCOR_COMPILE_CACHE_CAPACITY";
+    std::env::var(KEY).map_or(DEFAULT_CAPACITY, |v| qcor_pool::parse_positive(KEY, &v))
 }
 
 /// Fetch (or build) the template for `circuit`'s structure. The returned

@@ -1703,6 +1703,46 @@ mod tests {
     }
 
     #[test]
+    fn compiled_replay_iterates_less_than_interpreted_and_never_allocates_scratch() {
+        use crate::stats::{kernel_iterations, reset_kernel_iterations};
+        // A GHZ skeleton, then fusable single-qubit runs between CX and CZ
+        // layers: fusion must remove whole sweeps, not just instructions.
+        let n = 10;
+        let mut c = Circuit::new(n);
+        c.h(0);
+        for q in 0..n - 1 {
+            c.cx(q, q + 1);
+        }
+        for layer in 0..3 {
+            for q in 0..n {
+                c.t(q).h(q).s(q).h(q).tdg(q).rz(q, 0.11 * (layer + 1) as f64);
+            }
+            for q in 0..n - 2 {
+                c.cx(q, q + 1).cz(q, q + 2);
+            }
+        }
+        c.measure_all();
+        let iterations = |run: &dyn Fn(&mut StateVector, &mut StdRng)| {
+            let mut state = StateVector::new(n);
+            reset_kernel_iterations();
+            run(&mut state, &mut StdRng::seed_from_u64(5));
+            assert_eq!(state.scratch_allocations(), 0, "replay must not touch the scratch allocator");
+            kernel_iterations()
+        };
+        let interpreted = iterations(&|s, rng| {
+            run_once_interpreted(s, &c, rng);
+        });
+        let compiled = CompiledCircuit::compile(&c);
+        let fused = iterations(&|s, rng| {
+            compiled.run_once(s, rng);
+        });
+        assert!(
+            fused < interpreted,
+            "compiled replay must issue fewer kernel iterations ({fused} vs {interpreted})"
+        );
+    }
+
+    #[test]
     fn diag_classification_uses_phase_kernel_for_s_under_control() {
         // CX-sandwiched diagonal: S(1) compiles to a Phase kernel op, not a
         // dense matrix.

@@ -123,8 +123,8 @@ pub fn run_once(state: &mut StateVector, circuit: &Circuit, rng: &mut impl Rng) 
 }
 
 /// Run `circuit` once by interpreting each instruction in turn — the
-/// pre-compilation executor, kept as the oracle the `gatefuse_guard` CI
-/// gate and the fused-vs-interpreted equivalence tests compare the
+/// pre-compilation executor, kept as the oracle the `perf_guards::gatefuse`
+/// timing guard and the fused-vs-interpreted equivalence tests compare the
 /// compiled replay against.
 pub fn run_once_interpreted(state: &mut StateVector, circuit: &Circuit, rng: &mut impl Rng) -> ShotRecord {
     assert!(

@@ -31,7 +31,7 @@
 //! * [`noise`] — noise-channel lowering ([`compile_noisy`]) shared by the
 //!   exact density replay and the trajectory sampler,
 //! * [`stats`] — per-thread kernel iteration and forked-sweep counters
-//!   (the former backing the `gatefuse_guard` CI gate, the latter the fork
+//!   (the former backing the kernel and fusion tests, the latter the fork
 //!   rule's tests) and the process-global compile-cache hit/miss counters.
 
 pub mod apply;

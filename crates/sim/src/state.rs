@@ -40,7 +40,7 @@
 //! executes `2^(n-1-c)` loop iterations instead of `2^(n-1)` — a CX does
 //! half the iterations of an H, a CCX a quarter — and the loop body is
 //! branch-free. The executed iteration counts are reported to
-//! [`crate::stats`], which is what the `gatefuse_guard` CI gate asserts on.
+//! [`crate::stats`], which is what the kernel tests assert on.
 //!
 //! The same enumeration serves the measurement sweeps:
 //! [`StateVector::collapse`] visits the pairs with the measured bit clear,
@@ -424,7 +424,7 @@ pub struct StateVector {
     /// perform zero steady-state allocations.
     scratch: Vec<Complex64>,
     /// How many times `scratch` has been (re)allocated — asserted by the
-    /// `gatefuse_guard` zero-steady-state-allocation check.
+    /// zero-steady-state-allocation tests.
     scratch_allocs: usize,
 }
 

@@ -4,7 +4,7 @@
 //! indices that satisfy their control masks, so a CX visits 2× fewer and a
 //! CCX 4× fewer indices than a full scan, and a fused two-qubit block
 //! (`Dense2`) visits `2^(n-2-c)` quads instead of two full pair sweeps.
-//! That claim is load-bearing for the `gatefuse_guard` perf gate, so every
+//! That claim is load-bearing for the kernel and compile tests, so every
 //! kernel reports the exact number of loop iterations it executes — both
 //! to a grand total and to a per-kernel-class bucket — so fusion
 //! regressions are observable as counter shifts, not just as timing noise.
@@ -59,7 +59,7 @@ pub const KERNEL_CLASSES: [KernelClass; 8] = [
 ];
 
 impl KernelClass {
-    /// Stable lowercase label, used by the bench guards' JSON output.
+    /// Stable lowercase label, used by the benchmark's trace output.
     pub fn label(self) -> &'static str {
         match self {
             KernelClass::Dense => "dense",

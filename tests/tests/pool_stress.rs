@@ -4,13 +4,13 @@
 //! `shot_statistics.rs::scheduler_counts_…` was observed on the 1-CPU CI
 //! container — 0% CPU, the test thread **and** one `qcor-pool-0` worker
 //! both parked in futex wait on a team-2 pool, pointing at a rare lost
-//! wakeup somewhere in the `CountLatch`/`WaitGroup`/channel stack. It
+//! wakeup somewhere in the `CountLatch`/channel stack. It
 //! never reproduced in targeted re-runs, so this file turns the signature
 //! into a repeatable hammer:
 //!
 //! * thousands of team-2 fork/join cycles through the *full* stack the
 //!   hanging test exercised (`ShotPlan::for_tasks(..).execute(..)` →
-//!   `submit_batch` → `scope`/`WaitGroup` → `parallel_for`/`CountLatch`),
+//!   `submit_batch` → `parallel_for`/`CountLatch`),
 //! * plus tight loops on each fork/join primitive in isolation, so a hang
 //!   localizes the layer,
 //! * plus a ping-pong/MPMC hammer over the vendored crossbeam channel
@@ -28,7 +28,7 @@
 //! always-on `latch_wakeup_race_*` tests.
 
 use qcor_circuit::library;
-use qcor_pool::{CountLatch, ThreadPool, WaitGroup};
+use qcor_pool::{CountLatch, ThreadPool};
 use qcor_sim::{RunConfig, ShotPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn stress_enabled() -> bool {
 /// with 2-way task parallelism on a shared team-2 pool, repeated a few
 /// thousand times. Every iteration builds a fresh pool (worker spawn +
 /// shutdown are part of the suspect window) and crosses the full
-/// `submit_batch` → `scope` → `WaitGroup` fork/join path.
+/// `submit_batch` → `CountLatch` fork/join path.
 #[test]
 fn team2_fork_join_shot_sampling_stress() {
     if !stress_enabled() {
@@ -77,27 +77,6 @@ fn team2_parallel_for_latch_stress() {
             hits.fetch_add(chunk.len(), Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8, "iteration {iter}");
-    }
-}
-
-/// `scope`/`WaitGroup` fork/join in isolation, team of 2.
-#[test]
-fn team2_scope_waitgroup_stress() {
-    if !stress_enabled() {
-        return;
-    }
-    let pool = ThreadPool::new(2);
-    let counter = AtomicUsize::new(0);
-    for iter in 0..100_000 {
-        counter.store(0, Ordering::Relaxed);
-        pool.scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 3, "iteration {iter}");
     }
 }
 
@@ -162,7 +141,7 @@ fn channel_ping_pong_stress() {
 /// Raw latch wait/notify races without any pool machinery: one waiter, one
 /// decrementer, fresh latch per iteration.
 #[test]
-fn raw_latch_and_waitgroup_wakeup_stress() {
+fn raw_latch_wakeup_stress() {
     if !stress_enabled() {
         return;
     }
@@ -171,13 +150,6 @@ fn raw_latch_and_waitgroup_wakeup_stress() {
         let l = Arc::clone(&latch);
         let t = std::thread::spawn(move || l.count_down());
         latch.wait();
-        t.join().unwrap();
-
-        let wg = Arc::new(WaitGroup::new());
-        wg.add(1);
-        let w = Arc::clone(&wg);
-        let t = std::thread::spawn(move || w.done());
-        wg.wait();
         t.join().unwrap();
     }
 }

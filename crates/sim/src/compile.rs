@@ -29,10 +29,13 @@
 //!   circuit body. The compiler tracks a logical→physical qubit map
 //!   instead, relabels every later operand through it, and flushes the
 //!   residual permutation as at most `n-1` swap ops at the end of the
-//!   circuit (where trailing `Dense2` blocks can still absorb them).
-//!   Mid-circuit `Measure`/`Reset` carry both the *logical* qubit (for the
-//!   shot record) and the current *physical* location (for the state
-//!   update), so relabeling is exact bookkeeping, not a reorder;
+//!   circuit, or just before a terminal measurement suffix (where
+//!   trailing `Dense2` blocks can still absorb them, and where the sampled
+//!   read of [`CompiledCircuit::sample_once`] then sees the basis order
+//!   of the interpreter). Mid-circuit `Measure`/`Reset` carry both the
+//!   *logical* qubit (for the shot record) and the current *physical*
+//!   location (for the state update), so relabeling is exact bookkeeping,
+//!   not a reorder;
 //! * fused matrices are **classified** into the cheapest kernel the state
 //!   vector offers: anti-diagonal results run the branch-free flip kernel
 //!   ([`StateVector::apply_antidiag`]), diagonal results run the phase /
@@ -61,11 +64,14 @@
 //!
 //! # Determinism contract
 //!
-//! A compiled replay draws from the RNG exactly once per `Measure`/`Reset`,
-//! in program order — identical to the interpreted path — so a compiled
-//! replay and the interpreter consume identical RNG streams over the same
-//! [`crate::ShotPlan`] chunks, and their merged [`crate::Counts`] stay
-//! inside the `(seed, tasks, chunk_shots)` byte-identical contract. Fused arithmetic
+//! [`CompiledCircuit::run_once`] draws from the RNG exactly once per
+//! `Measure`/`Reset`, in program order — identical to the interpreted path;
+//! [`CompiledCircuit::sample_once`] draws once per shot for a terminal
+//! suffix, as the interpreter does under the same protocol (see
+//! [`crate::executor`]). So a compiled replay and the interpreter consume
+//! identical RNG streams over the same [`crate::ShotPlan`] chunks, and
+//! their merged [`crate::Counts`] stay inside the `(seed, tasks,
+//! chunk_shots)` byte-identical contract. Fused arithmetic
 //! rounds differently at the last ulp (a 2×2 product is not two sequential
 //! applies, and a relabeled measurement sums the same probabilities in a
 //! different order), so *amplitudes* agree to ~1e-12 rather than
@@ -390,6 +396,25 @@ pub struct CompiledCircuit {
     /// [`CACHE_BLOCK_QUBITS`], replayed block-by-block on large states.
     segments: Vec<(Range<usize>, bool)>,
     source_len: usize,
+    /// Where the terminal measurement suffix starts in `ops` (the first
+    /// `Measure`, or `ops.len()` for a measurement-free circuit), when the
+    /// source's measurements are terminal (see [`terminal_suffix`]).
+    terminal: Option<usize>,
+}
+
+/// The index of the first `Measure` of `circuit` when its measurements
+/// are **terminal**: the circuit holds no reset, and no gate follows any
+/// `Measure` (barriers may). Everything before that index is then
+/// unitary, and every outcome can be read from one sample of the state
+/// there. A measurement-free, reset-free circuit's suffix is empty
+/// (`Some(circuit.len())`); any other circuit yields `None`.
+pub fn terminal_suffix(circuit: &Circuit) -> Option<usize> {
+    let insts = circuit.instructions();
+    let start = insts.iter().position(|inst| inst.gate == GateKind::Measure).unwrap_or(insts.len());
+    let unitary_prefix = insts[..start].iter().all(|inst| inst.gate != GateKind::Reset);
+    let measures_only =
+        insts[start..].iter().all(|inst| matches!(inst.gate, GateKind::Measure | GateKind::Barrier));
+    (unitary_prefix && measures_only).then_some(start)
 }
 
 impl CompiledCircuit {
@@ -397,18 +422,31 @@ impl CompiledCircuit {
     /// [`CompiledCircuit::run_once`].
     pub fn compile(circuit: &Circuit) -> CompiledCircuit {
         let mut fuser = Fuser::new(circuit.num_qubits(), circuit.len(), false);
-        for inst in circuit.instructions() {
+        let terminal = terminal_suffix(circuit);
+        for (i, inst) in circuit.instructions().iter().enumerate() {
+            if terminal == Some(i) {
+                fuser.flush_permutation();
+            }
             fuser.push_instruction(inst, None);
         }
         let ops = fuser.finalize();
-        Self::from_ops(circuit.num_qubits(), ops, circuit.len())
+        Self::from_ops(circuit.num_qubits(), ops, circuit.len(), terminal.is_some())
     }
 
     /// Assemble a compiled circuit from an already-final op list, replanning
     /// the cache-blocking segments (they are a pure function of the ops).
-    pub(crate) fn from_ops(num_qubits: usize, ops: Vec<KernelOp>, source_len: usize) -> CompiledCircuit {
+    /// `terminal` says whether the source's measurements are terminal; the
+    /// suffix then starts at the first `Measure` op.
+    pub(crate) fn from_ops(
+        num_qubits: usize,
+        ops: Vec<KernelOp>,
+        source_len: usize,
+        terminal: bool,
+    ) -> CompiledCircuit {
         let segments = plan_segments(&ops);
-        CompiledCircuit { num_qubits, ops, segments, source_len }
+        let terminal = terminal
+            .then(|| ops.iter().position(|op| matches!(op, KernelOp::Measure { .. })).unwrap_or(ops.len()));
+        CompiledCircuit { num_qubits, ops, segments, source_len, terminal }
     }
 
     /// Qubit count of the source circuit.
@@ -438,21 +476,82 @@ impl CompiledCircuit {
         self.source_len
     }
 
+    /// Where the terminal measurement suffix starts in [`Self::ops`], when
+    /// the source's measurements are terminal ([`terminal_suffix`]).
+    pub fn terminal_start(&self) -> Option<usize> {
+        self.terminal
+    }
+
     /// Replay the compiled ops against `state` once, recording measurement
     /// outcomes — the compiled counterpart of
     /// [`crate::run_once_interpreted`].
     pub fn run_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
+        let mut record = ShotRecord::default();
+        self.replay(state, self.ops.len(), |state, op| match *op {
+            KernelOp::Measure { qubit, loc } => record.outcomes.push((qubit, state.measure(loc, rng))),
+            KernelOp::Reset { qubit: _, loc } => state.reset(loc, rng),
+            _ => unreachable!("unitary ops replay through the kernels"),
+        });
+        record
+    }
+
+    /// One shot under the sampled protocol (see [`crate::executor`]): a
+    /// circuit whose measurements are terminal replays up to its terminal
+    /// suffix and reads every outcome from one
+    /// [`StateVector::sample_index`] draw; any other circuit is
+    /// [`CompiledCircuit::run_once`].
+    pub fn sample_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
+        if !self.evolve_prefix(state) {
+            return self.run_once(state, rng);
+        }
+        self.read_terminal(state, rng)
+    }
+
+    /// Replay the unitary prefix before the terminal suffix onto `state`
+    /// and return true, or leave `state` untouched and return false when
+    /// the source's measurements are not terminal.
+    pub(crate) fn evolve_prefix(&self, state: &mut StateVector) -> bool {
+        let Some(start) = self.terminal else { return false };
+        self.replay(state, start, |_, op| unreachable!("a terminal prefix holds no {op:?}"));
+        true
+    }
+
+    /// Read the terminal suffix's outcomes from `state` (already evolved
+    /// through the prefix): one draw picks a basis index, and each
+    /// terminal `Measure` records that index's bit at its physical `loc`,
+    /// in program order. A suffix without a `Measure` draws nothing.
+    pub(crate) fn read_terminal(&self, state: &StateVector, rng: &mut impl Rng) -> ShotRecord {
+        let start = self.terminal.expect("read_terminal needs terminal measurements");
+        let measures = self.ops[start..].iter().filter_map(|op| match *op {
+            KernelOp::Measure { qubit, loc } => Some((qubit, loc)),
+            _ => None,
+        });
+        crate::executor::sample_outcomes(state, measures, rng)
+    }
+
+    /// Replay `ops[..end]` against `state`, cache-blocked where planned,
+    /// handing each `Measure`/`Reset` to `non_unitary`.
+    fn replay(
+        &self,
+        state: &mut StateVector,
+        end: usize,
+        mut non_unitary: impl FnMut(&mut StateVector, &KernelOp),
+    ) {
         assert!(
             self.num_qubits <= state.num_qubits(),
             "compiled circuit needs {} qubits but the state has {}",
             self.num_qubits,
             state.num_qubits()
         );
-        let mut record = ShotRecord::default();
         let total = state.amplitudes().len();
         let use_blocks = total >= (1usize << CACHE_BLOCK_MIN_QUBITS);
         for (range, blockable) in &self.segments {
-            let ops = &self.ops[range.clone()];
+            // A terminal suffix starts at a `Measure`, which no blockable
+            // segment holds, so clipping never splits a blocked run.
+            let ops = &self.ops[range.start..range.end.min(end)];
+            if ops.is_empty() {
+                break;
+            }
             if *blockable && use_blocks {
                 for (class, ins) in ops.iter().map(op_inserts) {
                     record_iterations(class, ins.all(total).len());
@@ -465,16 +564,12 @@ impl CompiledCircuit {
             } else {
                 for op in ops {
                     match op {
-                        KernelOp::Measure { qubit, loc } => {
-                            record.outcomes.push((*qubit, state.measure(*loc, rng)))
-                        }
-                        KernelOp::Reset { qubit: _, loc } => state.reset(*loc, rng),
+                        KernelOp::Measure { .. } | KernelOp::Reset { .. } => non_unitary(state, op),
                         unitary => state.apply_kernel_op(unitary),
                     }
                 }
             }
         }
-        record
     }
 }
 
@@ -757,9 +852,10 @@ impl Fuser {
     }
 
     /// Emit the residual relabeling permutation as at most `n-1`
-    /// uncontrolled swaps at the end of the op list, restoring every
-    /// logical qubit to its home bit so the final state matches the
-    /// interpreted executor's exactly.
+    /// uncontrolled swaps at the end of the op list (or of the unitary
+    /// prefix before a terminal measurement suffix), restoring every
+    /// logical qubit to its home bit so the state matches the interpreted
+    /// executor's exactly.
     fn flush_permutation(&mut self) {
         let n = self.loc.len();
         let mut loc = self.loc.clone();
@@ -1357,6 +1453,8 @@ pub struct CompiledTemplate {
     num_slots: usize,
     atoms: Vec<Atom>,
     tops: Vec<TOp>,
+    /// Whether the source's measurements are terminal ([`terminal_suffix`]).
+    terminal: bool,
 }
 
 impl CompiledTemplate {
@@ -1366,8 +1464,12 @@ impl CompiledTemplate {
     /// produce interchangeable templates.
     pub fn compile(circuit: &Circuit) -> CompiledTemplate {
         let mut fuser = Fuser::new(circuit.num_qubits(), circuit.len(), true);
+        let terminal = terminal_suffix(circuit);
         let mut slot0 = 0u32;
-        for inst in circuit.instructions() {
+        for (i, inst) in circuit.instructions().iter().enumerate() {
+            if terminal == Some(i) {
+                fuser.flush_permutation();
+            }
             fuser.push_instruction(inst, Some(slot0));
             slot0 += inst.params.len() as u32;
         }
@@ -1479,6 +1581,7 @@ impl CompiledTemplate {
             num_slots,
             atoms,
             tops,
+            terminal: terminal.is_some(),
         }
     }
 
@@ -1571,7 +1674,7 @@ impl CompiledTemplate {
                 }
             }
         }
-        CompiledCircuit::from_ops(self.num_qubits, ops, self.source_len)
+        CompiledCircuit::from_ops(self.num_qubits, ops, self.source_len, self.terminal)
     }
 }
 
@@ -1948,7 +2051,7 @@ mod tests {
             2,
             KernelOp::Phase { set_mask: (1 << 0) | (1 << 8), clear_mask: (1 << 4) | (1 << 11), phase },
         );
-        let compiled = CompiledCircuit::from_ops(n, ops, c.len());
+        let compiled = CompiledCircuit::from_ops(n, ops, c.len(), false);
         assert!(
             compiled.ops().iter().any(|op| !is_block_local(op)),
             "test must exercise a non-blockable segment: {:?}",

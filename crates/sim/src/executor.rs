@@ -40,6 +40,39 @@
 //! sweep) stays reachable for A/B runs as `chunk_shots = shots` with
 //! `par_threshold = 1`.
 //!
+//! # The per-shot draw protocol
+//!
+//! Every shot draws from its chunk's stream in this order:
+//!
+//! 1. **Channel decisions** (noisy plans whose channels are all
+//!    state-independent): one draw per depolarizing or dephasing site in op
+//!    order, plus a Pauli draw for each depolarizing site that fires — see
+//!    [`crate::noise`]. Amplitude damping draws inline during the replay
+//!    instead, against the live state.
+//! 2. **Replay to the terminal suffix.** A circuit's measurements are
+//!    terminal when it holds no reset and no gate follows any `Measure`
+//!    ([`crate::compile::terminal_suffix`], decided once at lowering). The
+//!    shot replays the ops before the first `Measure`. A noisy shot where
+//!    no channel fired skips this step: it reads the plan's clean state,
+//!    evolved once per plan before the chunks are dispatched and shared
+//!    read-only.
+//! 3. **One `f64`** `u ∈ [0, 1)`, mapped to a basis index by
+//!    [`StateVector::sample_index`]: the first index whose running |amp|²
+//!    sum exceeds `u · total`, found by walking the block sums of the
+//!    measurement reductions' fixed partition, so the index is the same
+//!    on any pool and fork floor. Each terminal `Measure` records that index's bit at its
+//!    physical location, in program order. A suffix without a `Measure`
+//!    draws nothing.
+//! 4. **Readout flips** (noisy plans with a non-zero readout error): one
+//!    draw per terminal `Measure`, in program order.
+//!
+//! A circuit with mid-circuit measurement or reset is not sampled: it
+//! replays in full per shot, one draw per `Measure`/`Reset`
+//! ([`CompiledCircuit::run_once`], with each noisy `Measure` followed by
+//! its readout draw). [`CompiledCircuit::run_once`] keeps that per-qubit
+//! protocol for every circuit, as the oracle the sampled path is tested
+//! against.
+//!
 //! # Compile-then-execute
 //!
 //! Each run compiles the circuit **once per plan** into a
@@ -48,8 +81,10 @@
 //! ([`crate::cache`]) and replays the fused op list per shot; per-shot
 //! instruction dispatch and matrix re-derivation are gone. The
 //! per-instruction interpreter ([`run_once_interpreted`]) stays as the
-//! test oracle: it consumes the identical RNG stream (same draw count and
-//! order), so seeded counts agree with the compiled replay.
+//! test oracle: driven through the same protocol (interpret up to the
+//! terminal suffix, then one [`StateVector::sample_index`] draw) it
+//! consumes the identical RNG stream, so seeded counts agree with the
+//! compiled replay.
 //!
 //! Bitstring convention: the leftmost character is the outcome of the
 //! lowest-indexed *measured* qubit.
@@ -61,7 +96,7 @@ use crate::density::NoiseModel;
 use crate::gates::apply_instruction;
 use crate::noise::{compile_noisy, run_trajectory_once, NoisyCompiled};
 use crate::state::{StateVector, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
-use qcor_circuit::{Circuit, GateKind};
+use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -249,11 +284,14 @@ impl ShotPlan {
     /// `token` is checked before each chunk starts; a cancelled run skips
     /// every chunk that has not started yet.
     ///
-    /// Re-running the full circuit per shot (rather than sampling a final
-    /// distribution) keeps the workload faithful to the paper's evaluation,
-    /// where per-kernel simulation work × shots is what the simulator
-    /// threads parallelize, and is required anyway once circuits contain
-    /// mid-circuit measurement or reset.
+    /// Every shot follows the [draw protocol](self#the-per-shot-draw-protocol):
+    /// its terminal measurements cost one draw against the evolved state
+    /// instead of a probability sweep and a collapse sweep per qubit, and
+    /// a noisy shot where no channel fires replays nothing, since the
+    /// plan's clean state is evolved once. A noiseless shot still replays
+    /// its unitary prefix: evolving it once per plan as well (the rest of
+    /// "evolve once, sample many") is left for later, and circuits with
+    /// mid-circuit measurement or reset replay in full either way.
     pub fn execute(
         &self,
         circuit: &Circuit,
@@ -269,9 +307,15 @@ impl ShotPlan {
         }
         crate::stats::record_shot_plan();
         let base_seed = config.seed.unwrap_or_else(|| StdRng::from_entropy().gen());
-        // Compile once per plan; every chunk replays the same op list.
+        // Compile once per plan; every chunk replays the same op list. A
+        // noisy plan's clean state is evolved here, once, and shared
+        // read-only by the chunks.
         let exec = match noise {
-            Some((model, readout)) => ShotExec::Trajectory { plan: compile_noisy(circuit, model), readout },
+            Some((model, readout)) => {
+                let plan = compile_noisy(circuit, model);
+                let clean = plan.clean_state(Arc::clone(&pool), config.par_threshold);
+                ShotExec::Trajectory { plan, readout, clean }
+            }
             None => ShotExec::Compiled(compile_cached(circuit)),
         };
         let run_chunk = |index: usize, shots: usize, mut state: StateVector| {
@@ -314,20 +358,41 @@ impl ShotPlan {
     }
 }
 
-/// The executor a shot plan replays per shot: the circuit compiled once
-/// into fused kernel ops, or the noisy trajectory sampler.
+/// The executor a shot plan runs per shot: the circuit compiled once into
+/// fused kernel ops, or the noisy trajectory sampler with the plan's
+/// shared clean state (see [`NoisyCompiled::shares_clean_state`]).
 enum ShotExec {
     Compiled(CompiledCircuit),
-    Trajectory { plan: NoisyCompiled, readout: f64 },
+    Trajectory { plan: NoisyCompiled, readout: f64, clean: Option<StateVector> },
 }
 
 impl ShotExec {
     fn run_once(&self, state: &mut StateVector, rng: &mut impl Rng) -> ShotRecord {
         match self {
-            ShotExec::Compiled(compiled) => compiled.run_once(state, rng),
-            ShotExec::Trajectory { plan, readout } => run_trajectory_once(plan, *readout, state, rng),
+            ShotExec::Compiled(compiled) => compiled.sample_once(state, rng),
+            ShotExec::Trajectory { plan, readout, clean } => {
+                run_trajectory_once(plan, *readout, state, rng, clean.as_ref())
+            }
         }
     }
+}
+
+/// Read a terminal measurement suffix from `state` with one draw: a
+/// `u ∈ [0, 1)` mapped to a basis index by [`StateVector::sample_index`],
+/// then one outcome per `(qubit, loc)` of `measures` (program order): the
+/// index's bit at physical `loc`, recorded for logical `qubit`. A suffix
+/// without a measurement draws nothing.
+pub(crate) fn sample_outcomes(
+    state: &StateVector,
+    measures: impl Iterator<Item = (usize, usize)>,
+    rng: &mut impl Rng,
+) -> ShotRecord {
+    let mut measures = measures.peekable();
+    if measures.peek().is_none() {
+        return ShotRecord::default();
+    }
+    let index = state.sample_index(rng.gen());
+    ShotRecord { outcomes: measures.map(|(qubit, loc)| (qubit, (index >> loc & 1) as u8)).collect() }
 }
 
 /// The outcome of a [`ShotPlan::execute`]: the merged counts of every chunk
@@ -374,29 +439,16 @@ pub fn run_noisy_shots(
     plan.execute(circuit, pool, config, Some((noise, readout)), token.as_ref()).counts
 }
 
-/// Exact output distribution of a measurement-free prefix: strips terminal
-/// measurements, evolves the compiled prefix once, and returns the
-/// probability of each basis state. Errors
-/// if a non-terminal measurement or reset is present.
+/// Exact output distribution of a circuit whose measurements are terminal
+/// ([`crate::compile::terminal_suffix`]): evolves the compiled unitary
+/// prefix once and returns the probability of each basis state. Errors on
+/// a reset or a non-terminal measurement.
 pub fn exact_distribution(circuit: &Circuit, pool: Arc<ThreadPool>) -> Result<Vec<f64>, String> {
-    let mut prefix = Circuit::new(circuit.num_qubits());
-    let mut seen_measure = false;
-    for inst in circuit.instructions() {
-        match inst.gate {
-            GateKind::Measure => seen_measure = true,
-            GateKind::Barrier => {}
-            GateKind::Reset => return Err("exact_distribution cannot handle reset".to_string()),
-            _ if seen_measure => {
-                return Err("exact_distribution requires measurements to be terminal".to_string())
-            }
-            _ => {
-                prefix.push(inst.clone());
-            }
-        }
-    }
+    let compiled = compile_cached(circuit);
     let mut state = StateVector::with_pool(circuit.num_qubits(), pool);
-    let mut rng = StdRng::seed_from_u64(0);
-    compile_cached(&prefix).run_once(&mut state, &mut rng);
+    if !compiled.evolve_prefix(&mut state) {
+        return Err("exact_distribution requires terminal measurements and no reset".to_string());
+    }
     Ok(state.probabilities())
 }
 

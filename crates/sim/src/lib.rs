@@ -49,7 +49,7 @@ pub mod stats;
 pub use apply::ApplyState;
 pub use cache::{clear_compile_cache, compile_cached};
 pub use cancel::{cancel_requested, set_thread_cancel_token, thread_cancel_token, CancelToken};
-pub use compile::{CompiledCircuit, CompiledTemplate, KernelOp};
+pub use compile::{terminal_suffix, CompiledCircuit, CompiledTemplate, KernelOp};
 pub use complex::{c64, Complex64};
 pub use density::{DensityMatrix, NoiseModel};
 pub use executor::{

@@ -19,31 +19,38 @@
 //!   channel ops become exact Kraus sums, measurements project.
 //! * **Trajectory replay** (`run_trajectory_once`, driven per shot by
 //!   [`crate::ShotPlan::execute`]): channel ops draw their Kraus
-//!   branch from the chunk's RNG stream. The draw protocol is fixed —
+//!   branch from the chunk's RNG stream. The per-op draws are fixed —
 //!   depolarizing: one `f64` draw, plus one `gen_range(0..3)` draw iff it
 //!   fires; dephasing: one draw; amplitude damping: one draw (the jump
 //!   probability `γ·P(1)` comes from the ordered reducer, so it is
-//!   pool-size-invariant); measure: one draw, plus one readout-flip draw
-//!   iff the readout error is non-zero; reset: one draw — so seeded
-//!   trajectory counts are byte-identical on any pool size, exactly like
-//!   the ideal scheduler's contract.
+//!   pool-size-invariant); mid-circuit measure: one draw, plus one
+//!   readout-flip draw iff the readout error is non-zero; reset: one draw.
+//!   Terminal measurements are one draw for the whole suffix plus one
+//!   readout draw per `Measure`. The executor's module docs
+//!   ([`crate::executor`]) write the whole per-shot order down once.
+//!   Seeded trajectory counts are byte-identical on any pool size, exactly
+//!   like the ideal scheduler's contract.
 //!
 //! When every channel in the model is **state-independent** (no amplitude
 //! damping), the trajectory sampler draws all channel decisions up front
 //! (same draws, same op order) before touching the state. A shot where no
-//! channel fires — the common case at realistic error rates — then
-//! replays the **fully fused** noiseless plan instead of the per-gate
-//! interleaved stream; only shots with at least one fired channel pay for
-//! the unfused replay.
+//! channel fires — the common case at realistic error rates — is then an
+//! ideal shot. When the measurements are also terminal, every such shot
+//! reads the one clean state the plan evolved through the **fully fused**
+//! noiseless plan ([`NoisyCompiled::shares_clean_state`]); otherwise it
+//! replays that fused plan. Only shots with at least one fired channel pay
+//! for the unfused, interleaved replay.
 
 use crate::cache::compile_cached;
-use crate::compile::{CompiledCircuit, CompiledTemplate, KernelOp};
+use crate::compile::{terminal_suffix, CompiledCircuit, CompiledTemplate, KernelOp};
 use crate::complex::Complex64;
 use crate::density::NoiseModel;
-use crate::executor::ShotRecord;
+use crate::executor::{sample_outcomes, ShotRecord};
 use crate::state::StateVector;
 use qcor_circuit::{Circuit, GateKind};
+use qcor_pool::ThreadPool;
 use rand::Rng;
+use std::sync::Arc;
 
 /// One op of a lowered noisy circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +83,9 @@ pub struct NoisyCompiled {
     /// damping): shots where no channel fires replay this instead of the
     /// per-gate interleaved stream.
     fused: Option<CompiledCircuit>,
+    /// Where the terminal measurement suffix starts in `ops`, when the
+    /// source's measurements are terminal ([`terminal_suffix`]).
+    terminal: Option<usize>,
 }
 
 impl NoisyCompiled {
@@ -108,6 +118,26 @@ impl NoisyCompiled {
     /// fully fused noiseless plan (all channels state-independent).
     pub fn has_clean_fast_path(&self) -> bool {
         self.fused.is_some()
+    }
+
+    /// True when the clean fast path's shots share one clean state: the
+    /// fused plan's only non-unitary ops are its terminal measurements, so
+    /// every shot where no channel fires samples the same evolved state.
+    pub fn shares_clean_state(&self) -> bool {
+        self.fused.as_ref().is_some_and(|fused| fused.terminal_start().is_some())
+    }
+
+    /// The clean state every channel-free shot samples, evolved once on
+    /// `pool` at fork floor `par_threshold`, when the plan
+    /// [shares one](NoisyCompiled::shares_clean_state).
+    pub(crate) fn clean_state(&self, pool: Arc<ThreadPool>, par_threshold: usize) -> Option<StateVector> {
+        if !self.shares_clean_state() {
+            return None;
+        }
+        let mut state = StateVector::with_pool(self.num_qubits, pool);
+        state.set_par_threshold(par_threshold);
+        self.fused.as_ref()?.evolve_prefix(&mut state);
+        Some(state)
     }
 }
 
@@ -182,18 +212,23 @@ pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> NoisyCompiled {
         && ops.iter().any(|op| matches!(op, NoisyOp::Depolarize { .. } | NoisyOp::Dephase { .. }))
         && !ops.iter().any(|op| matches!(op, NoisyOp::AmplitudeDamp { .. }));
     let fused = pre_drawable.then(|| compile_cached(circuit));
-    NoisyCompiled { num_qubits: n, ops, source_len: circuit.len(), fused }
+    let terminal = terminal_suffix(circuit)
+        .map(|_| ops.iter().position(|op| matches!(op, NoisyOp::Measure { .. })).unwrap_or(ops.len()));
+    NoisyCompiled { num_qubits: n, ops, source_len: circuit.len(), fused, terminal }
 }
 
 /// Replay one stochastic trajectory of `plan` against `state`, drawing
 /// every Kraus branch, measurement and readout flip from `rng` in the
-/// fixed protocol documented in the [module docs](self). Returns the
-/// shot's measurement record (readout flips already applied).
+/// fixed protocol documented in the [module docs](self). `shared` is the
+/// plan's shared clean state ([`NoisyCompiled::clean_state`]), if the
+/// caller evolved it. Returns the shot's measurement record (readout flips
+/// already applied).
 pub(crate) fn run_trajectory_once(
     plan: &NoisyCompiled,
     readout: f64,
     state: &mut StateVector,
     rng: &mut impl Rng,
+    shared: Option<&StateVector>,
 ) -> ShotRecord {
     assert!(
         plan.num_qubits <= StateVector::num_qubits(state),
@@ -223,21 +258,29 @@ pub(crate) fn run_trajectory_once(
             }
         }
         if clean {
-            // Nothing fired: this shot is an ideal shot — replay the fused
-            // plan and apply readout flips to the recorded bits.
-            let mut record = fused.run_once(state, rng);
-            if readout > 0.0 {
-                for (_, bit) in &mut record.outcomes {
-                    if rng.gen::<f64>() < readout {
-                        *bit ^= 1;
-                    }
-                }
-            }
+            // Nothing fired: this shot is an ideal shot — sample the shared
+            // clean state (or the fused plan) and flip the recorded bits.
+            let mut record = match shared {
+                Some(shared) => fused.read_terminal(shared, rng),
+                None => fused.sample_once(state, rng),
+            };
+            flip_readout(&mut record, readout, rng);
             return record;
         }
         return replay_interleaved(plan, readout, state, rng, Some(&fired));
     }
     replay_interleaved(plan, readout, state, rng, None)
+}
+
+/// One readout-flip draw per recorded outcome, in record order.
+fn flip_readout(record: &mut ShotRecord, readout: f64, rng: &mut impl Rng) {
+    if readout > 0.0 {
+        for (_, bit) in &mut record.outcomes {
+            if rng.gen::<f64>() < readout {
+                *bit ^= 1;
+            }
+        }
+    }
 }
 
 /// Apply the Pauli a channel drew: 0 = none, 1 = X, 2 = Y, 3 = Z.
@@ -253,7 +296,9 @@ fn apply_drawn_pauli(state: &mut StateVector, qubit: usize, which: u8) {
 /// The interleaved trajectory replay. `predrawn` carries the channel
 /// decisions when they were drawn up front (state-independent models);
 /// `None` draws each channel inline at its op, which is required for
-/// amplitude damping (its jump probability reads the live state).
+/// amplitude damping (its jump probability reads the live state). A
+/// terminal measurement suffix is read with one draw, then one readout
+/// draw per `Measure`.
 fn replay_interleaved(
     plan: &NoisyCompiled,
     readout: f64,
@@ -264,7 +309,8 @@ fn replay_interleaved(
     use crate::apply::ApplyState;
     let mut record = ShotRecord::default();
     let mut next_decision = 0usize;
-    for op in &plan.ops {
+    let end = plan.terminal.unwrap_or(plan.ops.len());
+    for op in &plan.ops[..end] {
         match op {
             NoisyOp::Unitary(kernel) => state.apply_kernel_op(kernel),
             NoisyOp::Depolarize { qubit, p } => {
@@ -327,6 +373,14 @@ fn replay_interleaved(
             }
             NoisyOp::Reset { qubit } => state.reset(*qubit, rng),
         }
+    }
+    if plan.terminal.is_some() {
+        let measures = plan.ops[end..].iter().filter_map(|op| match *op {
+            NoisyOp::Measure { qubit } => Some((qubit, qubit)),
+            _ => None,
+        });
+        record = sample_outcomes(state, measures, rng);
+        flip_readout(&mut record, readout, rng);
     }
     record
 }
@@ -416,7 +470,7 @@ mod tests {
         for seed in 0..8 {
             let mut state = StateVector::new(2);
             let mut rng = StdRng::seed_from_u64(seed);
-            let record = run_trajectory_once(&plan, 0.0, &mut state, &mut rng);
+            let record = run_trajectory_once(&plan, 0.0, &mut state, &mut rng, None);
             let bits = record.bitstring();
             assert!(bits == "00" || bits == "11", "Bell shot must be correlated, got {bits}");
         }

@@ -92,6 +92,7 @@ use crate::stats::KernelClass;
 use qcor_pool::ThreadPool;
 use rand::Rng;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Raw pointer to the amplitude buffer, shared across pool workers.
@@ -547,11 +548,18 @@ impl StateVector {
         self.fork_min_bytes = fork_min_bytes(&self.pool, bytes_per_thread.max(1));
     }
 
+    /// The fork rule: does a sweep of `len` iterations touching
+    /// `iter_bytes` each reach the state's fork floor?
+    #[inline]
+    fn forks(&self, len: usize, iter_bytes: usize) -> bool {
+        len.saturating_mul(iter_bytes) >= self.fork_min_bytes
+    }
+
     /// Work-share `f` over `0..len` when the sweep's `len * iter_bytes`
     /// bytes reach the state's fork floor, else run it inline.
     #[inline]
     fn dispatch<F: Fn(Range<usize>) + Sync>(&self, len: usize, iter_bytes: usize, f: F) {
-        if len.saturating_mul(iter_bytes) >= self.fork_min_bytes {
+        if self.forks(len, iter_bytes) {
             crate::stats::record_forked_sweep();
             self.pool.parallel_for(0..len, f);
         } else {
@@ -571,7 +579,7 @@ impl StateVector {
     /// regardless of pool size, scheduling or whether it forked.
     #[inline]
     fn reduce<F: Fn(Range<usize>) -> f64 + Sync>(&self, len: usize, f: F) -> f64 {
-        if len.saturating_mul(AMP_BYTES) >= self.fork_min_bytes {
+        if self.forks(len, AMP_BYTES) {
             crate::stats::record_forked_sweep();
             return self.pool.parallel_reduce_ordered(0..len, Self::REDUCE_GRAIN, 0.0, f, |a, b| a + b);
         }
@@ -824,6 +832,65 @@ impl StateVector {
         })
     }
 
+    /// Sample a basis index from the state's |amp|² distribution with one
+    /// uniform draw `u ∈ [0, 1)`: the first index whose running |amp|² sum
+    /// exceeds `u · total`.
+    ///
+    /// The search walks the fixed `REDUCE_GRAIN` partition the measurement
+    /// reductions use: each block's sum is one in-order fold (the blocks
+    /// forked over the pool or run inline under the fork rule), the walk
+    /// visits the sums in order, and only the chosen block is scanned index
+    /// by index. So the result is bit-identical on any pool size and fork
+    /// floor, and it is never an index of zero probability (a scan that
+    /// rounding carries past the block's end returns the block's last
+    /// non-zero index).
+    pub fn sample_index(&self, u: f64) -> usize {
+        debug_assert!((0.0..1.0).contains(&u), "u = {u} outside [0, 1)");
+        let amps = &self.amps;
+        let len = amps.len();
+        let grain = Self::REDUCE_GRAIN;
+        let block = |b: usize| b * grain..((b + 1) * grain).min(len);
+        let weight = |range: Range<usize>| range.fold(0.0, |acc, i| acc + amps[i].norm_sqr());
+        let blocks = len.div_ceil(grain);
+        // Forked, the block sums are gathered once, each written in place
+        // by the worker that folds it: workers allocate nothing, since a
+        // worker's first allocation binds it to an allocator arena of its
+        // own, which made `deep20`'s peak RSS jump by 16 MiB between runs.
+        // Inline, each sum is recomputed where the walk needs it (same
+        // fold, same value).
+        let sums = self.forks(len, AMP_BYTES).then(|| {
+            crate::stats::record_forked_sweep();
+            let sums: Vec<AtomicU64> = (0..blocks).map(|_| AtomicU64::new(0)).collect();
+            self.pool.parallel_for(0..blocks, |range| {
+                for b in range {
+                    sums[b].store(weight(block(b)).to_bits(), Ordering::Relaxed);
+                }
+            });
+            sums.into_iter().map(|sum| f64::from_bits(sum.into_inner())).collect::<Vec<_>>()
+        });
+        let block_sum = |b: usize| sums.as_ref().map_or_else(|| weight(block(b)), |s| s[b]);
+        let target = u * (0..blocks).map(block_sum).fold(0.0, |a, b| a + b);
+        let mut below = 0.0;
+        for b in 0..blocks {
+            let sum = block_sum(b);
+            if below + sum > target {
+                let mut last = None;
+                for i in block(b).filter(|&i| amps[i].norm_sqr() > 0.0) {
+                    below += amps[i].norm_sqr();
+                    if below > target {
+                        return i;
+                    }
+                    last = Some(i);
+                }
+                return last.expect("a block of positive weight holds a non-zero amplitude");
+            }
+            below += sum;
+        }
+        // Rounding can leave `u · total` at `total`: take the last index
+        // of non-zero probability.
+        (0..len).rev().find(|&i| amps[i].norm_sqr() > 0.0).expect("cannot sample the zero vector")
+    }
+
     /// Probability distribution over all basis states (|amp|²).
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
@@ -994,6 +1061,49 @@ mod tests {
         }
         let frac = ones as f64 / 2000.0;
         assert!((frac - 0.5).abs() < 0.05, "measured {frac}");
+    }
+
+    /// A normalized state with weight `w[i]` on index `i` of `len`, zero
+    /// elsewhere.
+    fn weighted(len: usize, weights: &[(usize, f64)]) -> StateVector {
+        let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+        let mut amps = vec![Complex64::ZERO; len];
+        for &(i, w) in weights {
+            amps[i] = c64((w / total).sqrt(), 0.0);
+        }
+        StateVector::from_amplitudes(amps)
+    }
+
+    #[test]
+    fn sample_index_never_returns_a_zero_probability_index() {
+        let bell = weighted(4, &[(0, 1.0), (3, 1.0)]);
+        let ghz4 = weighted(16, &[(0, 1.0), (15, 1.0)]);
+        // Two REDUCE_GRAIN blocks: weight inside the first one only, so the
+        // state's whole trailing block (and the first block's tail) is zero.
+        let trailing = weighted(1 << 13, &[(3, 0.2), (7, 0.5), (4000, 0.3)]);
+        // And the mirror: zero leading block, weight in the last one.
+        let leading = weighted(1 << 13, &[(5000, 0.6), (8190, 0.4)]);
+        let last = 1.0 - f64::EPSILON;
+        for (label, state, first, final_index) in [
+            ("bell", &bell, 0, 3),
+            ("ghz4", &ghz4, 0, 15),
+            ("trailing", &trailing, 3, 4000),
+            ("leading", &leading, 5000, 8190),
+        ] {
+            assert_eq!(state.sample_index(0.0), first, "{label}: u = 0");
+            assert_eq!(state.sample_index(last), final_index, "{label}: u = 1 - ε");
+            for k in 0..1000 {
+                let i = state.sample_index(k as f64 / 1000.0);
+                assert!(state.amp(i).norm_sqr() > 0.0, "{label}: u = {k}/1000 sampled zero-probability {i}");
+            }
+        }
+        // The running sum picks each index over a u-interval of its own
+        // probability's width.
+        assert_eq!(bell.sample_index(0.499), 0);
+        assert_eq!(bell.sample_index(0.501), 3);
+        assert_eq!(trailing.sample_index(0.199), 3);
+        assert_eq!(trailing.sample_index(0.201), 7);
+        assert_eq!(trailing.sample_index(0.701), 4000);
     }
 
     #[test]

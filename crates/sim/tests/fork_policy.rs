@@ -11,7 +11,7 @@ use qcor_pool::ThreadPool;
 use qcor_sim::stats::forked_sweeps;
 use qcor_sim::{run_shots, CompiledCircuit, RunConfig, StateVector, FORK_MIN_BYTES_PER_THREAD};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Qubits of the smallest register whose full-width sweeps fork on two
@@ -130,5 +130,40 @@ fn seeded_counts_do_not_depend_on_the_floor() {
             let must_fork = par_threshold == 1 || n >= FLOOR_QUBITS;
             assert_eq!(forked > 0, must_fork, "n={n} par_threshold={par_threshold} forked {forked}");
         }
+    }
+}
+
+#[test]
+fn sample_index_is_the_same_inline_and_forked() {
+    // 14 qubits = four 2^12-amplitude reduce blocks, so a forked walk
+    // gathers its block sums from several workers.
+    let n = 14;
+    let mut circuit = Circuit::new(n);
+    for q in 0..n {
+        circuit.h(q).ry(q, 0.2 + 0.1 * q as f64);
+    }
+    for q in 0..n - 1 {
+        circuit.cx(q, q + 1);
+    }
+    let compiled = CompiledCircuit::compile(&circuit);
+    let evolve = |pool: Arc<ThreadPool>, floor: Option<usize>| {
+        let mut state = StateVector::with_pool(n, pool);
+        if let Some(bytes) = floor {
+            state.set_par_threshold(bytes);
+        }
+        compiled.run_once(&mut state, &mut StdRng::seed_from_u64(0));
+        state
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    let draws: Vec<f64> = (0..512).map(|_| rng.gen()).chain([0.0, 1.0 - f64::EPSILON]).collect();
+    let reference = evolve(ThreadPool::sequential(), None);
+    let expected: Vec<usize> = draws.iter().map(|&u| reference.sample_index(u)).collect();
+    for threads in [1, 2, 4] {
+        let state = evolve(Arc::new(ThreadPool::new(threads)), Some(1));
+        let before = forked_sweeps();
+        let got: Vec<usize> = draws.iter().map(|&u| state.sample_index(u)).collect();
+        let forked = forked_sweeps() - before;
+        assert_eq!(forked > 0, threads > 1, "threads={threads}: forked {forked} of {} draws", draws.len());
+        assert_eq!(got, expected, "threads={threads}: forked sampling moved an index");
     }
 }

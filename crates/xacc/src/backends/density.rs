@@ -35,8 +35,8 @@ impl DensityAccelerator {
 
     /// Construct from registry params: `threads`, `depolarizing`,
     /// `dephasing`, `amplitude-damping` (all default 0) and
-    /// `readout-error` (default 0). Bad values are rejected with
-    /// [`XaccError::InvalidParam`].
+    /// `readout-error` (default 0). Bad values (zero `threads` included)
+    /// are rejected with [`XaccError::InvalidParam`].
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         let noise = NoiseModel {
             depolarizing: params.try_float("depolarizing")?.unwrap_or(0.0),
@@ -50,7 +50,7 @@ impl DensityAccelerator {
                 "readout-error probability {p_readout} outside [0, 1]"
             )));
         }
-        let mut acc = Self::new(params.try_usize("threads")?.unwrap_or(1).max(1), noise);
+        let mut acc = Self::new(params.try_positive("threads")?.unwrap_or(1), noise);
         acc.p_readout = p_readout;
         Ok(acc)
     }
@@ -158,5 +158,11 @@ mod tests {
         acc.execute(&mut a, &library::bell_kernel(), &opts).unwrap();
         acc.execute(&mut b, &library::bell_kernel(), &opts).unwrap();
         assert_eq!(a.measurements(), b.measurements());
+    }
+
+    #[test]
+    fn from_params_rejects_zero_threads() {
+        let err = DensityAccelerator::from_params(&HetMap::new().with("threads", 0usize)).err().unwrap();
+        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("threads")), "{err}");
     }
 }

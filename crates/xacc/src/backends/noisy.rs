@@ -62,8 +62,9 @@ impl NoisyQppAccelerator {
     /// (default 0), `readout-error` (default 0.01) and `chunk-shots`
     /// (explicit scheduler chunk size).
     ///
-    /// Bad parameter values are rejected with [`XaccError::InvalidParam`],
-    /// like the `qpp` backend's scheduler knobs.
+    /// Bad parameter values (zero `threads` or `chunk-shots` included) are
+    /// rejected with [`XaccError::InvalidParam`], like the `qpp` backend's
+    /// scheduler knobs.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         let noise = NoiseModel {
             depolarizing: params.try_float("depolarizing")?.unwrap_or(0.001),
@@ -77,8 +78,8 @@ impl NoisyQppAccelerator {
                 "readout-error probability {p_readout} outside [0, 1]"
             )));
         }
-        let mut acc = Self::with_noise(params.try_usize("threads")?.unwrap_or(1).max(1), noise, p_readout);
-        acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
+        let mut acc = Self::with_noise(params.try_positive("threads")?.unwrap_or(1), noise, p_readout);
+        acc.chunk_shots = params.try_positive("chunk-shots")?;
         Ok(acc)
     }
 
@@ -250,5 +251,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("readout-error")), "{err}");
+    }
+
+    #[test]
+    fn from_params_rejects_zero_counts() {
+        for key in ["threads", "chunk-shots"] {
+            let err = NoisyQppAccelerator::from_params(&HetMap::new().with(key, 0usize)).unwrap_err();
+            assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains(key)), "{key}: {err}");
+        }
     }
 }

@@ -44,16 +44,17 @@ impl QppAccelerator {
     /// (explicit scheduler chunk size; `chunk-shots` = shots with
     /// `par-threshold` = 1 is the pre-scheduler fork-per-sweep path).
     ///
-    /// Bad parameter values — a value of the wrong type or sign — are
-    /// rejected with [`XaccError::InvalidParam`], surfaced as
+    /// Bad parameter values — a value of the wrong type or sign, or zero
+    /// for any of the three — are rejected with
+    /// [`XaccError::InvalidParam`] naming the key, surfaced as
     /// an `Err` through `get_accelerator`/`initialize`.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
-        let threads = params.try_usize("threads")?.unwrap_or_else(qcor_pool::num_threads_from_env);
-        let mut acc = Self::new(threads.max(1));
-        if let Some(t) = params.try_usize("par-threshold")? {
-            acc.par_threshold = t.max(1);
+        let threads = params.try_positive("threads")?.unwrap_or_else(qcor_pool::num_threads_from_env);
+        let mut acc = Self::new(threads);
+        if let Some(t) = params.try_positive("par-threshold")? {
+            acc.par_threshold = t;
         }
-        acc.chunk_shots = params.try_usize("chunk-shots")?.map(|k| k.max(1));
+        acc.chunk_shots = params.try_positive("chunk-shots")?;
         Ok(acc)
     }
 
@@ -122,6 +123,14 @@ mod tests {
             QppAccelerator::from_params(&HetMap::new().with("threads", 1usize).with("par-threshold", 1usize))
                 .unwrap();
         assert_eq!(forking.par_threshold, 1);
+    }
+
+    #[test]
+    fn from_params_rejects_zero_knobs() {
+        for key in ["threads", "par-threshold", "chunk-shots"] {
+            let err = QppAccelerator::from_params(&HetMap::new().with(key, 0usize)).unwrap_err();
+            assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains(key)), "{key}: {err}");
+        }
     }
 
     #[test]

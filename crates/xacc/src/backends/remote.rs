@@ -30,11 +30,12 @@ impl RemoteAccelerator {
     /// Construct from registry params: `threads` (default 1) and
     /// `latency-ms` (default 50).
     ///
-    /// Bad parameter values are rejected with [`XaccError::InvalidParam`],
-    /// like the simulator backends' params.
+    /// Bad parameter values (zero `threads` included; a zero `latency-ms`
+    /// is valid) are rejected with [`XaccError::InvalidParam`], like the
+    /// simulator backends' params.
     pub fn from_params(params: &HetMap) -> Result<Self, XaccError> {
         Ok(Self::new(
-            params.try_usize("threads")?.unwrap_or(1).max(1),
+            params.try_positive("threads")?.unwrap_or(1),
             Duration::from_millis(params.try_usize("latency-ms")?.unwrap_or(50) as u64),
         ))
     }
@@ -85,5 +86,13 @@ mod tests {
     fn params_configure_latency() {
         let acc = RemoteAccelerator::from_params(&HetMap::new().with("latency-ms", 5usize)).unwrap();
         assert_eq!(acc.latency(), Duration::from_millis(5));
+    }
+
+    #[test]
+    fn from_params_rejects_zero_threads() {
+        let err = RemoteAccelerator::from_params(&HetMap::new().with("threads", 0usize)).err().unwrap();
+        assert!(matches!(err, XaccError::InvalidParam(ref msg) if msg.contains("threads")), "{err}");
+        let instant = RemoteAccelerator::from_params(&HetMap::new().with("latency-ms", 0usize)).unwrap();
+        assert_eq!(instant.latency(), Duration::ZERO);
     }
 }

@@ -129,6 +129,13 @@ impl HetMap {
         self.checked(key, "a non-negative integer", Self::get_usize)
     }
 
+    /// Checked positive integer lookup, erroring like
+    /// [`HetMap::try_usize`] on zero too: a zero thread count or chunk size
+    /// is refused, never clamped to one.
+    pub fn try_positive(&self, key: &str) -> Result<Option<usize>, XaccError> {
+        self.checked(key, "a positive integer", |map, key| map.get_usize(key).filter(|&v| v > 0))
+    }
+
     /// Checked float lookup (accepts what [`HetMap::get_float`] accepts),
     /// erroring like [`HetMap::try_usize`].
     pub fn try_float(&self, key: &str) -> Result<Option<f64>, XaccError> {

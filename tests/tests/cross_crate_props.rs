@@ -5,16 +5,16 @@
 //! of the one shot-execution core, `ShotPlan::execute`.
 
 use proptest::prelude::*;
-use qcor_circuit::{library, xasm, Circuit};
+use qcor_circuit::{library, xasm, Circuit, GateKind};
 use qcor_pool::ThreadPool;
 use qcor_sim::stats::forked_sweeps;
 use qcor_sim::{
-    derive_stream_seed, run_once_interpreted, run_shots, CancelToken, CompiledCircuit, Counts, NoiseModel,
-    RunConfig, ShotPlan, StateVector, FORK_MIN_BYTES_PER_THREAD,
+    derive_stream_seed, run_once_interpreted, run_shots, terminal_suffix, CancelToken, CompiledCircuit,
+    Counts, NoiseModel, RunConfig, ShotPlan, StateVector, FORK_MIN_BYTES_PER_THREAD,
 };
 use qcor_xacc::{registry, AcceleratorBuffer, ExecOptions, HetMap};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Generate a small random XASM kernel source over 3 qubits ending with
@@ -133,10 +133,24 @@ fn task_parallel(circuit: &Circuit, tasks: usize, threads_per_task: usize, confi
 
 /// Seeded counts of the interpreter over the scheduler's own partition
 /// for `tasks`: the same `ShotPlan::chunks()` and `derive_stream_seed`
-/// streams that `ShotPlan::execute` replays compiled, so the two must
-/// merge identical counts.
+/// streams that `ShotPlan::execute` replays compiled, under the same
+/// per-shot protocol, so the two must merge identical counts. A circuit
+/// with terminal measurements is interpreted up to its terminal suffix,
+/// and one `sample_index` draw then reads every measured bit; any other
+/// circuit is interpreted in full, one draw per measure and reset.
 fn interpreted_counts(circuit: &Circuit, config: &RunConfig, tasks: usize) -> Counts {
     let base = config.seed.expect("the oracle needs a seeded config");
+    let (prefix, measured) = match terminal_suffix(circuit) {
+        Some(start) => {
+            let insts = circuit.instructions();
+            let mut prefix = Circuit::new(circuit.num_qubits());
+            prefix.instructions_mut().extend_from_slice(&insts[..start]);
+            let measured: Vec<usize> =
+                insts[start..].iter().filter(|i| i.gate == GateKind::Measure).map(|i| i.qubits[0]).collect();
+            (prefix, measured)
+        }
+        None => (circuit.clone(), Vec::new()),
+    };
     let mut counts = Counts::new();
     for (index, span) in ShotPlan::for_tasks(circuit, config, tasks).chunks().enumerate() {
         let mut state = StateVector::new(circuit.num_qubits());
@@ -145,7 +159,12 @@ fn interpreted_counts(circuit: &Circuit, config: &RunConfig, tasks: usize) -> Co
             if shot > 0 {
                 state.reset_to_zero();
             }
-            *counts.entry(run_once_interpreted(&mut state, circuit, &mut rng).bitstring()).or_insert(0) += 1;
+            let mut record = run_once_interpreted(&mut state, &prefix, &mut rng);
+            if !measured.is_empty() {
+                let index = state.sample_index(rng.gen());
+                record.outcomes = measured.iter().map(|&q| (q, (index >> q & 1) as u8)).collect();
+            }
+            *counts.entry(record.bitstring()).or_insert(0) += 1;
         }
     }
     counts

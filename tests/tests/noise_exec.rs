@@ -14,14 +14,17 @@
 //!   commuting group) equals the per-term exact expectation to 1e-10 on
 //!   random Hamiltonians, evaluated on exact distributions so the only
 //!   possible discrepancy is the grouping itself,
-//! * seeded trajectory counts are **pool-size invariant**.
+//! * seeded trajectory counts are **pool-size invariant**, also when the
+//!   channel-free shots share one clean state, which a plan evolves
+//!   exactly once.
 
 use qcor_circuit::{library, Circuit};
 use qcor_pauli::{expectation, grouping::group_qubit_wise, Pauli, PauliString, PauliSum};
 use qcor_pool::ThreadPool;
+use qcor_sim::stats::{kernel_iteration_breakdown, reset_kernel_iterations};
 use qcor_sim::{
-    apply_readout_error, c64, compile_noisy, exact_distribution, run_noisy_shots, run_once, ApplyState,
-    Counts, DensityMatrix, NoiseModel, NoisyOp, RunConfig, StateVector,
+    apply_readout_error, c64, compile_cached, compile_noisy, exact_distribution, run_noisy_shots, run_once,
+    ApplyState, Counts, DensityMatrix, NoiseModel, NoisyOp, RunConfig, StateVector,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,7 +174,11 @@ fn trajectory_counts_fit_the_exact_density_distribution() {
             0.0,
         ),
     ];
+    // The first and third cells take the shared-clean-state path; the
+    // damping and mid-circuit cells replay every shot.
     for (label, circuit, noise, readout) in &cells {
+        let shares = !label.contains("damping") && !label.contains("midcircuit");
+        assert_eq!(compile_noisy(circuit, noise).shares_clean_state(), shares, "{label}");
         let exact = DensityMatrix::run_noisy_circuit(circuit, pool(1), noise).unwrap();
         let exact = apply_readout_error(&exact, *readout);
         let config = RunConfig { shots: SHOTS, seed: Some(4242), ..RunConfig::default() };
@@ -307,4 +314,55 @@ fn seeded_trajectory_counts_are_pool_size_invariant() {
             assert_eq!(canonical(&narrow), canonical(&wide), "{label}/chunk{chunk_shots:?}: pool 1 vs 4");
         }
     }
+}
+
+/// A measured 8-qubit circuit of every gate family, for the shared
+/// clean-state tests.
+fn shared_state_circuit() -> Circuit {
+    let mut circuit = random_unitary_circuit(8, 40, &mut StdRng::seed_from_u64(17));
+    circuit.measure_all();
+    circuit
+}
+
+#[test]
+fn shared_clean_state_counts_are_pool_size_invariant() {
+    let circuit = shared_state_circuit();
+    let noise = NoiseModel { depolarizing: 0.01, dephasing: 0.005, ..Default::default() };
+    assert!(compile_noisy(&circuit, &noise).shares_clean_state());
+    for chunk_shots in [None, Some(1), Some(37)] {
+        for par_threshold in [RunConfig::default().par_threshold, 1] {
+            let config = RunConfig { shots: 600, seed: Some(77), chunk_shots, par_threshold };
+            let narrow = run_noisy_shots(&circuit, &noise, 0.02, pool(1), &config);
+            assert_eq!(narrow.values().sum::<usize>(), 600);
+            for threads in [2, 4] {
+                let wide = run_noisy_shots(&circuit, &noise, 0.02, pool(threads), &config);
+                assert_eq!(
+                    canonical(&narrow),
+                    canonical(&wide),
+                    "chunk{chunk_shots:?}/floor {par_threshold}: pool 1 vs {threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_noisy_plan_evolves_its_clean_state_once() {
+    // At p = 1e-12 no channel fires in 512 shots, so every shot samples the
+    // shared clean state. On the sequential pool every chunk runs on this
+    // thread, whose kernel counters must then hold exactly one evolution
+    // of the fused plan.
+    let circuit = shared_state_circuit();
+    let noise = NoiseModel { depolarizing: 1e-12, ..Default::default() };
+    assert!(compile_noisy(&circuit, &noise).shares_clean_state());
+    reset_kernel_iterations();
+    let mut state = StateVector::new(circuit.num_qubits());
+    compile_cached(&circuit).sample_once(&mut state, &mut StdRng::seed_from_u64(0));
+    let one_evolution = kernel_iteration_breakdown();
+    assert!(one_evolution.iter().any(|&(_, n)| n > 0));
+    reset_kernel_iterations();
+    let config = RunConfig { shots: 512, seed: Some(5), ..RunConfig::default() };
+    let counts = run_noisy_shots(&circuit, &noise, 0.0, ThreadPool::sequential(), &config);
+    assert_eq!(counts.values().sum::<usize>(), 512);
+    assert_eq!(kernel_iteration_breakdown(), one_evolution, "512 clean shots, one evolution");
 }

@@ -113,14 +113,22 @@ impl Default for ExecServiceConfig {
 
 impl ExecServiceConfig {
     /// Builder-style capacity.
+    ///
+    /// # Panics
+    ///
+    /// On `capacity = 0`: no submission could ever enter the queue.
     pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
+        self.capacity = positive("ExecServiceConfig::capacity", capacity);
         self
     }
 
     /// Builder-style team size.
+    ///
+    /// # Panics
+    ///
+    /// On `threads = 0`: the team includes the dispatcher.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = positive("ExecServiceConfig::threads", threads);
         self
     }
 
@@ -151,6 +159,13 @@ impl ExecServiceConfig {
         }
         cfg
     }
+}
+
+/// `n`, or a panic naming `field` when it is 0 — a configuration value is
+/// never silently clamped, as with the `QCOR_*` knobs.
+fn positive(field: &str, n: usize) -> usize {
+    assert!(n >= 1, "{field} = 0 is not a positive integer (expected >= 1)");
+    n
 }
 
 /// Snapshot of a service's counters, taken under a single lock
@@ -499,7 +514,9 @@ impl std::fmt::Debug for ExecutionService {
 impl ExecutionService {
     /// Build a service with its own pool and dispatcher.
     pub fn new(config: ExecServiceConfig) -> Self {
-        let pool = Arc::new(PoolBuilder::new().num_threads(config.threads.max(1)).name("qcor-svc").build());
+        let capacity = positive("ExecServiceConfig::capacity", config.capacity);
+        let threads = positive("ExecServiceConfig::threads", config.threads);
+        let pool = Arc::new(PoolBuilder::new().num_threads(threads).name("qcor-svc").build());
         // The one place the permit budget is computed: every worker of the
         // pool is an executor slot; a team of one leaves the dispatcher
         // itself as the single (inline) executor.
@@ -509,7 +526,7 @@ impl ExecutionService {
             state: Mutex::new(QueueState::new(max_permits)),
             task_ready: Condvar::new(),
             space_ready: Condvar::new(),
-            capacity: config.capacity.max(1),
+            capacity,
             max_permits,
             next_ticket: AtomicUsize::new(1),
             pool_id: pool.id(),
@@ -1228,5 +1245,23 @@ mod tests {
     #[should_panic(expected = "QCOR_SERVICE_THREADS=`many` is not a positive integer")]
     fn from_env_reader_rejects_garbage_threads() {
         let _ = ExecServiceConfig::from_env_reader(env(&[("QCOR_SERVICE_THREADS", "many")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "ExecServiceConfig::capacity = 0 is not a positive integer")]
+    fn capacity_rejects_zero() {
+        let _ = ExecServiceConfig::default().capacity(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ExecServiceConfig::threads = 0 is not a positive integer")]
+    fn threads_rejects_zero() {
+        let _ = ExecServiceConfig::default().threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ExecServiceConfig::capacity = 0 is not a positive integer")]
+    fn new_rejects_a_zero_field_set_directly() {
+        let _ = ExecutionService::new(ExecServiceConfig { capacity: 0, threads: 2 });
     }
 }

@@ -60,9 +60,10 @@ impl InitOptions {
         self
     }
 
-    /// Simulator threads per kernel.
+    /// Simulator threads per kernel. Zero is passed on as is, and
+    /// [`initialize`] returns the backend's `InvalidParam` for it.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = Some(n);
         self
     }
 
@@ -96,9 +97,10 @@ impl InitOptions {
     /// `(seed, tasks, chunk_shots)`. Default: chunks sized by cost.
     /// `chunk_shots` = shots together with `.param("par-threshold", 1usize)`
     /// is the pre-scheduler behavior (every shot on the executing thread, a
-    /// fork/join per sweep), kept for A/B comparison.
+    /// fork/join per sweep), kept for A/B comparison. Zero is passed on as
+    /// is, and [`initialize`] returns the backend's `InvalidParam` for it.
     pub fn chunk_shots(mut self, chunk_shots: usize) -> Self {
-        self.params.insert("chunk-shots", chunk_shots.max(1));
+        self.params.insert("chunk-shots", chunk_shots);
         self
     }
 }
@@ -253,6 +255,32 @@ mod tests {
             let err = initialize(InitOptions::default().threads(1).param("par-threshold", "perhaps"));
             assert!(
                 matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("par-threshold")),
+                "{err:?}"
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn zero_threads_is_rejected_by_the_backend() {
+        std::thread::spawn(|| {
+            let err = initialize(InitOptions::default().threads(0));
+            assert!(
+                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("threads")),
+                "{err:?}"
+            );
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn zero_chunk_shots_is_rejected_by_the_backend() {
+        std::thread::spawn(|| {
+            let err = initialize(InitOptions::default().threads(1).chunk_shots(0));
+            assert!(
+                matches!(err, Err(QcorError::InvalidParam(ref msg)) if msg.contains("chunk-shots")),
                 "{err:?}"
             );
         })

@@ -203,8 +203,13 @@ impl PoolBuilder {
     /// Total team size including the calling thread. `1` means all parallel
     /// constructs run inline sequentially. Defaults to
     /// [`crate::num_threads_from_env`].
+    ///
+    /// # Panics
+    ///
+    /// On `n = 0`: a pool has at least the calling thread.
     pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n.max(1));
+        assert!(n >= 1, "PoolBuilder::num_threads = 0: a pool needs at least one thread (expected >= 1)");
+        self.num_threads = Some(n);
         self
     }
 
@@ -216,7 +221,7 @@ impl PoolBuilder {
 
     /// Spawn the workers and return the pool.
     pub fn build(self) -> ThreadPool {
-        let num_threads = self.num_threads.unwrap_or_else(crate::num_threads_from_env).max(1);
+        let num_threads = self.num_threads.unwrap_or_else(crate::num_threads_from_env);
         let name = self.name.unwrap_or_else(|| "qcor-pool".to_string());
         ThreadPool::with_config(num_threads, name)
     }
@@ -240,12 +245,19 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// Create a pool with a total team size of `num_threads` (including the
     /// calling thread; `num_threads - 1` background workers are spawned).
+    ///
+    /// # Panics
+    ///
+    /// On `num_threads = 0`: a pool has at least the calling thread.
     pub fn new(num_threads: usize) -> Self {
+        assert!(
+            num_threads >= 1,
+            "ThreadPool::new num_threads = 0: a pool needs at least one thread (expected >= 1)"
+        );
         Self::with_config(num_threads, "qcor-pool".to_string())
     }
 
     fn with_config(num_threads: usize, name: String) -> Self {
-        let num_threads = num_threads.max(1);
         let (sender, receiver) = unbounded::<Message>();
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         let inner = Arc::new(PoolInner {
@@ -848,6 +860,18 @@ mod tests {
         let pool = PoolBuilder::new().num_threads(3).name("bench").build();
         assert_eq!(pool.num_threads(), 3);
         assert_eq!(pool.name(), "bench");
+    }
+
+    #[test]
+    #[should_panic(expected = "PoolBuilder::num_threads = 0")]
+    fn builder_rejects_zero_threads() {
+        let _ = PoolBuilder::new().num_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ThreadPool::new num_threads = 0")]
+    fn new_rejects_zero_threads() {
+        let _ = ThreadPool::new(0);
     }
 
     #[test]

@@ -55,7 +55,12 @@
 //!    shot replays the ops before the first `Measure`. A noisy shot where
 //!    no channel fired skips this step: it reads the plan's clean state,
 //!    evolved once per plan before the chunks are dispatched and shared
-//!    read-only.
+//!    read-only. A noisy shot where some channel fired starts from a
+//!    snapshot of the clean interleaved stream: the plan's last one at or
+//!    before its first fired channel, taken once per plan, on its first
+//!    fired shot ([`crate::noise`]). The ops it skips are clean ops. They
+//!    apply the same bits to every shot and draw nothing, so this step
+//!    draws nothing and leaves the same state as a replay from op 0.
 //! 3. **One `f64`** `u ∈ [0, 1)`, mapped to a basis index by
 //!    [`StateVector::sample_index`]: the first index whose running |amp|²
 //!    sum exceeds `u · total`, found by walking the block sums of the
@@ -94,7 +99,7 @@ use crate::cancel::CancelToken;
 use crate::compile::CompiledCircuit;
 use crate::density::NoiseModel;
 use crate::gates::apply_instruction;
-use crate::noise::{compile_noisy, run_trajectory_once, NoisyCompiled};
+use crate::noise::{compile_noisy, run_trajectory_once, CleanState, NoisyCompiled};
 use crate::state::{StateVector, FORK_MIN_BYTES_PER_THREAD, INNER_PAR_MIN_AMPS};
 use qcor_circuit::Circuit;
 use qcor_pool::ThreadPool;
@@ -286,12 +291,14 @@ impl ShotPlan {
     ///
     /// Every shot follows the [draw protocol](self#the-per-shot-draw-protocol):
     /// its terminal measurements cost one draw against the evolved state
-    /// instead of a probability sweep and a collapse sweep per qubit, and
-    /// a noisy shot where no channel fires replays nothing, since the
-    /// plan's clean state is evolved once. A noiseless shot still replays
-    /// its unitary prefix: evolving it once per plan as well (the rest of
-    /// "evolve once, sample many") is left for later, and circuits with
-    /// mid-circuit measurement or reset replay in full either way.
+    /// instead of a probability sweep and a collapse sweep per qubit. A
+    /// noisy shot where no channel fires replays nothing, since the plan's
+    /// clean state is evolved once, and a shot where one fires replays only
+    /// from the last clean-stream snapshot before it. A noiseless shot
+    /// still replays its unitary prefix: evolving it once per plan as well
+    /// (the rest of "evolve once, sample many") is left for later, and
+    /// circuits with mid-circuit measurement or reset replay in full either
+    /// way.
     pub fn execute(
         &self,
         circuit: &Circuit,
@@ -309,7 +316,8 @@ impl ShotPlan {
         let base_seed = config.seed.unwrap_or_else(|| StdRng::from_entropy().gen());
         // Compile once per plan; every chunk replays the same op list. A
         // noisy plan's clean state is evolved here, once, and shared
-        // read-only by the chunks.
+        // read-only by the chunks, which take its snapshots on the first
+        // fired shot.
         let exec = match noise {
             Some((model, readout)) => {
                 let plan = compile_noisy(circuit, model);
@@ -360,10 +368,11 @@ impl ShotPlan {
 
 /// The executor a shot plan runs per shot: the circuit compiled once into
 /// fused kernel ops, or the noisy trajectory sampler with the plan's
-/// shared clean state (see [`NoisyCompiled::shares_clean_state`]).
+/// shared clean state and its snapshots, taken on the first fired shot
+/// (see [`NoisyCompiled::shares_clean_state`]).
 enum ShotExec {
     Compiled(CompiledCircuit),
-    Trajectory { plan: NoisyCompiled, readout: f64, clean: Option<StateVector> },
+    Trajectory { plan: NoisyCompiled, readout: f64, clean: Option<CleanState> },
 }
 
 impl ShotExec {

@@ -506,6 +506,12 @@ impl StateVector {
         self.amps[0] = Complex64::ONE;
     }
 
+    /// Overwrite the amplitudes with `amps`, of the same length, without
+    /// reallocating.
+    pub(crate) fn copy_amplitudes_from(&mut self, amps: &[Complex64]) {
+        self.amps.copy_from_slice(amps);
+    }
+
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
